@@ -61,7 +61,7 @@ def _measure_pair(tree, patterns, rates):
 
     Returns ``(sweep_seconds, per_edge_seconds, n_edges)``; raises if
     any edge's triple differs between the two paths (both are float64
-    on the reference backend, so equality is exact).
+    through the same set executor, so equality is exact).
     """
     start = time.perf_counter()
     grad = all_branch_derivatives(tree, MODEL, patterns, rates=rates)

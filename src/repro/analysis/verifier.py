@@ -101,11 +101,11 @@ def verify_plan(
     operation-count invariant does not apply, and the root must be among
     the dirty destinations (a dirty path always ends at the root).
 
-    Plans and :class:`BufferConfig` are backend-agnostic — they name
-    buffer indices and operation sets only, never how a set is executed
-    — so one verified plan is verified for **every** registered kernel
-    backend (the backend contract forbids backends from reordering or
-    regrouping a set's reads and writes; see ``docs/BACKENDS.md``).
+    Plans and :class:`BufferConfig` name buffer indices and operation
+    sets only, never how a set is executed — so one verified plan is
+    verified for either set-executor strategy (neither reorders nor
+    regroups a set's reads and writes across launches; see
+    :mod:`repro.beagle.setexec`).
     """
     if config is not None and instance is not None:
         raise ValueError("pass either config or instance, not both")

@@ -1,10 +1,8 @@
 """BEAGLE-work-alike likelihood engine: buffers, operations, kernels.
 
-Execution is pluggable: every instance delegates its kernel launches to
-a :class:`~repro.beagle.backend.KernelBackend` selected through the
-resource registry (:mod:`repro.beagle.resources`), and the parity gate
-(:mod:`repro.beagle.parity`) measures each registered backend against
-the reference. See ``docs/BACKENDS.md`` for the backend contract.
+Every instance runs its kernel launches through one set executor
+(:mod:`repro.beagle.setexec`), which picks per-operation or arena-block
+execution from the set's width alone.
 """
 
 from .operations import Operation, operations_independent, validate_operation_order
@@ -15,34 +13,9 @@ from .kernels import (
     rescale_partials,
     root_site_likelihoods,
     update_partials,
-    update_partials_batch,
 )
 from .scaling import ScaleBufferBank
 from .workspace import TransitionMatrixCache, Workspace
-from .backend import (
-    PARITY_BIT_IDENTICAL,
-    PARITY_TOLERANCE,
-    BackendInfo,
-    KernelBackend,
-)
-from .backends import (
-    NUMBA_AVAILABLE,
-    BlockedNumpyBackend,
-    NumbaBackend,
-    ReferenceBackend,
-)
-from .resources import (
-    BACKEND_ENV_VAR,
-    DEFAULT_RESOURCE,
-    ResourceRequirements,
-    UnknownResourceError,
-    acquire,
-    available_resources,
-    list_resources,
-    register_resource,
-    resolve_backend,
-)
-from .parity import ParityCheck, ParityReport, parity_report
 from .instance import BeagleInstance, InstanceStats
 from .reference import brute_force_log_likelihood, pruning_log_likelihood
 
@@ -52,7 +25,6 @@ __all__ = [
     "validate_operation_order",
     "child_contribution",
     "update_partials",
-    "update_partials_batch",
     "rescale_partials",
     "root_site_likelihoods",
     "edge_site_likelihoods",
@@ -60,26 +32,6 @@ __all__ = [
     "ScaleBufferBank",
     "TransitionMatrixCache",
     "Workspace",
-    "PARITY_BIT_IDENTICAL",
-    "PARITY_TOLERANCE",
-    "BackendInfo",
-    "KernelBackend",
-    "ReferenceBackend",
-    "BlockedNumpyBackend",
-    "NumbaBackend",
-    "NUMBA_AVAILABLE",
-    "BACKEND_ENV_VAR",
-    "DEFAULT_RESOURCE",
-    "ResourceRequirements",
-    "UnknownResourceError",
-    "register_resource",
-    "available_resources",
-    "list_resources",
-    "acquire",
-    "resolve_backend",
-    "ParityCheck",
-    "ParityReport",
-    "parity_report",
     "BeagleInstance",
     "InstanceStats",
     "brute_force_log_likelihood",

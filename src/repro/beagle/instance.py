@@ -16,27 +16,27 @@ benchmarks can account throughput the way the paper does (§VI-C).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..models.eigen import EigenDecomposition
-from ..obs import get_recorder, record_backend_info
+from ..models.eigen import EigenDecomposition, transition_matrices
+from ..obs import get_recorder
 from ..obs.profile import (
     PHASE_MATRICES,
     PHASE_PARTIALS,
     PHASE_ROOT,
 )
-from .backend import KernelBackend
 from .kernels import (
     child_contribution,
     dense_tip_partials,
     edge_site_likelihoods,
     operation_flops,
+    root_site_likelihoods,
 )
 from .operations import Operation, operations_independent
-from .resources import resolve_backend
 from .scaling import ScaleBufferBank
+from .setexec import execute_operation, execute_set, rescale_operation
 from .workspace import TransitionMatrixCache, Workspace
 
 __all__ = ["BeagleInstance", "InstanceStats"]
@@ -60,12 +60,12 @@ class InstanceStats:
 class BeagleInstance:
     """A likelihood-computation instance over fixed-size buffers.
 
-    Every operation set — regardless of size — executes through a
-    preallocated :class:`~repro.beagle.workspace.Workspace` arena, so
-    batched execution is allocation-free in steady state and per-
-    operation results are bit-identical however the scheduler groups
-    operations into sets (full traversals and incremental dirty paths
-    agree exactly). An optional
+    Every operation set runs through one executor
+    (:func:`repro.beagle.setexec.execute_set`), which picks per-operation
+    or arena-block execution from the set's width alone; per-operation
+    results are bit-identical however the scheduler groups operations
+    into sets (full traversals and incremental dirty paths agree
+    exactly). An optional
     :class:`~repro.beagle.workspace.TransitionMatrixCache` can be
     attached as :attr:`matrix_cache` to serve repeated
     ``update_transition_matrices`` lengths from an LRU instead of
@@ -92,13 +92,6 @@ class BeagleInstance:
         large trees motivates the paper's ``--manualscale`` option
         (§VI-F); scale buffers always stay in double precision, exactly
         as BEAGLE keeps log scalers at higher precision.
-    backend:
-        The kernel implementation executing this instance's launches:
-        ``None`` (default — resolve via
-        :func:`repro.beagle.resources.resolve_backend`, honouring the
-        ``REPRO_BACKEND`` environment variable), a registered resource
-        name, or a :class:`~repro.beagle.backend.KernelBackend` object.
-        See ``docs/BACKENDS.md`` for the contract backends honour.
     """
 
     def __init__(
@@ -111,7 +104,6 @@ class BeagleInstance:
         category_count: int = 1,
         scale_buffer_count: int = 0,
         dtype=np.float64,
-        backend: Union[None, str, KernelBackend] = None,
     ) -> None:
         if min(tip_count, partials_buffer_count, matrix_count) < 1:
             raise ValueError("buffer counts must be positive")
@@ -121,8 +113,6 @@ class BeagleInstance:
         if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
             raise ValueError("dtype must be float32 or float64")
         self.dtype = dtype
-        #: The resolved kernel backend executing this instance's launches.
-        self.backend: KernelBackend = resolve_backend(backend)
         self.tip_count = tip_count
         self.partials_buffer_count = partials_buffer_count
         self.matrix_buffer_count = matrix_count
@@ -135,17 +125,14 @@ class BeagleInstance:
         self._tip_partials: Dict[int, np.ndarray] = {}
         # Dense mirror of tip codes for vectorised multi-operation gathers.
         self._tip_codes_dense = np.zeros((tip_count, pattern_count), dtype=np.int64)
-        # Internal partials: one dense block, views handed to kernels.
+        # Partials store: one dense block, views handed to kernels. Row
+        # ``b - tip_count`` holds buffer ``b``; the pre-order upper bank,
+        # once enabled, is the rows after the internal partials.
         self._partials = np.zeros(
             (partials_buffer_count, category_count, pattern_count, state_count),
             dtype=dtype,
         )
         self._partials_valid = np.zeros(partials_buffer_count, dtype=bool)
-        # Pre-order upper-partial bank (one slot per node, tips included);
-        # allocated lazily by enable_upper_partials() so likelihood-only
-        # instances pay nothing for the gradient engine.
-        self._upper: Optional[np.ndarray] = None
-        self._upper_valid: Optional[np.ndarray] = None
         self._matrices = np.zeros(
             (matrix_count, category_count, state_count, state_count), dtype=dtype
         )
@@ -164,10 +151,6 @@ class BeagleInstance:
         self._workspace: Optional[Workspace] = None
 
         self.stats = InstanceStats()
-        if get_recorder().enabled:
-            # Info-metric: a metrics export names the backend that
-            # actually executed (the CI backend-matrix grep gate).
-            record_backend_info(self.backend.info)
 
     # ------------------------------------------------------------------
     # Data setters (the beagleSet* family)
@@ -283,7 +266,7 @@ class BeagleInstance:
                 return
             # (k·C,) scaled times -> (k, C, S, S)
             scaled = (t[:, None] * self._category_rates[None, :]).reshape(-1)
-            P = self.backend.materialize_matrices(self._eigens[eigen_index], scaled)
+            P = transition_matrices(self._eigens[eigen_index], scaled)
             P = P.reshape(
                 len(idx), self.category_count, self.state_count, self.state_count
             )
@@ -324,7 +307,7 @@ class BeagleInstance:
             C, S = self.category_count, self.state_count
             lengths = np.array([eff for eff, _ in pending.values()])
             scaled = (lengths[:, None] * self._category_rates[None, :]).reshape(-1)
-            P = self.backend.materialize_matrices(eigen, scaled).reshape(
+            P = transition_matrices(eigen, scaled).reshape(
                 n_misses, C, S, S
             )
             for j, (key, (_, positions)) in enumerate(pending.items()):
@@ -361,8 +344,9 @@ class BeagleInstance:
             raise IndexError(f"tip index {tip_index} out of range")
 
     def _internal_slot(self, buffer_index: int) -> int:
+        """Store row of a non-tip buffer, lower or upper (range-checked)."""
         slot = buffer_index - self.tip_count
-        if not 0 <= slot < self.partials_buffer_count:
+        if not 0 <= slot < self._partials.shape[0]:
             raise IndexError(f"partials buffer {buffer_index} out of range")
         return slot
 
@@ -397,7 +381,7 @@ class BeagleInstance:
 
     def invalidate_partials(self) -> None:
         """Mark every internal buffer as not-yet-computed."""
-        self._partials_valid[:] = False
+        self._partials_valid[: self.partials_buffer_count] = False
 
     # ------------------------------------------------------------------
     # Pre-order upper partials (the all-branch gradient bank)
@@ -412,46 +396,46 @@ class BeagleInstance:
         """
         return self.tip_count + self.partials_buffer_count
 
+    @property
+    def _upper_enabled(self) -> bool:
+        """Whether :meth:`enable_upper_partials` has allocated the bank."""
+        return self._partials.shape[0] > self.partials_buffer_count
+
     def enable_upper_partials(self) -> None:
         """Allocate the upper-partial bank (idempotent).
 
         One ``(C, P, S)`` slot per node — tips included, because every
-        branch (tip branches too) has a far-side half-tree. Roughly
-        doubles the partials footprint, which is why the bank is opt-in.
+        branch (tip branches too) has a far-side half-tree. The bank is
+        the rows after the internal partials in one store, so upper
+        buffer ``b`` sits at row ``b - tip_count`` exactly like a lower
+        buffer (``upper_base - tip_count == partials_buffer_count``) and
+        one child lookup serves both passes. Roughly doubles the partials
+        footprint, which is why the bank is opt-in; existing lower
+        partials are kept.
         """
-        if self._upper is None:
-            n = self.upper_base
-            self._upper = np.zeros(
-                (n, self.category_count, self.pattern_count, self.state_count),
-                dtype=self.dtype,
-            )
-            self._upper_valid = np.zeros(n, dtype=bool)
+        if self._upper_enabled:
+            return
+        n = self.partials_buffer_count
+        shape = (n + self.upper_base,) + self._partials.shape[1:]
+        store = np.zeros(shape, dtype=self.dtype)
+        store[:n] = self._partials
+        valid = np.zeros(store.shape[0], dtype=bool)
+        valid[:n] = self._partials_valid
+        self._partials, self._partials_valid = store, valid
 
     def invalidate_upper_partials(self) -> None:
         """Mark every upper-partial buffer as not-yet-computed."""
-        if self._upper_valid is not None:
-            self._upper_valid[:] = False
+        self._partials_valid[self.partials_buffer_count :] = False
 
     def _upper_slot(self, buffer_index: int) -> int:
-        """Bank slot of a global upper buffer index (range-checked)."""
-        if self._upper is None:
+        """Store row of a global upper buffer index (range-checked)."""
+        if not self._upper_enabled:
             raise ValueError(
                 "upper partials not enabled; call enable_upper_partials()"
             )
-        slot = buffer_index - self.upper_base
-        if not 0 <= slot < self._upper.shape[0]:
+        if not self.upper_base <= buffer_index < 2 * self.upper_base:
             raise IndexError(f"upper buffer {buffer_index} out of range")
-        return slot
-
-    def _upper_array(self, buffer_index: int) -> np.ndarray:
-        """Validated ``(C, P, S)`` view of a computed upper buffer."""
-        slot = self._upper_slot(buffer_index)
-        assert self._upper is not None and self._upper_valid is not None
-        if not self._upper_valid[slot]:
-            raise ValueError(
-                f"upper buffer {buffer_index} read before being computed"
-            )
-        return self._upper[slot]
+        return buffer_index - self.tip_count
 
     def seed_upper_partials(self, destination: int, source: int) -> None:
         """Seed a root child's upper buffer from its sibling's lowers.
@@ -463,15 +447,14 @@ class BeagleInstance:
         one-hot partials in the instance dtype.
         """
         slot = self._upper_slot(destination)
-        assert self._upper is not None and self._upper_valid is not None
         partials, codes = self._child_arrays(source)
         if partials is None:
-            self._upper[slot] = dense_tip_partials(
+            self._partials[slot] = dense_tip_partials(
                 codes, self.state_count, self.category_count, self.dtype
             )
         else:
-            self._upper[slot] = partials
-        self._upper_valid[slot] = True
+            self._partials[slot] = partials
+        self._partials_valid[slot] = True
 
     def upper_partials(self, node_buffer: int) -> np.ndarray:
         """Copy of a node's computed upper partials ``(C, P, S)``.
@@ -479,7 +462,13 @@ class BeagleInstance:
         ``node_buffer`` is the node's *lower* buffer index; the method
         offsets into the upper bank itself.
         """
-        return np.array(self._upper_array(self.upper_base + node_buffer), copy=True)
+        slot = self._upper_slot(self.upper_base + node_buffer)
+        if not self._partials_valid[slot]:
+            raise ValueError(
+                f"upper buffer {self.upper_base + node_buffer} "
+                "read before being computed"
+            )
+        return np.array(self._partials[slot], copy=True)
 
     def update_upper_partials_set(self, operations: Sequence[Operation]) -> None:
         """Execute one independent *upper*-partial operation set.
@@ -487,31 +476,14 @@ class BeagleInstance:
         The pre-order analogue of :meth:`update_partials_set`: each
         operation's ``child1`` is a sibling's lower buffer, its ``child2``
         the parent's upper buffer, and the destination an upper buffer.
-        Delegated to the backend's
-        :meth:`~repro.beagle.backend.KernelBackend.update_upper_partials`.
+        Upper buffers are ordinary store rows, so the set runs through the
+        same executor as a post-order set.
         """
-        ops = list(operations)
-        if not ops:
-            return
-        if not operations_independent(ops):
-            raise ValueError("operation set contains internal dependencies")
-        if self._upper is None:
+        if not self._upper_enabled:
             raise ValueError(
                 "upper partials not enabled; call enable_upper_partials()"
             )
-        k = len(ops)
-        obs = get_recorder()
-        if obs.enabled:
-            obs.count("repro_kernel_launches_total")
-            obs.count("repro_operations_evaluated_total", k)
-            obs.observe("repro_operations_per_set", k)
-            with obs.span("kernel.upper", category="kernel", operations=k):
-                self.backend.update_upper_partials(self, ops)
-        else:
-            self.backend.update_upper_partials(self, ops)
-        self.stats.kernel_launches += 1
-        self.stats.operations += k
-        self.stats.flops += k * self.flops_per_operation
+        self._launch(list(operations), "kernel.upper")
 
     def enable_scaling(self, count: int) -> None:
         """Grow the scale bank to at least ``count`` buffers.
@@ -561,7 +533,10 @@ class BeagleInstance:
             (scheduler) must guarantee set independence, exactly as the
             BEAGLE library requires.
         """
-        ops = list(operations)
+        self._launch(list(operations), "kernel.batch")
+
+    def _launch(self, ops: List[Operation], span: str) -> None:
+        """Validate one operation set and run it as one kernel launch."""
         if not ops:
             return
         if not operations_independent(ops):
@@ -574,17 +549,16 @@ class BeagleInstance:
             obs.count("repro_kernel_launches_total")
             obs.count("repro_operations_evaluated_total", k)
             obs.observe("repro_operations_per_set", k)
-            with obs.span("kernel.batch", category="kernel", operations=k):
+            with obs.span(span, category="kernel", operations=k):
                 self._run_operation_set(ops, k)
         else:
             self._run_operation_set(ops, k)
 
     @property
     def workspace(self) -> Workspace:
-        """The instance's batched-execution arena (created on first use
-        by the backend's :meth:`~repro.beagle.backend.KernelBackend.create_workspace`)."""
+        """The instance's batched-execution arena (created on first use)."""
         if self._workspace is None:
-            self._workspace = self.backend.create_workspace(
+            self._workspace = Workspace(
                 self.dtype,
                 self.category_count,
                 self.pattern_count,
@@ -627,38 +601,22 @@ class BeagleInstance:
         self._workspace = workspace
 
     def _run_operation_set(self, ops: List[Operation], k: int) -> None:
-        """Body of :meth:`update_partials_set` after validation.
+        """Body of one launch after validation: execute, then count.
 
-        Delegates the launch to the instance's :attr:`backend`
-        (:meth:`~repro.beagle.backend.KernelBackend.update_partials_batch`)
-        and keeps the execution counters here so accounting is identical
-        across backends. Every backend runs the set through the
-        :class:`Workspace` arena — gathers, batched matmuls and the
-        final scatter all write into preallocated buffers — so
-        steady-state execution performs **zero per-set array
-        allocations** and results are bit-identical to the serial
-        kernel however operations are grouped (the contract the parity
-        gate enforces per backend; see ``docs/BACKENDS.md``).
+        :func:`~repro.beagle.setexec.execute_set` chooses per-operation
+        or arena-block execution from the set's width; either way the set
+        counts as exactly one kernel launch.
         """
-        self.backend.update_partials_batch(self, ops)
+        execute_set(self, ops)
         self.stats.kernel_launches += 1
         self.stats.operations += k
         self.stats.flops += k * self.flops_per_operation
 
-    def _execute_single(self, op: Operation, count_launch: bool = True) -> None:
-        self.backend.update_partials_single(self, op)
-        self._finish_operation(op)
-        if count_launch:
-            self.stats.kernel_launches += 1
+    def _execute_single(self, op: Operation) -> None:
+        rescale_operation(self, op, execute_operation(self, op))
+        self.stats.kernel_launches += 1
         self.stats.operations += 1
         self.stats.flops += self.flops_per_operation
-
-    def _finish_operation(self, op: Operation) -> None:
-        slot = self._internal_slot(op.destination)
-        self._partials_valid[slot] = True
-        if op.destination_scale >= 0:
-            logs = self.backend.rescale(self._partials[slot])
-            self.scale.write(op.destination_scale, logs)
 
     # ------------------------------------------------------------------
     # Likelihood reductions
@@ -679,7 +637,7 @@ class BeagleInstance:
         partials, _ = self._child_arrays(root_buffer)
         if partials is None:
             raise ValueError("root buffer must hold partials, not tip codes")
-        site = self.backend.root_reduce(
+        site = root_site_likelihoods(
             partials, self._frequencies, self._category_weights
         )
         with np.errstate(divide="ignore"):
@@ -745,16 +703,16 @@ class BeagleInstance:
         tips = sum(a.nbytes for a in self._tip_codes.values())
         tips += sum(a.nbytes for a in self._tip_partials.values())
         tips += self._tip_codes_dense.nbytes
-        upper = int(self._upper.nbytes) if self._upper is not None else 0
+        lower = self._partials[: self.partials_buffer_count].nbytes
+        upper = int(self._partials.nbytes - lower)
         return {
-            "partials": int(self._partials.nbytes),
+            "partials": int(lower),
             "upper_partials": upper,
             "matrices": int(self._matrices.nbytes),
             "tips": int(tips),
             "scale": int(self.scale._logs.nbytes),
             "total": int(
                 self._partials.nbytes
-                + upper
                 + self._matrices.nbytes
                 + tips
                 + self.scale._logs.nbytes

@@ -7,15 +7,10 @@ fine-grained ``patterns × states`` grid maps onto contiguous BLAS batches,
 and the medium-grained ``× subtrees`` axis (paper §IV-B) is one more
 leading batch dimension.
 
-Two execution styles are provided, mirroring the paper's serial vs
-multi-operation comparison (§VI-A):
-
-* :func:`update_partials` — one operation per call (one "kernel launch").
-* :func:`update_partials_batch` — all operations of an independent set
-  evaluated by **stacked** ``matmul`` calls, the analogue of BEAGLE's
-  multi-operation kernel. On a CPU the per-call Python/dispatch overhead
-  plays the role of kernel-launch overhead, so batching yields a genuine,
-  measurable speedup of the same shape as the paper's GPU result.
+:func:`update_partials` computes one operation (one "kernel launch"); the
+set executor (:mod:`repro.beagle.setexec`) runs either it or batched
+arena blocks for a whole independent operation set, the analogue of
+BEAGLE's multi-operation kernel (§VI-A).
 
 FLOP accounting (:func:`operation_flops`) follows the paper's effective-
 FLOPS throughput metric (§VI-C).
@@ -23,7 +18,7 @@ FLOPS throughput metric (§VI-C).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -31,7 +26,6 @@ __all__ = [
     "child_contribution",
     "dense_tip_partials",
     "update_partials",
-    "update_partials_batch",
     "root_site_likelihoods",
     "edge_site_likelihoods",
     "rescale_partials",
@@ -129,96 +123,6 @@ def update_partials(
         return left * right
     np.multiply(left, right, out=out)
     return out
-
-
-def update_partials_batch(
-    matrices1: np.ndarray,
-    matrices2: np.ndarray,
-    children1: Sequence[Tuple[Optional[np.ndarray], Optional[np.ndarray]]],
-    children2: Sequence[Tuple[Optional[np.ndarray], Optional[np.ndarray]]],
-    outs: np.ndarray,
-) -> None:
-    """Multi-operation kernel: k independent operations in stacked calls.
-
-    Parameters
-    ----------
-    matrices1, matrices2:
-        ``(k, C, S, S)`` stacked transition matrices for the first and
-        second child of each operation.
-    children1, children2:
-        Per operation a ``(partials, codes)`` pair (exactly one non-None),
-        matching :func:`child_contribution`.
-    outs:
-        ``(k, C, P, S)`` stacked destination array; written in place by
-        a single vectorised multiply (slice views of the instance's
-        partials storage stack into one such array without copying when
-        the destinations are contiguous).
-
-    Notes
-    -----
-    Children given as *partials* across the whole batch are evaluated with
-    a single ``(k, C, P, S) @ (k, C, S, S)`` batched ``matmul``; children
-    given as tip *codes* use one fused gather; the final product lands in
-    ``outs`` through one ``np.multiply``. This is the library's analogue
-    of BEAGLE's pointer-arithmetic multi-operation kernel: the number of
-    NumPy dispatches is O(1) in the operation count.
-    """
-    if not isinstance(outs, np.ndarray) or outs.ndim != 4:
-        raise TypeError(
-            "outs must be a stacked (k, C, P, S) ndarray; stack per-"
-            "operation destination views with np.stack before calling"
-        )
-    k = outs.shape[0]
-    if not (len(children1) == len(children2) == k):
-        raise ValueError("children and outs must have equal lengths")
-    if matrices1.shape[0] != k or matrices2.shape[0] != k:
-        raise ValueError("stacked matrices must have one entry per operation")
-
-    dtype = outs.dtype
-    left = _batched_contribution(matrices1, children1, dtype=dtype)
-    right = _batched_contribution(matrices2, children2, dtype=dtype)
-    np.multiply(left, right, out=outs)
-
-
-def _batched_contribution(
-    matrices: np.ndarray,
-    children: Sequence[Tuple[Optional[np.ndarray], Optional[np.ndarray]]],
-    dtype: Optional[np.dtype] = None,
-) -> np.ndarray:
-    """Stacked child contributions ``(k, C, P, S)``.
-
-    ``dtype`` fixes the result dtype (defaulting to ``matrices.dtype``)
-    so float32 batches are not silently widened to float64.
-    """
-    k, C, S, _ = matrices.shape
-    if dtype is None:
-        dtype = matrices.dtype
-    partial_idx = [i for i, (p, c) in enumerate(children) if p is not None]
-    code_idx = [i for i, (p, c) in enumerate(children) if p is None]
-    if code_idx and not partial_idx:
-        P = len(children[code_idx[0]][1])
-    elif partial_idx:
-        P = children[partial_idx[0]][0].shape[1]
-    else:
-        raise ValueError("empty operation batch")
-    result = np.empty((k, C, P, S), dtype=dtype)
-
-    if partial_idx:
-        stacked = np.stack([children[i][0] for i in partial_idx])
-        mats = matrices[partial_idx].transpose(0, 1, 3, 2)
-        result[partial_idx] = stacked @ mats
-    if code_idx:
-        codes = np.stack([children[i][1] for i in code_idx])  # (m, P)
-        mats = matrices[code_idx]  # (m, C, S, S)
-        padded = np.concatenate(
-            [mats, np.ones((len(code_idx), C, S, 1), dtype=dtype)], axis=3
-        )
-        # Gather per batch entry: padded[i, :, :, codes[i]] -> (m, C, S, P)
-        gathered = np.take_along_axis(
-            padded, codes[:, None, None, :], axis=3
-        )
-        result[code_idx] = gathered.transpose(0, 1, 3, 2)
-    return result
 
 
 def rescale_partials(partials: np.ndarray) -> np.ndarray:

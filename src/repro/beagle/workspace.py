@@ -3,15 +3,14 @@
 Two pieces of engine state that make the hot path *incremental-friendly*:
 
 * :class:`Workspace` — a grow-on-demand arena of scratch arrays sized to
-  the widest operation set seen so far. Once warm, the engine's
-  :meth:`~repro.beagle.instance.BeagleInstance.update_partials_set` runs
-  with **zero per-set array allocations**: gathers land in preallocated
-  buffers (``np.take(..., out=)``), matmuls write through ``out=``, and
-  index bookkeeping reuses fixed ``int64`` arrays. On a GPU this arena
-  would be device memory allocated once at instance creation (exactly
-  BEAGLE's buffer model); on the CPU it removes the allocator from the
-  per-iteration profile, which is what makes thousands of tiny dirty-path
-  launches (MCMC proposals) cheap.
+  the widest arena block run so far (see :mod:`repro.beagle.setexec`).
+  Once warm, arena execution performs **zero per-set array
+  allocations**: gathers land in preallocated buffers
+  (``np.take(..., out=)``), matmuls write through ``out=``, and index
+  bookkeeping reuses fixed ``int64`` arrays. On a GPU this arena would be
+  device memory allocated once at instance creation (exactly BEAGLE's
+  buffer model); on the CPU it removes the allocator from the profile of
+  wide sets.
 
 * :class:`TransitionMatrixCache` — an LRU cache of computed transition
   matrices keyed by (eigen decomposition, rates version, quantized branch
@@ -101,7 +100,7 @@ class Workspace:
         cap = max(k, 2 * self.capacity)
         rows = 2 * cap  # one child row per (operation, side)
         dt = self.dtype
-        # Child contributions for the whole set: firsts then seconds.
+        # Child contributions for the whole block: firsts then seconds.
         self.contributions = np.empty((rows, C, P, S), dtype=dt)
         # Group-local compute target (scattered into `contributions`).
         self.scratch = np.empty((rows, C, P, S), dtype=dt)
@@ -120,7 +119,7 @@ class Workspace:
         # (operation-row i, category c) in the padded_T row matrix.
         base = (np.arange(rows)[:, None] * C + np.arange(C)[None, :]) * (S + 1)
         self.row_base = np.ascontiguousarray(base, dtype=np.int64)
-        # Child classification (filled by the engine's submit loop).
+        # Child classification (filled by the block's classification pass).
         self.child_buffers = np.empty(rows, dtype=np.int64)
         self.internal_sel = np.empty(rows, dtype=np.int64)
         self.internal_slots = np.empty(rows, dtype=np.int64)
@@ -130,10 +129,6 @@ class Workspace:
         self.code_mats = np.empty(rows, dtype=np.int64)
         self.explicit_sel = np.empty(rows, dtype=np.int64)
         self.explicit_mats = np.empty(rows, dtype=np.int64)
-        # Upper-bank bookkeeping (pre-order pass): the second child of an
-        # upper operation is always a parent's upper buffer.
-        self.upper_slots = np.empty(rows, dtype=np.int64)
-        self.upper_mats = np.empty(rows, dtype=np.int64)
         # Destinations.
         self.dest_slots = np.empty(cap, dtype=np.int64)
         self.capacity = cap
@@ -188,8 +183,6 @@ class Workspace:
                 "code_mats",
                 "explicit_sel",
                 "explicit_mats",
-                "upper_slots",
-                "upper_mats",
                 "dest_slots",
             ):
                 total += getattr(self, name).nbytes

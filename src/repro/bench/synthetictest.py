@@ -14,13 +14,10 @@ Resources (``--rsrc``):
 
 * ``0`` / ``cpu`` — CPU: the NumPy engine actually computes the
   likelihood ``--reps`` times and reports measured wall-clock
-  throughput (reference kernel backend).
+  throughput.
 * ``1`` / ``gp100`` — GP100 device model (the paper's System 1): the
   engine computes the likelihood once for validation; timing comes from
   the analytical device model.
-* any registered kernel-backend name (``blocked``, ...) — the measured
-  CPU path on that backend; ``python -m repro.beagle.resources`` lists
-  what is available.
 """
 
 from __future__ import annotations
@@ -74,9 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--rsrc",
         type=str,
         default="0",
-        help="resource: 0/cpu = reference CPU (measured), 1/gp100 = GP100 "
-        "model, or a registered kernel-backend name "
-        "(see `python -m repro.beagle.resources`)",
+        help="resource: 0/cpu = NumPy CPU engine (measured), "
+        "1/gp100 = GP100 model",
     )
     parser.add_argument("--taxa", type=int, default=16, help="number of OTUs")
     parser.add_argument(
@@ -464,35 +460,21 @@ def run(argv: Optional[List[str]] = None, out=None) -> int:
 
 
 def _resolve_rsrc(args, out) -> int:
-    """Normalize ``--rsrc`` into ``args.device_model`` / ``args.backend``.
+    """Normalize ``--rsrc`` into ``args.device_model``.
 
     BEAGLE numbers its resources; we keep ``0`` (measured CPU) and ``1``
-    (GP100 analytical model) for the paper's invocations and additionally
-    accept any registered kernel-backend name (``--rsrc blocked``), which
-    runs the measured CPU path on that backend. Unknown names exit 2
-    with the available resource listing.
+    (GP100 analytical model) for the paper's invocations. Anything else
+    exits 2.
     """
     spec = args.rsrc.strip().lower()
-    args.device_model = False
-    args.backend = None
-    if spec in ("0", "cpu"):
-        pass
-    elif spec in ("1", "gp100"):
-        args.device_model = True
-    else:
-        from ..beagle.resources import UnknownResourceError, acquire
-
-        try:
-            acquire(spec)
-        except UnknownResourceError as exc:
-            print(
-                f"error: --rsrc {args.rsrc!r} is neither 0/cpu, 1/gp100 nor "
-                f"a registered backend (available: "
-                f"{', '.join(exc.available)})",
-                file=out,
-            )
-            return 2
-        args.backend = spec
+    args.device_model = spec in ("1", "gp100")
+    if not args.device_model and spec not in ("0", "cpu"):
+        print(
+            f"error: --rsrc {args.rsrc!r} is not a resource "
+            "(use 0/cpu or 1/gp100)",
+            file=out,
+        )
+        return 2
     return 0
 
 
@@ -652,15 +634,14 @@ def _validate_args(args, out) -> int:
     return 0
 
 
-def _run_gradient(args, tree, model, patterns, info, out) -> int:
+def _run_gradient(args, tree, model, patterns, out) -> int:
     """The ``--gradient`` exit gate: one-sweep vs per-edge parity.
 
     Runs :func:`~repro.inference.derivatives.all_branch_derivatives`
     (one post-order + one pre-order sweep), then replays every canonical
     edge through the per-edge rerooted oracle on a shared
     :class:`~repro.inference.derivatives.DerivativeSession` and demands
-    the triple match to the backend's declared parity class — exact for
-    bit-identical backends. Also asserts the one-sweep operation count
+    every triple match bit for bit. Also asserts the one-sweep operation count
     (``3n − 5``) beats the per-edge total (``(2n − 3)(n − 1)``), the
     linear-vs-quadratic claim the gradient bench reports. Any violation
     exits 1. With the GP100 resource the modelled
@@ -692,28 +673,16 @@ def _run_gradient(args, tree, model, patterns, info, out) -> int:
             file=out,
         )
         return 1
-    grad = all_branch_derivatives(
-        tree, model, patterns, backend=args.backend, mode=mode
-    )
-    session = DerivativeSession(model, patterns, backend=args.backend)
-    exact = info.parity == "bit-identical"
+    grad = all_branch_derivatives(tree, model, patterns, mode=mode)
+    session = DerivativeSession(model, patterns)
     mismatches = 0
-    worst = 0.0
     for edge, got in zip(grad.edges, grad.derivatives):
         want = edge_log_likelihood_derivatives(
             tree, model, patterns, edge, session=session
         )
         triple_got = (got.log_likelihood, got.first, got.second)
         triple_want = (want.log_likelihood, want.first, want.second)
-        if exact:
-            ok = triple_got == triple_want
-        else:
-            gap = max(
-                abs(g - w) for g, w in zip(triple_got, triple_want)
-            )
-            worst = max(worst, gap)
-            ok = gap <= max(info.tolerance, 1e-6)
-        if not ok:
+        if triple_got != triple_want:
             mismatches += 1
             print(
                 f"gradient mismatch at edge {edge.name or edge!r}: "
@@ -728,10 +697,9 @@ def _run_gradient(args, tree, model, patterns, info, out) -> int:
             file=out,
         )
         return 1
-    bound = "exact" if exact else f"|delta| <= {max(worst, 0.0):.3g}"
     print(
         f"gradient verified: {n_edges}/{n_edges} edges match the "
-        f"per-edge reroot oracle ({bound}; session instances: "
+        "per-edge reroot oracle (exact; session instances: "
         f"{session.instances_created})",
         file=out,
     )
@@ -768,9 +736,7 @@ def _run_benchmark(args, out) -> int:
     mode = "serial" if args.serial else "concurrent"
     scaling = args.manualscale
     plan = make_plan(tree, mode, scaling=scaling)
-    instance = create_instance(
-        tree, model, patterns, scaling=scaling, backend=args.backend
-    )
+    instance = create_instance(tree, model, patterns, scaling=scaling)
 
     if args.lint:
         from ..analysis import audit_plan, verify_plan
@@ -825,11 +791,9 @@ def _run_benchmark(args, out) -> int:
     # One validated evaluation (both resources).
     loglik = execute_plan(instance, plan)
     print(f"logL: {loglik:.6f}", file=out)
-    info = instance.backend.info
-    print(f"kernel backend: {info.name} ({info.kind}, {info.parity})", file=out)
 
     if args.gradient:
-        status = _run_gradient(args, tree, model, patterns, info, out)
+        status = _run_gradient(args, tree, model, patterns, out)
         if status != 0:
             return status
 
@@ -882,8 +846,7 @@ def _run_benchmark(args, out) -> int:
         elapsed = time.perf_counter() - start
         per_eval = elapsed / args.reps
         print(
-            f"resource: CPU (NumPy engine, backend={info.name}), "
-            f"reps={args.reps}",
+            f"resource: CPU (NumPy engine), reps={args.reps}",
             file=out,
         )
         print(f"time per evaluation: {per_eval * 1e3:.3f} ms", file=out)
@@ -986,9 +949,7 @@ def _run_pool_cpu(
     """
 
     def make_case():
-        instance = create_instance(
-            tree, model, patterns, scaling=scaling, backend=args.backend
-        )
+        instance = create_instance(tree, model, patterns, scaling=scaling)
         return instance, plan
 
     pool = LikelihoodPool(
@@ -1098,9 +1059,7 @@ def _run_serve_cpu(
     )
 
     def make_case():
-        instance = create_instance(
-            tree, model, patterns, scaling=scaling, backend=args.backend
-        )
+        instance = create_instance(tree, model, patterns, scaling=scaling)
         return instance, plan
 
     pool = LikelihoodPool(
@@ -1297,7 +1256,6 @@ def _run_sharded_cpu(
             resume=resume,
             abort_after=abort_after,
             fault_spec=spec,
-            backend=args.backend,
         )
 
     resumed_run = args.shard_resume

@@ -175,16 +175,12 @@ def create_instance(
     rates: Optional[RateCategories] = None,
     scaling: bool = False,
     dtype=np.float64,
-    backend=None,
 ) -> BeagleInstance:
     """Create and populate an engine instance for a (tree, model, data) triple.
 
     Tips are matched to pattern taxa by name; taxa with partial-ambiguity
     characters are loaded as tip partials, the rest as compact states
     (exactly the ``setTipStates``/``setTipPartials`` split in BEAGLE).
-    ``backend`` selects the kernel backend (a resource name, a
-    :class:`~repro.beagle.backend.KernelBackend`, or ``None`` for the
-    environment/default resolution) and is passed through verbatim.
     """
     rates = rates or single_rate()
     names = set(patterns.taxa)
@@ -206,7 +202,6 @@ def create_instance(
         category_count=rates.n_categories,
         scale_buffer_count=n if scaling else 0,
         dtype=dtype,
-        backend=backend,
     )
     for tip in tree.tips():
         index = tree.index_of(tip)

@@ -308,10 +308,6 @@ class Sentinel:
         a millisecond per probe.
     rel_tol:
         Relative tolerance of the known-answer comparison.
-    backend:
-        Kernel-backend spec for probe instances (name, backend object,
-        or ``None`` for the environment/default resolution), so probes
-        exercise the same backend the workers run.
     """
 
     def __init__(
@@ -321,7 +317,6 @@ class Sentinel:
         n_patterns: int = 8,
         seed: int = 20180521,
         rel_tol: float = 1e-9,
-        backend=None,
     ) -> None:
         import numpy as np
 
@@ -332,7 +327,6 @@ class Sentinel:
         from ..trees.generate import balanced_tree
 
         self.rel_tol = rel_tol
-        self.backend = backend
         self._tree = balanced_tree(n_tips, branch_length=0.1)
         self._model = JC69()
         self._patterns = random_patterns(
@@ -347,9 +341,7 @@ class Sentinel:
         """A fresh ``(instance, plan)`` pair for one probe."""
         from ..core.planner import create_instance
 
-        instance = create_instance(
-            self._tree, self._model, self._patterns, backend=self.backend
-        )
+        instance = create_instance(self._tree, self._model, self._patterns)
         return instance, self._plan
 
     def passes(self, value: float) -> bool:

@@ -221,13 +221,11 @@ def reference_terms(
     rates=None,
     mode: str = "concurrent",
     dtype=np.float64,
-    backend=None,
 ) -> np.ndarray:
     """Per-pattern weighted log terms from one full-matrix instance.
 
     The single-instance oracle the sharded engine must match bit-for-bit
-    (reduce with :func:`deterministic_sum` for the total). ``backend``
-    selects the kernel backend for the oracle instance.
+    (reduce with :func:`deterministic_sum` for the total).
     """
     instance = create_instance(
         tree,
@@ -236,7 +234,6 @@ def reference_terms(
         rates=rates,
         scaling=False,
         dtype=dtype,
-        backend=backend,
     )
     plan = make_plan(tree, mode, scaling=False)
     instance.invalidate_partials()
@@ -409,7 +406,6 @@ class ShardedLikelihood:
         fault_spec: Optional[ShardFaultSpec] = None,
         order_seed: Optional[int] = None,
         dtype=np.float64,
-        backend=None,
     ) -> None:
         if retries < 0:
             raise ValueError("retries must be non-negative")
@@ -431,9 +427,6 @@ class ShardedLikelihood:
         self.fault_spec = fault_spec
         self.order_seed = order_seed
         self.dtype = dtype
-        # Kernel-backend spec, forwarded to every shard instance (and
-        # the oracle) so the whole evaluation runs one backend.
-        self.backend = backend
         self._owns_pool = pool is None
         self.pool = pool or LikelihoodPool(
             n_workers=2, executor="inline", deadline_s=None
@@ -499,7 +492,6 @@ class ShardedLikelihood:
             fault_spec=self.fault_spec,
             order_seed=self.order_seed,
             dtype=self.dtype,
-            backend=self.backend,
         )
 
     # -- the reduction -------------------------------------------------
@@ -522,7 +514,6 @@ class ShardedLikelihood:
                 rates=self.rates,
                 mode=self.mode,
                 dtype=self.dtype,
-                backend=self.backend,
             )
         )
 
@@ -687,12 +678,11 @@ class ShardedLikelihood:
         schedule: Optional[ShardFaultSchedule],
         ledger: ShardLedger,
     ) -> Callable[[JobContext], ShardResult]:
-        tree, model, rates, dtype, backend = (
+        tree, model, rates, dtype = (
             self.tree,
             self.model,
             self.rates,
             self.dtype,
-            self.backend,
         )
 
         def job(ctx: JobContext) -> ShardResult:
@@ -732,7 +722,6 @@ class ShardedLikelihood:
                 rates=rates,
                 scaling=run_scaled,
                 dtype=dtype,
-                backend=backend,
             )
             plan = self._shard_plan(run_scaled)
             ctx.execute(instance, plan)

@@ -5,7 +5,7 @@ The analytical model prices a k-operation launch as
 ``t(k) = launch_overhead + k * per_op_overhead
        + wave_time * ceil(k * threads_per_op / concurrent_threads)``
 
-For a CPU backend there is no wave machinery — every "launch" of ``k``
+On a CPU there is no wave machinery — every "launch" of ``k``
 operations simply costs a fixed dispatch overhead plus ``k`` times the
 per-operation compute — so measured ``(k, seconds)`` samples fit a
 straight line ``t = a + b*k``. :func:`fit_device_spec` runs that
@@ -15,12 +15,13 @@ the workload's ``threads_per_operation``, making ``ceil(k * tpo / ct)``
 collapse to ``k``, with ``wave_time_s`` the fitted slope and
 ``launch_overhead_s`` the fitted intercept.
 
-The payoff: a *measured* kernel backend (reference, blocked, ...)
-becomes a first-class device model — ``SimulatedDevice`` and the
-``--rsrc 1``-style analyses can then extrapolate set-size schedules for
-hardware-free what-if studies, priced off real timings instead of the
-paper's published GP100 numbers. ``benchmarks/bench_backend_matrix.py``
-prints one calibrated spec per backend.
+The payoff: a *measured* execution strategy becomes a first-class
+device model — ``SimulatedDevice`` and the ``--rsrc 1``-style analyses
+can then extrapolate set-size schedules for hardware-free what-if
+studies, priced off real timings instead of the paper's published GP100
+numbers. ``benchmarks/bench_set_executor.py`` fits one spec per set-
+executor strategy and reads the per-operation/arena cut-off off the two
+lines.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ def fit_device_spec(
     Parameters
     ----------
     name:
-        Label for the resulting spec (conventionally the backend name,
-        e.g. ``"measured:blocked"``).
+        Label for the resulting spec (conventionally what was measured,
+        e.g. ``"measured:arena"``).
     dims:
         The workload the samples were measured on. The fitted spec is
         calibrated *for this shape*: one wave is one operation, so

@@ -85,7 +85,7 @@ class DerivativeSession:
     matrix bank, workspace arena) for *every* edge of every tree — a
     full gradient was quadratic in allocations on top of being quadratic
     in partial updates. A session holds one instance for a fixed
-    (model, patterns, rates, dtype, backend) and re-populates only the
+    (model, patterns, rates, dtype) and re-populates only the
     tip→buffer name mapping per (rerooted) tree, so repeated calls are
     allocation-free in steady state. Likelihood bits are unchanged:
     partials are recomputed from scratch per call (``invalidate_partials``)
@@ -93,7 +93,7 @@ class DerivativeSession:
 
     Pass a session to :func:`edge_log_likelihood_derivatives` via
     ``session=``; it also serves as the parity oracle for
-    :func:`all_branch_derivatives` at matching dtype/backend.
+    :func:`all_branch_derivatives` at matching dtype.
     """
 
     def __init__(
@@ -103,13 +103,11 @@ class DerivativeSession:
         rates: Optional[RateCategories] = None,
         *,
         dtype: np.dtype = np.float64,
-        backend=None,
     ) -> None:
         self.model = model
         self.patterns = patterns
         self.rates = rates or single_rate()
         self.dtype = np.dtype(dtype)
-        self.backend = backend
         self._instance: Optional[BeagleInstance] = None
         self._n_tips: Optional[int] = None
         #: Fresh engine instances created by this session (for tests).
@@ -126,7 +124,6 @@ class DerivativeSession:
                 self.patterns,
                 rates=self.rates,
                 dtype=self.dtype,
-                backend=self.backend,
             )
             self._n_tips = tree.n_tips
             self.instances_created += 1
@@ -380,7 +377,6 @@ def all_branch_derivatives(
     *,
     rates: Optional[RateCategories] = None,
     dtype: np.dtype = np.float64,
-    backend=None,
     mode: str = "concurrent",
     instance: Optional[BeagleInstance] = None,
     verify: bool = False,
@@ -392,7 +388,7 @@ def all_branch_derivatives(
     ``2n − 3`` canonical branches recombines its two resident buffers
     through the shared per-edge formula. Bit-consistent with
     :func:`edge_log_likelihood_derivatives` run per edge at the same
-    dtype/backend: both paths feed identical half-tree partials bits to
+    dtype: both paths feed identical half-tree partials bits to
     identical recombination arithmetic.
 
     Parameters
@@ -412,7 +408,7 @@ def all_branch_derivatives(
     gplan = make_gradient_plan(tree, mode=mode, verify=verify)
     if instance is None:
         instance = create_instance(
-            tree, model, patterns, rates=rates, dtype=dtype, backend=backend
+            tree, model, patterns, rates=rates, dtype=dtype
         )
     log_likelihood = execute_gradient_plan(instance, gplan)
 

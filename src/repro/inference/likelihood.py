@@ -156,7 +156,6 @@ class TreeLikelihood:
         resilience: Union[RetryPolicy, bool, None] = None,
         faults: Optional[FaultSpec] = None,
         matrix_cache: Union[TransitionMatrixCache, bool, None] = None,
-        backend=None,
     ) -> None:
         if isinstance(data, Alignment):
             data = compress(data)
@@ -179,10 +178,6 @@ class TreeLikelihood:
         elif matrix_cache is False:
             matrix_cache = None
         self.matrix_cache: Optional[TransitionMatrixCache] = matrix_cache
-        # Kernel-backend spec (resource name, KernelBackend, or None for
-        # the environment/default resolution); forwarded verbatim to
-        # every engine instance this evaluator creates.
-        self.backend = backend
         self._dtype = np.float64 if precision == "double" else np.float32
         if reroot == "fast":
             tree = optimal_reroot_fast(tree).tree
@@ -215,7 +210,6 @@ class TreeLikelihood:
                 rates=self.rates,
                 scaling=self.scaling,
                 dtype=self._dtype,
-                backend=self.backend,
             )
             if self.matrix_cache is not None:
                 instance.matrix_cache = self.matrix_cache
@@ -242,7 +236,6 @@ class TreeLikelihood:
             rates=self.rates,
             scaling=self.scaling,
             dtype=self._dtype,
-            backend=self.backend,
         )
 
     def make_case(self):
@@ -265,9 +258,7 @@ class TreeLikelihood:
     def plan(self) -> ExecutionPlan:
         """The lazily built full-traversal execution plan.
 
-        Plans are backend-agnostic: they name buffer indices and
-        operation sets only, so the same plan replays on any registered
-        kernel backend. After an accepted in-place topology move the
+        Plans name buffer indices and operation sets only. After an accepted in-place topology move the
         plan is rebuilt on the warm instance's frozen index map (see the
         comment below) instead of via :func:`make_plan`.
         """
@@ -495,7 +486,6 @@ class TreeLikelihood:
             resilience=self.resilience,
             faults=self.faults,
             matrix_cache=self.matrix_cache,
-            backend=self.backend,
         )
 
     def sharded(self, n_shards: int = 4, **kwargs):
@@ -535,7 +525,6 @@ class TreeLikelihood:
             rates=self.rates,
             mode=self.mode,
             dtype=self._dtype,
-            backend=self.backend,
             **kwargs,
         )
 
@@ -555,7 +544,6 @@ class TreeLikelihood:
             resilience=self.resilience,
             faults=self.faults,
             matrix_cache=self.matrix_cache,
-            backend=self.backend,
         )
 
     def invalidate(self) -> None:

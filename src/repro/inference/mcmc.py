@@ -481,7 +481,6 @@ def run_hmc(
     prior_rate: float = 10.0,
     min_length: float = 1e-8,
     max_length: float = 20.0,
-    backend=None,
 ) -> HMCResult:
     """Hamiltonian Monte Carlo over branch lengths (fixed topology).
 
@@ -508,8 +507,6 @@ def run_hmc(
     step_size, n_leapfrog:
         Leapfrog discretisation. ``|ΔH|`` in the result's
         ``energy_errors`` is the tuning diagnostic.
-    backend:
-        Kernel backend for the gradient sweeps.
     """
     from .derivatives import all_branch_derivatives, canonical_edges
 
@@ -541,9 +538,7 @@ def run_hmc(
         """``U(q) = −log posterior`` and ``∇U`` from one gradient sweep."""
         nonlocal gradient_sweeps
         lengths = set_lengths(q)
-        bg = all_branch_derivatives(
-            tree, model, patterns, rates=rates, backend=backend
-        )
+        bg = all_branch_derivatives(tree, model, patterns, rates=rates)
         gradient_sweeps += 1
         log_prior = float(
             np.sum(np.log(prior_rate) - prior_rate * lengths + np.clip(q, lo, hi))

@@ -175,7 +175,6 @@ def gradient_optimize_branch_lengths(
     gradient_tolerance: float = 1e-3,
     min_length: float = 1e-8,
     max_length: float = 20.0,
-    backend=None,
 ) -> GradientOptimizationResult:
     """Fit **all** branch lengths from one-sweep analytic gradients.
 
@@ -191,9 +190,6 @@ def gradient_optimize_branch_lengths(
         chain-rule gradient.
     gradient_tolerance:
         Converged when ``max |dlogL/dt|`` falls below this.
-    backend:
-        Kernel backend for the gradient sweeps (resource name or
-        instance); default resolution otherwise.
 
     Returns
     -------
@@ -222,9 +218,7 @@ def gradient_optimize_branch_lengths(
     def sweep():
         nonlocal gradient_sweeps
         gradient_sweeps += 1
-        return all_branch_derivatives(
-            tree, model, patterns, rates=rates, backend=backend
-        )
+        return all_branch_derivatives(tree, model, patterns, rates=rates)
 
     if method == "newton":
         converged = False

@@ -69,7 +69,6 @@ __all__ = [
     "get_recorder",
     "set_recorder",
     "recording",
-    "record_backend_info",
     "record_pool_stats",
     "record_serve_stats",
     "validate_metrics",
@@ -357,27 +356,6 @@ def declare_standard_metrics(registry: MetricsRegistry) -> None:
         "repro_serve_verify_failures_total",
         "Served values that failed the serial bit-identity gate",
     )
-
-
-def record_backend_info(info, registry: Optional[MetricsRegistry] = None) -> None:
-    """Export the active kernel backend as a Prometheus info gauge.
-
-    Sets ``repro_backend_info{name=...,kind=...,parity=...}`` to 1 — the
-    info-metric idiom: the value carries nothing, the labels identify
-    which :class:`~repro.beagle.backend.BackendInfo` the engine resolved.
-    Instances record it at construction, so a metrics export proves which
-    backend a run *actually* used (the CI backend-matrix job greps it).
-    """
-    registry = registry if registry is not None else get_recorder().metrics
-    registry.gauge(
-        "repro_backend_info",
-        "Active kernel backend (1 per selected backend)",
-        labels={
-            "name": info.name,
-            "kind": info.kind,
-            "parity": info.parity,
-        },
-    ).set(1)
 
 
 def record_pool_stats(stats, registry: Optional[MetricsRegistry] = None) -> None:

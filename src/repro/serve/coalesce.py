@@ -165,11 +165,9 @@ class CoalescedBatch:
         reroutes (re-serving earlier members is safe: values are
         deterministic and the last write wins with identical bits).
 
-        Arena adoption is backend-agnostic: every kernel backend keeps
-        all of its scratch in the Workspace (backends themselves are
-        stateless), and the arena is pure per-launch scratch, so members
-        whose instances run *different* backends may share one arena —
-        the dims key deliberately excludes the backend.
+        Arena adoption is safe because the set executor keeps all of
+        its scratch in the Workspace and the arena is pure per-launch
+        scratch, so any same-shaped members may share one arena.
         """
         members = self.members
         batch_width = len(members)

@@ -1,28 +1,25 @@
-"""Kernel-backend conformance: contract, bit-identity, doc drift."""
+"""Arena blocking never changes a bit.
+
+The set executor runs wide sets through the Workspace arena in blocks of
+``block_ops`` operations and narrow sets one operation at a time. Here
+every set is forced through one of them — per operation as the
+reference, arena blocks of a fixed size as the candidate — and the
+log-likelihoods must be equal, not close.
+"""
 
 from __future__ import annotations
-
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.beagle import (
-    NUMBA_AVAILABLE,
-    BackendInfo,
-    BlockedNumpyBackend,
-    KernelBackend,
-    NumbaBackend,
-    ReferenceBackend,
-    Workspace,
-    parity_report,
-)
 from repro.bench.harness import build_tree
-from repro.core import create_instance, execute_plan, make_plan
+from repro.core import create_instance, execute_plan, make_plan, optimal_reroot_fast
 from repro.data import random_patterns
+from repro.exec.sharding import ShardedLikelihood
+from repro.inference import TreeLikelihood
+from repro.inference.proposals import branch_length_move
 from repro.models import random_gtr
-
-DOCS = Path(__file__).resolve().parents[2] / "docs" / "BACKENDS.md"
+from tests.executor import forced_executor
 
 
 def _case(n_tips=12, n_patterns=40, seed=3):
@@ -35,190 +32,87 @@ def _case(n_tips=12, n_patterns=40, seed=3):
     return tree, model, patterns
 
 
-def _loglik(backend, case, dtype=np.float64, mode="concurrent", scaling=False):
+def _loglik(block, case, dtype=np.float64, mode="concurrent", scaling=False):
     tree, model, patterns = case
-    instance = create_instance(
-        tree, model, patterns, dtype=dtype, backend=backend, scaling=scaling
-    )
-    return execute_plan(instance, make_plan(tree, mode, scaling=scaling))
+    with forced_executor(block):
+        instance = create_instance(
+            tree, model, patterns, dtype=dtype, scaling=scaling
+        )
+        return execute_plan(instance, make_plan(tree, mode, scaling=scaling))
 
 
-class TestBackendInfo:
-    def test_bit_identical_requires_zero_tolerance(self):
-        with pytest.raises(ValueError):
-            BackendInfo(name="x", description="d", tolerance=1e-9)
-
-    def test_unknown_parity_class_rejected(self):
-        with pytest.raises(ValueError):
-            BackendInfo(name="x", description="d", parity="close-enough")
-
-    def test_negative_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            BackendInfo(
-                name="x", description="d", parity="tolerance", tolerance=-1.0
-            )
+def _incremental_ll(block, case):
+    """Propose/accept a branch move incrementally; the proposed logL."""
+    tree, model, patterns = case
+    with forced_executor(block):
+        lik = TreeLikelihood(tree.copy(), model, patterns)
+        lik.log_likelihood()
+        move = branch_length_move(lik.tree, np.random.default_rng(7))
+        value = lik.propose(move)
+        lik.accept()
+        return value
 
 
-class TestProtocolConformance:
-    @pytest.mark.parametrize(
-        "backend", [ReferenceBackend(), BlockedNumpyBackend()]
-    )
-    def test_satisfies_protocol(self, backend):
-        assert isinstance(backend, KernelBackend)
-        info = backend.info
-        assert info.name and info.description and info.kind == "cpu"
-
-    @pytest.mark.parametrize(
-        "backend", [ReferenceBackend(), BlockedNumpyBackend()]
-    )
-    def test_create_workspace_shape(self, backend):
-        ws = backend.create_workspace(np.float64, 2, 16, 4)
-        assert isinstance(ws, Workspace)
-        assert ws.compatible_with(np.float64, 2, 16, 4)
-
-    @pytest.mark.parametrize(
-        "backend", [ReferenceBackend(), BlockedNumpyBackend()]
-    )
-    def test_rescale_and_root_reduce_shapes(self, backend):
-        rng = np.random.default_rng(0)
-        partials = rng.uniform(0.1, 1.0, size=(2, 8, 4))
-        logs = backend.rescale(partials)
-        assert logs.shape == (8,)
-        assert np.all(partials.max(axis=(0, 2)) <= 1.0 + 1e-12)
-        freqs = np.full(4, 0.25)
-        weights = np.full(2, 0.5)
-        site = backend.root_reduce(partials, freqs, weights)
-        assert site.shape == (8,)
-        assert np.all(site > 0)
+def _sharded_ll(block, case):
+    tree, model, patterns = case
+    with forced_executor(block):
+        return ShardedLikelihood(
+            tree, model, patterns, n_shards=2
+        ).log_likelihood()
 
 
 class TestBlockedBitIdentity:
-    """The tentpole guarantee: blocking never changes a single bit."""
+    """Blocking never changes a single bit."""
 
     @pytest.mark.parametrize("block", [1, 3, 8, 1024])
     def test_explicit_block_sizes(self, block):
         case = _case()
-        expected = _loglik(ReferenceBackend(), case)
-        got = _loglik(BlockedNumpyBackend(block_ops=block), case)
+        expected = _loglik(None, case)
+        got = _loglik(block, case)
         assert got == expected  # exact, not approx
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_both_precisions(self, dtype):
         case = _case()
-        expected = _loglik(ReferenceBackend(), case, dtype=dtype)
-        got = _loglik(BlockedNumpyBackend(block_ops=2), case, dtype=dtype)
+        expected = _loglik(None, case, dtype=dtype)
+        got = _loglik(2, case, dtype=dtype)
         assert got == expected
 
     def test_with_scaling(self):
         case = _case()
-        expected = _loglik(ReferenceBackend(), case, scaling=True)
-        got = _loglik(BlockedNumpyBackend(block_ops=2), case, scaling=True)
+        expected = _loglik(None, case, scaling=True)
+        got = _loglik(2, case, scaling=True)
         assert got == expected
 
     def test_serial_mode(self):
         case = _case()
-        expected = _loglik(ReferenceBackend(), case, mode="serial")
-        got = _loglik(BlockedNumpyBackend(block_ops=2), case, mode="serial")
+        expected = _loglik(None, case, mode="serial")
+        got = _loglik(2, case, mode="serial")
         assert got == expected
 
     def test_parity_battery_green(self):
-        report = parity_report("blocked", n_taxa=8, n_patterns=24)
-        assert report.ok
-        assert report.bit_identical
-        assert report.measured_class == "bit-identical"
-
-    def test_auto_block_scales_with_row_size(self):
-        backend = BlockedNumpyBackend()
-        wide = create_instance(
-            *_case(n_tips=6, n_patterns=512), backend=backend
+        # Both precisions × as-given and rerooted, serial launches, the
+        # incremental propose/accept path and a two-shard reduction.
+        tree, model, patterns = _case(n_tips=8, n_patterns=24)
+        rerooted = optimal_reroot_fast(tree).tree
+        checks = {}
+        for dtype in (np.float64, np.float32):
+            for label, t in (("as-given", tree), ("rerooted", rerooted)):
+                case = (t, model, patterns)
+                checks[f"{dtype.__name__}/{label}"] = (
+                    _loglik(None, case, dtype=dtype),
+                    _loglik(2, case, dtype=dtype),
+                )
+        case = (tree, model, patterns)
+        checks["serial"] = (
+            _loglik(None, case, mode="serial"),
+            _loglik(2, case, mode="serial"),
         )
-        narrow = create_instance(
-            *_case(n_tips=6, n_patterns=8), backend=backend
+        checks["incremental"] = (
+            _incremental_ll(None, case),
+            _incremental_ll(2, case),
         )
-        assert backend.block_for(narrow) >= backend.block_for(wide)
-        assert 4 <= backend.block_for(wide) <= 64
-
-    def test_invalid_block_config_rejected(self):
-        with pytest.raises(ValueError):
-            BlockedNumpyBackend(block_ops=0)
-        with pytest.raises(ValueError):
-            BlockedNumpyBackend(cache_budget_bytes=-1)
-
-
-class TestSharedArena:
-    def test_arena_adoption_across_backends(self):
-        """One arena may serve instances on different backends."""
-        case = _case()
-        expected = _loglik(ReferenceBackend(), case)
-        tree, model, patterns = case
-        ref = create_instance(tree, model, patterns, backend="reference")
-        blk = create_instance(tree, model, patterns, backend="blocked")
-        blk.adopt_workspace(ref.workspace)
-        plan = make_plan(tree, "concurrent")
-        assert execute_plan(ref, plan) == expected
-        assert execute_plan(blk, plan) == expected
-
-
-class TestNumbaGating:
-    def test_construction_requires_numba(self):
-        if NUMBA_AVAILABLE:  # pragma: no cover - depends on environment
-            backend = NumbaBackend()
-            assert backend.info.parity == "tolerance"
-        else:
-            with pytest.raises(ImportError, match="numba"):
-                NumbaBackend()
-
-    def test_registry_omits_numba_when_absent(self):
-        from repro.beagle import available_resources
-
-        if not NUMBA_AVAILABLE:
-            assert "numba" not in available_resources()
-
-
-class TestBackendInfoMetric:
-    def test_instance_records_backend_metric(self):
-        from repro.obs import Recorder, set_recorder
-
-        recorder = Recorder()
-        previous = set_recorder(recorder)
-        try:
-            create_instance(*_case(n_tips=4, n_patterns=8), backend="blocked")
-        finally:
-            set_recorder(previous)
-        text = recorder.metrics.to_prometheus()
-        assert 'repro_backend_info{kind="cpu",name="blocked"' in text
-
-
-class TestDocDrift:
-    """docs/BACKENDS.md must describe the protocol actually shipped."""
-
-    PROTOCOL_METHODS = [
-        "create_workspace",
-        "materialize_matrices",
-        "update_partials_batch",
-        "update_partials_single",
-        "update_upper_partials",
-        "rescale",
-        "root_reduce",
-    ]
-
-    def test_contract_doc_exists(self):
-        assert DOCS.is_file(), "docs/BACKENDS.md is missing"
-
-    def test_every_protocol_method_documented(self):
-        text = DOCS.read_text()
-        for method in self.PROTOCOL_METHODS:
-            assert method in text, f"{method} missing from docs/BACKENDS.md"
-
-    def test_protocol_has_no_undocumented_methods(self):
-        public = [
-            name
-            for name in dir(KernelBackend)
-            if not name.startswith("_") and name != "info"
-        ]
-        assert sorted(public) == sorted(self.PROTOCOL_METHODS)
-
-    def test_doc_names_parity_classes_and_env(self):
-        text = DOCS.read_text()
-        for needle in ("bit-identical", "tolerance", "REPRO_BACKEND", "--rsrc"):
-            assert needle in text
+        checks["sharded"] = (_sharded_ll(None, case), _sharded_ll(2, case))
+        for name, (expected, got) in checks.items():
+            assert np.isfinite(expected), name
+            assert got == expected, name

@@ -11,7 +11,6 @@ from repro.beagle import (
     rescale_partials,
     root_site_likelihoods,
     update_partials,
-    update_partials_batch,
 )
 from repro.models import HKY85, JC69
 
@@ -95,88 +94,6 @@ class TestUpdatePartials:
         dest = update_partials(matrices, matrices, codes1=codes, partials2=p2)
         assert dest.shape == (2, 4, 4)
         assert np.all(dest >= 0)
-
-
-class TestBatchedKernel:
-    def test_batch_equals_singles(self, matrices):
-        rng = np.random.default_rng(4)
-        k, C, P, S = 5, 2, 7, 4
-        mats1 = np.stack([matrices] * k)
-        mats2 = np.stack([matrices[::-1]] * k)
-        kids1 = [(rng.random((C, P, S)), None) for _ in range(k)]
-        kids2 = [(rng.random((C, P, S)), None) for _ in range(k)]
-        outs = np.empty((k, C, P, S))
-        update_partials_batch(mats1, mats2, kids1, kids2, outs)
-        for i in range(k):
-            single = update_partials(
-                mats1[i], mats2[i], partials1=kids1[i][0], partials2=kids2[i][0]
-            )
-            assert np.allclose(outs[i], single, atol=1e-14)
-
-    def test_batch_with_mixed_children(self, matrices):
-        rng = np.random.default_rng(5)
-        k, C, P, S = 4, 2, 6, 4
-        mats = np.stack([matrices] * k)
-        kids1 = [
-            (rng.random((C, P, S)), None),
-            (None, rng.integers(0, 5, size=P)),
-            (None, rng.integers(0, 5, size=P)),
-            (rng.random((C, P, S)), None),
-        ]
-        kids2 = [
-            (None, rng.integers(0, 5, size=P)),
-            (rng.random((C, P, S)), None),
-            (None, rng.integers(0, 5, size=P)),
-            (rng.random((C, P, S)), None),
-        ]
-        outs = np.empty((k, C, P, S))
-        update_partials_batch(mats, mats, kids1, kids2, outs)
-        for i in range(k):
-            single = update_partials(
-                mats[i],
-                mats[i],
-                partials1=kids1[i][0],
-                codes1=kids1[i][1],
-                partials2=kids2[i][0],
-                codes2=kids2[i][1],
-            )
-            assert np.allclose(outs[i], single, atol=1e-14)
-
-    def test_all_code_children(self, matrices):
-        rng = np.random.default_rng(6)
-        k, P = 3, 5
-        mats = np.stack([matrices] * k)
-        kids1 = [(None, rng.integers(0, 5, size=P)) for _ in range(k)]
-        kids2 = [(None, rng.integers(0, 5, size=P)) for _ in range(k)]
-        outs = np.empty((k, 2, P, 4))
-        update_partials_batch(mats, mats, kids1, kids2, outs)
-        for i in range(k):
-            single = update_partials(
-                mats[i], mats[i], codes1=kids1[i][1], codes2=kids2[i][1]
-            )
-            assert np.allclose(outs[i], single, atol=1e-14)
-
-    def test_shape_validation(self, matrices):
-        mats = np.stack([matrices])
-        with pytest.raises(ValueError):
-            update_partials_batch(mats, mats, [], [(None, None)], np.empty((1, 2, 1, 4)))
-
-    def test_rejects_sequence_outs(self, matrices):
-        mats = np.stack([matrices])
-        kids = [(np.ones((2, 1, 4)), None)]
-        with pytest.raises(TypeError, match="stacked"):
-            update_partials_batch(mats, mats, kids, kids, [np.empty((2, 1, 4))])
-
-    def test_preserves_float32(self, matrices):
-        rng = np.random.default_rng(9)
-        k, C, P, S = 2, 2, 3, 4
-        mats = np.stack([matrices] * k).astype(np.float32)
-        kids1 = [(rng.random((C, P, S), dtype=np.float32), None) for _ in range(k)]
-        kids2 = [(None, rng.integers(0, 5, size=P)) for _ in range(k)]
-        outs = np.empty((k, C, P, S), dtype=np.float32)
-        update_partials_batch(mats, mats, kids1, kids2, outs)
-        assert outs.dtype == np.float32
-        assert np.all(np.isfinite(outs))
 
 
 class TestRescale:

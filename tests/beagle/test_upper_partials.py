@@ -3,7 +3,7 @@
 The load-bearing parity fact: after one ``execute_gradient_plan`` sweep,
 the upper buffer of every non-root node holds, bit for bit, the far-side
 half-tree partials that a per-edge rerooted evaluation computes for that
-branch — across every bit-identical backend.
+branch — whichever set-executor strategy ran the pre-order sets.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.beagle.resources import list_resources, resolve_backend
+from repro.beagle import setexec
 from repro.core import execute_gradient_plan, make_gradient_plan
 from repro.core.planner import create_instance
 from repro.data import compress, simulate_alignment
@@ -19,14 +19,13 @@ from repro.inference import DerivativeSession, canonical_edges
 from repro.models import HKY85
 from repro.trees import balanced_tree, pectinate_tree, yule_tree
 from repro.trees.reroot import reroot_above
+from tests.executor import forced_executor
 
 MODEL = HKY85(2.0, [0.3, 0.2, 0.2, 0.3])
 
 
-def sweep_instance(tree, patterns, backend=None, dtype=np.float64):
-    instance = create_instance(
-        tree, MODEL, patterns, dtype=dtype, backend=backend
-    )
+def sweep_instance(tree, patterns, dtype=np.float64):
+    instance = create_instance(tree, MODEL, patterns, dtype=dtype)
     gplan = make_gradient_plan(tree)
     execute_gradient_plan(instance, gplan)
     return instance
@@ -41,9 +40,9 @@ class TestUpperBankLifecycle:
         tree = balanced_tree(4, branch_length=0.1)
         instance = create_instance(tree, MODEL, make_patterns(tree))
         instance.enable_upper_partials()
-        bank = instance._upper
+        store = instance._partials
         instance.enable_upper_partials()
-        assert instance._upper is bank
+        assert instance._partials is store
 
     def test_read_before_enable_raises(self):
         tree = balanced_tree(4, branch_length=0.1)
@@ -122,12 +121,17 @@ class TestUpperEqualsRerootedFarSide:
 
 
 class TestBackendBitIdentity:
+    """The whole sweep pinned to one strategy — arena blocks of two
+    ("blocked") or one operation at a time ("pattern-blocked") — leaves
+    the same upper bank as the width rule as shipped."""
+
     @pytest.mark.parametrize("backend", ["blocked", "pattern-blocked"])
     def test_upper_bank_matches_reference(self, backend):
         tree = yule_tree(9, np.random.default_rng(6))
         patterns = make_patterns(tree)
-        ref = sweep_instance(tree, patterns, backend="reference")
-        alt = sweep_instance(tree, patterns, backend=backend)
+        ref = sweep_instance(tree, patterns)
+        with forced_executor(2 if backend == "blocked" else None):
+            alt = sweep_instance(tree, patterns)
         for node in tree.root.traverse_postorder():
             if node.parent is None or node is tree.root.children[1]:
                 continue
@@ -136,6 +140,39 @@ class TestBackendBitIdentity:
                 ref.upper_partials(index), alt.upper_partials(index)
             )
 
+
+class TestUnifiedExecutorUppers:
+    """Upper sets run through the same executor as lower sets: every
+    strategy, narrow or wide, reproduces the rerooted far side exactly."""
+
+    @pytest.fixture(
+        params=["per-operation", "one-block", "blocks-of-1", "blocks-of-2"]
+    )
+    def strategy(self, request, monkeypatch):
+        if request.param == "per-operation":
+            monkeypatch.setattr(setexec, "ARENA_MIN_OPS", 10**9)
+        else:
+            monkeypatch.setattr(setexec, "ARENA_MIN_OPS", 1)
+        if request.param.startswith("blocks-of-"):
+            block = int(request.param.rsplit("-", 1)[1])
+            monkeypatch.setattr(setexec, "block_ops", lambda instance: block)
+        return request.param
+
+    @pytest.mark.parametrize(
+        "tree",
+        [yule_tree(9, np.random.default_rng(6)), balanced_tree(16, branch_length=0.1)],
+        ids=["yule", "balanced-wide"],
+    )
+    def test_strategy_matches_oracle_half_tree(self, tree, strategy):
+        patterns = make_patterns(tree)
+        instance = sweep_instance(tree, patterns)
+        session = DerivativeSession(MODEL, patterns)
+        for edge in canonical_edges(tree):
+            rerooted = reroot_above(tree, edge, fraction=0.0)
+            _, V, _ = session.half_tree_partials(rerooted)
+            upper = instance.upper_partials(tree.index_of(edge))
+            assert np.array_equal(upper, V), (strategy, edge.name)
+
     def test_sweep_never_touches_scale_bank(self):
         # The gradient engine runs unscaled, like the per-edge oracle;
         # rescaling an upper destination would silently break parity.
@@ -143,13 +180,3 @@ class TestBackendBitIdentity:
         patterns = make_patterns(tree)
         instance = sweep_instance(tree, patterns)
         assert instance.scale.count == 0
-
-
-class TestPatternBlockedResource:
-    def test_registered_and_bit_identical(self):
-        names = [d.name for d in list_resources()]
-        assert "pattern-blocked" in names
-        backend = resolve_backend("pattern-blocked")
-        assert backend.info.parity == "bit-identical"
-        assert backend.info.tolerance == 0.0
-        assert backend.info.kind == "cpu"

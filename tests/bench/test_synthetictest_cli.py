@@ -63,7 +63,8 @@ class TestRun:
             "--rsrc", "0", "--taxa", "8", "--sites", "32", "--reps", "2"
         )
         assert code == 0
-        assert "CPU (NumPy engine, backend=reference)" in text
+        assert "CPU (NumPy engine), reps=2" in text
+        assert "kernel backend" not in text
         assert "GFLOPS" in text
 
     def test_pectinate_counts(self):
@@ -108,8 +109,10 @@ class TestRun:
         assert code == 2
 
     def test_rsrc_validation(self):
-        code, text = run_cli("--rsrc", "5")
-        assert code == 2
+        for rsrc in ("5", "blocked", "pattern-blocked"):
+            code, text = run_cli("--rsrc", rsrc)
+            assert code == 2
+            assert "0/cpu" in text and "1/gp100" in text
 
     def test_manualscale_cpu_path(self):
         code, text = run_cli(
@@ -231,13 +234,14 @@ class TestGradientFlag:
         )
         assert "session instances: 1" in text
 
-    def test_gradient_with_pattern_blocked_backend(self):
+    def test_gradient_exact_on_wide_upper_sets(self):
+        # Balanced 32 taxa: pre-order sets up to 16 wide run through the
+        # arena, the narrow ones per operation; both must stay exact.
         code, text = run_cli(
-            "--taxa", "8", "--sites", "32", "--reps", "1",
-            "--gradient", "--rsrc", "pattern-blocked",
+            "--taxa", "32", "--sites", "32", "--reps", "1", "--gradient",
         )
         assert code == 0, text
-        assert "(exact" in text
+        assert "edges match the per-edge reroot oracle (exact" in text
 
     def test_gradient_device_model_economics(self):
         code, text = run_cli(

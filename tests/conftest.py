@@ -14,6 +14,13 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# A long run of the same properties (CI: ``--hypothesis-profile thorough``).
+settings.register_profile(
+    "thorough",
+    max_examples=500,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 settings.load_profile("default")
 
 

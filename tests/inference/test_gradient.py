@@ -4,8 +4,8 @@ The contract under test: :func:`repro.inference.all_branch_derivatives`
 computes every canonical branch's ``(logL, d/dt, d²/dt²)`` in one
 post-order + pre-order sweep, bit-consistent with
 :func:`repro.inference.edge_log_likelihood_derivatives` run per edge
-through a rerooted evaluation — at both dtypes, on as-given and
-rerooted trees, and for every registered bit-identical backend.
+through a rerooted evaluation — at both dtypes and on as-given and
+rerooted trees.
 """
 
 from __future__ import annotations
@@ -40,12 +40,9 @@ def make_patterns(tree, n_sites=40, seed=7, model=None):
     )
 
 
-def oracle_triples(tree, model, patterns, rates=None, *, dtype=np.float64,
-                   backend=None):
+def oracle_triples(tree, model, patterns, rates=None, *, dtype=np.float64):
     """Per-edge rerooted derivatives for every canonical branch."""
-    session = DerivativeSession(
-        model, patterns, rates, dtype=dtype, backend=backend
-    )
+    session = DerivativeSession(model, patterns, rates, dtype=dtype)
     return [
         edge_log_likelihood_derivatives(
             tree, model, patterns, edge, rates=rates, session=session
@@ -133,19 +130,6 @@ class TestAllBranchDerivatives:
         a = all_branch_derivatives(tree, MODEL, patterns, mode="concurrent")
         b = all_branch_derivatives(tree, MODEL, patterns, mode="serial")
         for x, y in zip(a.derivatives, b.derivatives):
-            assert (x.log_likelihood, x.first, x.second) == (
-                y.log_likelihood,
-                y.first,
-                y.second,
-            )
-
-    @pytest.mark.parametrize("backend", ["blocked", "pattern-blocked"])
-    def test_bit_identical_backends_match_reference(self, backend):
-        tree = yule_tree(9, np.random.default_rng(5))
-        patterns = make_patterns(tree)
-        ref = all_branch_derivatives(tree, MODEL, patterns)
-        alt = all_branch_derivatives(tree, MODEL, patterns, backend=backend)
-        for x, y in zip(ref.derivatives, alt.derivatives):
             assert (x.log_likelihood, x.first, x.second) == (
                 y.log_likelihood,
                 y.first,
