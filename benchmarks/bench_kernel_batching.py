@@ -12,9 +12,10 @@ Measured claims:
 * batched evaluation of a balanced tree beats serial evaluation,
 * rerooting a random tree yields a measurable real CPU speedup,
 * rerooting a pectinate tree at least breaks even on CPU (its rerooted
-  sets hold only 2 operations — below the batched implementation-class
-  threshold — so the gain appears on launch-overhead-dominated devices
-  like the GPU model, not on the CPU engine; see EXPERIMENTS.md),
+  sets hold only 1–2 operations, so each launch saves little; with
+  plans compiled once per instance it measures ~1.3×, and the larger
+  effect appears on launch-overhead-dominated devices like the GPU
+  model; see EXPERIMENTS.md),
 * serial and batched modes compute identical log-likelihoods.
 """
 

@@ -28,7 +28,6 @@ import time
 from conftest import emit
 
 from repro.bench import format_table
-from repro.beagle.operations import operations_independent
 from repro.core import create_instance, execute_plan, make_plan
 from repro.core.planner import _execute_plan_body
 from repro.data import random_patterns
@@ -61,13 +60,14 @@ def run_baseline(instance, plan):
     — the call path as it was before instrumentation.
     """
     instance.invalidate_partials()
-    for op_set in plan.operation_sets:
-        ops = list(op_set)
-        if not ops:
-            continue
-        if not operations_independent(ops):
-            raise ValueError("operation set contains internal dependencies")
-        instance._run_operation_set(ops, len(ops))
+    instance.bind_plan(plan)
+    try:
+        for op_set in plan.operation_sets:
+            if not op_set:
+                continue
+            instance._run_set(op_set, instance._bound_step(op_set))
+    finally:
+        instance.unbind_plan()
     return instance.calculate_root_log_likelihood(plan.root_buffer)
 
 

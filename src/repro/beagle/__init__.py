@@ -1,8 +1,8 @@
 """BEAGLE-work-alike likelihood engine: buffers, operations, kernels.
 
 Every instance runs its kernel launches through one set executor
-(:mod:`repro.beagle.setexec`), which picks per-operation or arena-block
-execution from the set's width alone.
+(:mod:`repro.beagle.setexec`), which lowers each set to a narrow or an
+arena-block step by its width alone.
 """
 
 from .operations import Operation, operations_independent, validate_operation_order

@@ -24,7 +24,6 @@ from ..models.eigen import EigenDecomposition, transition_matrices
 from ..obs import get_recorder
 from ..obs.profile import (
     PHASE_MATRICES,
-    PHASE_PARTIALS,
     PHASE_ROOT,
 )
 from .kernels import (
@@ -34,9 +33,9 @@ from .kernels import (
     operation_flops,
     root_site_likelihoods,
 )
-from .operations import Operation, operations_independent
+from .operations import Operation
 from .scaling import ScaleBufferBank
-from .setexec import execute_operation, execute_set, rescale_operation
+from .setexec import Program, compile_program, execute_set
 from .workspace import TransitionMatrixCache, Workspace
 
 __all__ = ["BeagleInstance", "InstanceStats"]
@@ -61,11 +60,12 @@ class BeagleInstance:
     """A likelihood-computation instance over fixed-size buffers.
 
     Every operation set runs through one executor
-    (:func:`repro.beagle.setexec.execute_set`), which picks per-operation
-    or arena-block execution from the set's width alone; per-operation
-    results are bit-identical however the scheduler groups operations
-    into sets (full traversals and incremental dirty paths agree
-    exactly). An optional
+    (:mod:`repro.beagle.setexec`), which lowers sets to narrow or
+    arena-block steps by width alone; per-operation results are
+    bit-identical however the scheduler groups operations into sets (full
+    traversals and incremental dirty paths agree exactly). A plan
+    executed a second time runs as a program compiled once for this
+    instance (:meth:`bind_plan`). An optional
     :class:`~repro.beagle.workspace.TransitionMatrixCache` can be
     attached as :attr:`matrix_cache` to serve repeated
     ``update_transition_matrices`` lengths from an LRU instead of
@@ -123,6 +123,8 @@ class BeagleInstance:
         # Tip storage: compact codes or explicit partials, per tip index.
         self._tip_codes: Dict[int, np.ndarray] = {}
         self._tip_partials: Dict[int, np.ndarray] = {}
+        # Bumped by every tip setter: compiled programs bake in tip kinds.
+        self._tip_version = 0
         # Dense mirror of tip codes for vectorised multi-operation gathers.
         self._tip_codes_dense = np.zeros((tip_count, pattern_count), dtype=np.int64)
         # Partials store: one dense block, views handed to kernels. Row
@@ -133,9 +135,17 @@ class BeagleInstance:
             dtype=dtype,
         )
         self._partials_valid = np.zeros(partials_buffer_count, dtype=bool)
-        self._matrices = np.zeros(
-            (matrix_count, category_count, state_count, state_count), dtype=dtype
+        # Transition matrices, stored transposed and padded: block
+        # ``_padded[m, c, :S]`` is P(t)ᵀ (the view ``_transposed``), so a
+        # child's contribution is the contiguous product ``L @ block``;
+        # row ``[m, c, S]`` is all ones, so the "unknown" tip code S
+        # gathers a contribution of 1.
+        self._padded = np.zeros(
+            (matrix_count, category_count, state_count + 1, state_count),
+            dtype=dtype,
         )
+        self._padded[:, :, state_count, :] = 1.0
+        self._transposed = self._padded[:, :, :state_count]
         self.scale = ScaleBufferBank(scale_buffer_count, pattern_count)
 
         self._weights = np.ones(pattern_count)
@@ -149,8 +159,16 @@ class BeagleInstance:
         self.matrix_cache: Optional[TransitionMatrixCache] = None
         # Scratch arena for batched set execution, created on first use.
         self._workspace: Optional[Workspace] = None
+        # One-entry program cache: (plan, tip version, program), the plan
+        # last executed uncompiled, and the program bound to this run.
+        self._program: Optional[Tuple[object, int, Program]] = None
+        self._last_plan: Optional[object] = None
+        self._bound: Optional[Program] = None
 
         self.stats = InstanceStats()
+        self._flops_per_operation = operation_flops(
+            pattern_count, state_count, category_count
+        )
 
     # ------------------------------------------------------------------
     # Data setters (the beagleSet* family)
@@ -166,6 +184,7 @@ class BeagleInstance:
         self._tip_codes[tip_index] = arr
         self._tip_codes_dense[tip_index] = arr
         self._tip_partials.pop(tip_index, None)
+        self._tip_version += 1
 
     def set_tip_partials(self, tip_index: int, partials: np.ndarray) -> None:
         """Explicit tip partials ``(patterns, states)`` (ambiguity codes)."""
@@ -179,6 +198,7 @@ class BeagleInstance:
             arr, (self.category_count,) + arr.shape
         ).copy()
         self._tip_codes.pop(tip_index, None)
+        self._tip_version += 1
 
     def set_pattern_weights(self, weights: Sequence[float]) -> None:
         """Per-pattern multiplicities used by the likelihood reductions."""
@@ -229,6 +249,11 @@ class BeagleInstance:
     # ------------------------------------------------------------------
     # Transition matrices
     # ------------------------------------------------------------------
+    @property
+    def _matrices(self) -> np.ndarray:
+        """The ``(M, C, S, S)`` transition matrices: a writable view."""
+        return self._transposed.transpose(0, 1, 3, 2)
+
     def update_transition_matrices(
         self,
         eigen_index: int,
@@ -315,8 +340,9 @@ class BeagleInstance:
                 cache.store(key, matrix, pin=eigen)
                 for position in positions:
                     resolved[position] = matrix
+        matrices = self._matrices
         for i in range(idx.size):
-            self._matrices[idx[i]] = resolved[i]
+            matrices[idx[i]] = resolved[i]
         cache.hits += n_hits
         cache.misses += n_misses
         if obs.enabled:
@@ -370,12 +396,8 @@ class BeagleInstance:
         partials, codes = self._child_arrays(buffer_index)
         if partials is None:
             # Expand tip codes for inspection convenience.
-            return child_contribution(
-                np.broadcast_to(
-                    np.eye(self.state_count),
-                    (self.category_count, self.state_count, self.state_count),
-                ),
-                codes=codes,
+            return dense_tip_partials(
+                codes, self.state_count, self.category_count, self.dtype
             )
         return np.array(partials, copy=True)
 
@@ -483,7 +505,7 @@ class BeagleInstance:
             raise ValueError(
                 "upper partials not enabled; call enable_upper_partials()"
             )
-        self._launch(list(operations), "kernel.upper")
+        self._launch(operations, "kernel.upper")
 
     def enable_scaling(self, count: int) -> None:
         """Grow the scale bank to at least ``count`` buffers.
@@ -514,14 +536,12 @@ class BeagleInstance:
             n = len(operations)
             obs.count("repro_kernel_launches_total", n)
             obs.count("repro_operations_evaluated_total", n)
-            with obs.span(
-                "kernel.serial", category="kernel", operations=n
-            ), obs.phase(PHASE_PARTIALS):
+            with obs.span("kernel.serial", category="kernel", operations=n):
                 for op in operations:
-                    self._execute_single(op)
+                    self._run_set((op,), self._bound_step((op,)))
         else:
             for op in operations:
-                self._execute_single(op)
+                self._run_set((op,), self._bound_step((op,)))
 
     def update_partials_set(self, operations: Sequence[Operation]) -> None:
         """Execute one *independent* operation set as a single launch.
@@ -533,26 +553,60 @@ class BeagleInstance:
             (scheduler) must guarantee set independence, exactly as the
             BEAGLE library requires.
         """
-        self._launch(list(operations), "kernel.batch")
+        self._launch(operations, "kernel.batch")
 
-    def _launch(self, ops: List[Operation], span: str) -> None:
-        """Validate one operation set and run it as one kernel launch."""
-        if not ops:
+    def bind_plan(self, plan) -> None:
+        """Run ``plan``'s sets through a program compiled for this instance.
+
+        Until :meth:`unbind_plan`, each ``update_partials_set`` call whose
+        set is the bound program's next one runs that set's precompiled
+        step; any other set runs as a one-set program. The program is
+        compiled on the plan's second execution — a one-shot plan (an
+        incremental dirty path, a gradient's fresh post-order plan) never
+        pays for it — and kept in a one-entry cache keyed on the plan
+        object itself and the tip-data version. ``plan`` is any object
+        with ``operation_sets``, and must not be mutated once executed.
+
+        Raises
+        ------
+        ValueError
+            If the program reads a partials buffer that is not computed.
+        """
+        cached = self._program
+        version = self._tip_version
+        if cached is not None and cached[0] is plan and cached[1] == version:
+            program = cached[2]
+        elif self._last_plan is plan:
+            program = compile_program(self, plan.operation_sets)
+            self._program = (plan, version, program)
+        else:
+            self._last_plan = plan
             return
-        if not operations_independent(ops):
-            raise ValueError("operation set contains internal dependencies")
-        k = len(ops)
+        program.start(self)
+        self._bound = program
+
+    def unbind_plan(self) -> None:
+        """End the run started by :meth:`bind_plan`."""
+        self._bound = None
+
+    def _launch(self, operations: Sequence[Operation], span: str) -> None:
+        """Run one operation set as one kernel launch: the bound program's
+        next step, or a one-set program."""
+        if not operations:
+            return
+        step = self._bound_step(operations)
         obs = get_recorder()
         if obs.enabled:
             # Observability bookkeeping sits behind one branch so the
             # disabled (null-recorder) path stays allocation-free.
+            k = len(operations)
             obs.count("repro_kernel_launches_total")
             obs.count("repro_operations_evaluated_total", k)
             obs.observe("repro_operations_per_set", k)
             with obs.span(span, category="kernel", operations=k):
-                self._run_operation_set(ops, k)
+                self._run_set(operations, step)
         else:
-            self._run_operation_set(ops, k)
+            self._run_set(operations, step)
 
     @property
     def workspace(self) -> Workspace:
@@ -600,23 +654,23 @@ class BeagleInstance:
             )
         self._workspace = workspace
 
-    def _run_operation_set(self, ops: List[Operation], k: int) -> None:
-        """Body of one launch after validation: execute, then count.
+    def _bound_step(self, operations: Sequence[Operation]):
+        """The bound program's step for this set, if it is the next one."""
+        bound = self._bound
+        return None if bound is None else bound.step_for(operations)
 
-        :func:`~repro.beagle.setexec.execute_set` chooses per-operation
-        or arena-block execution from the set's width; either way the set
-        counts as exactly one kernel launch.
-        """
-        execute_set(self, ops)
-        self.stats.kernel_launches += 1
-        self.stats.operations += k
-        self.stats.flops += k * self.flops_per_operation
-
-    def _execute_single(self, op: Operation) -> None:
-        rescale_operation(self, op, execute_operation(self, op))
-        self.stats.kernel_launches += 1
-        self.stats.operations += 1
-        self.stats.flops += self.flops_per_operation
+    def _run_set(self, operations: Sequence[Operation], step=None) -> None:
+        """Body of one launch: run ``step`` (or the set as a one-set
+        program), then count exactly one kernel launch."""
+        if step is None:
+            execute_set(self, operations)
+        else:
+            step.run(self, self.workspace)
+        k = len(operations)
+        stats = self.stats
+        stats.kernel_launches += 1
+        stats.operations += k
+        stats.flops += k * self._flops_per_operation
 
     # ------------------------------------------------------------------
     # Likelihood reductions
@@ -722,9 +776,7 @@ class BeagleInstance:
     @property
     def flops_per_operation(self) -> int:
         """Effective FLOPs of one partial-likelihood operation."""
-        return operation_flops(
-            self.pattern_count, self.state_count, self.category_count
-        )
+        return self._flops_per_operation
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -7,10 +7,11 @@ fine-grained ``patterns × states`` grid maps onto contiguous BLAS batches,
 and the medium-grained ``× subtrees`` axis (paper §IV-B) is one more
 leading batch dimension.
 
-:func:`update_partials` computes one operation (one "kernel launch"); the
-set executor (:mod:`repro.beagle.setexec`) runs either it or batched
-arena blocks for a whole independent operation set, the analogue of
-BEAGLE's multi-operation kernel (§VI-A).
+:func:`update_partials` computes one operation (one "kernel launch"), the
+reference for the set executor (:mod:`repro.beagle.setexec`), which runs
+the same arithmetic as compiled narrow steps or batched arena blocks for
+a whole independent operation set, the analogue of BEAGLE's
+multi-operation kernel (§VI-A).
 
 FLOP accounting (:func:`operation_flops`) follows the paper's effective-
 FLOPS throughput metric (§VI-C).

@@ -1,97 +1,128 @@
-"""The operation-set executor: one kernel path for both passes.
+"""The operation-set executor: operation sets lowered to programs.
 
-:func:`execute_set` runs one validated, independent operation set — the
-body of one BEAGLE multi-operation kernel launch — and picks its strategy
-from the set's width alone:
+:func:`compile_program` lowers a plan's operation sets once for one
+:class:`~repro.beagle.instance.BeagleInstance`. Lowering proves each set
+independent, resolves every child to a store slot, an explicit-tip index
+or a compact-tip row and every destination to a store slot, checks tip
+data and index ranges, and records the store slots the program reads
+before it writes them. A :class:`Program` then runs one step per set —
+the body of one BEAGLE multi-operation kernel launch — with no lookups
+left but the arrays themselves. Each set's step kind is chosen from its
+width alone:
 
-* **per operation** (:func:`execute_per_operation`) for sets narrower
-  than :data:`ARENA_MIN_OPS`: each operation runs through the single-
-  operation kernel (:func:`~repro.beagle.kernels.update_partials`)
-  straight into its destination and is rescaled in place. A pectinate
-  tree's sets hold one or two operations, so there is no batch axis to
-  amortise the arena's gathers and scatters over.
-* **arena blocks** (:func:`execute_arena`) otherwise: the set is cut
-  along the batch axis into blocks of :func:`block_ops` operations, and
-  each block runs through the instance's
-  :class:`~repro.beagle.workspace.Workspace` — classification, gathers,
-  batched matmuls, the contribution product, rescaling and the scatter.
+* **narrow steps** for sets narrower than :data:`ARENA_MIN_OPS`: each
+  operation is ``matmul(P[slot], M[m]ᵀ, out=)`` per internal child, one
+  ``multiply`` into its destination, then the rescale. A compact-tip
+  child's contribution depends only on the matrices, not on any earlier
+  set, so in a program of several sets the tip children of a run of
+  narrow sets are gathered in one padded-matrix ``np.take`` (a
+  :class:`_TipChunk`, at most :data:`CACHE_BUDGET_BYTES` of rows) before
+  their steps, off the rerooted tree's dependency chain; a one-set
+  program takes each tip's rows in its step. A pectinate tree's sets
+  hold one or two operations, so there is no batch axis for the arena
+  to amortise its gathers and scatters over.
+* **arena steps** otherwise: the set is cut along the batch axis into
+  blocks of :func:`block_ops` operations whose child classification is
+  fixed at lowering, and each block runs through the instance's
+  :class:`~repro.beagle.workspace.Workspace` — gathers, batched matmuls,
+  the contribution product, rescaling and the scatter.
 
-Both passes share it. Upper (pre-order) buffers are rows of the same
-partials store as lower buffers (see
-:meth:`~repro.beagle.instance.BeagleInstance.enable_upper_partials`), so a
-pre-order operation is an ordinary :class:`~repro.beagle.operations.Operation`
-and every child resolves through one lookup.
+A set submitted outside a bound program (see
+:meth:`~repro.beagle.instance.BeagleInstance.bind_plan`) runs as a one-set
+program through :func:`execute_set`. Both passes share the executor:
+upper (pre-order) buffers are rows of the same partials store as lower
+buffers, so a pre-order operation is an ordinary
+:class:`~repro.beagle.operations.Operation`.
 
-Bit-identity across strategies is structural: the batched ``matmul`` over
+Bit-identity across step kinds is structural: the batched ``matmul`` over
 ``(n, C, P, S)`` stacks is a loop of independent 2-D products, the tip-
 code path is an exact gather, and the rescale is the same max/divide/log
 sequence, so any partition of a set computes the same bits.
-``tests/property/test_set_executor.py`` asserts it for every strategy.
+``tests/property/test_set_executor.py`` asserts it for both step kinds,
+for arena blocks of any size and for whole bound programs.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..obs import get_recorder
 from ..obs.profile import PHASE_PARTIALS, PHASE_SCALING
-from .kernels import rescale_partials, update_partials
+from .operations import operations_independent
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .instance import BeagleInstance
     from .operations import Operation
+    from .scaling import ScaleBufferBank
     from .workspace import Workspace
 
 __all__ = [
     "ARENA_MIN_OPS",
     "CACHE_BUDGET_BYTES",
+    "Program",
     "block_ops",
+    "compile_program",
     "execute_set",
-    "execute_per_operation",
-    "execute_arena",
-    "execute_operation",
-    "rescale_operation",
 ]
 
-#: Sets with fewer operations than this run per operation; wider sets run
-#: through the arena. Measured with ``benchmarks/bench_set_executor.py``
+#: Sets with fewer operations than this run as narrow steps; wider sets
+#: run through the arena. Measured with ``benchmarks/bench_set_executor.py``
 #: (2-vCPU Xeon, NumPy 2.4, f64, 4 states, 1 category, one internal and
-#: one tip child per operation), µs per set, per-op / arena:
+#: one tip child per operation, two sets compiled into one program), µs
+#: per set, narrow / arena:
 #:
 #: =====  ==========================  ===================
 #: width  eval-narrow (128 patterns)  serve (64 patterns)
 #: =====  ==========================  ===================
-#: 1      19 / 48                     17 / 48
-#: 2      38 / 53                     33 / 51
-#: 3      55 / 56                     49 / 53
-#: 4      74 / 62                     65 / 55
-#: 8      149 / 78                    129 / 67
-#: 16     319 / 113                   267 / 92
+#: 1      12 / 31                     12 / 31
+#: 2      18 / 33                     17 / 32
+#: 4      30 / 38                     26 / 34
+#: 5      38 / 41                     31 / 36
+#: 6      44 / 42                     37 / 37
+#: 8      50 / 42                     48 / 38
+#: 16     103 / 63                    90 / 48
 #: =====  ==========================  ===================
 #:
-#: Least-squares lines: per-op 0 + 19 µs/op (128) and 0 + 17 µs/op (64);
-#: arena 45 µs + 4 µs/op and 44 µs + 3 µs/op. The arena's fixed cost is
-#: the classification loop, gathers and scatter; the per-operation path
-#: has none. The lines cross just below width 4 at both shapes (width 3
-#: is a tie), so 4 is the narrowest set the arena takes.
-ARENA_MIN_OPS = 4
+#: Least-squares lines: narrow 7 µs + 5.8 µs/op (128) and 8 µs + 4.3 µs/op
+#: (64); arena 30 µs + 1.9 µs/op and 30 µs + 0.8 µs/op. The arena's fixed
+#: cost is its gathers and scatter; a narrow step has none, and its tip
+#: children cost one shared gather. The lines cross at 5.8 and 6.3, and
+#: width 6 is the first the arena wins or ties at both shapes.
+ARENA_MIN_OPS = 6
 
-#: Working-set target of one arena block. A block's hot rows span three
-#: ``(2B, C, P, S)`` arrays (contributions, scratch, gathered). At the
-#: eval-wide shape (1024 patterns × 4 categories, a 128 KiB row) 768 KiB
-#: gives B = 4; the same sweep measured, µs per set for widths 16 / 64:
-#: B = 2: 1729 / 8050, B = 4: 1784 / 8159, B = 8: 2093 / 9347, one block
-#: per set: 2080 / 9699. B ≤ 4 keeps the block in the 2 MiB per-core L2
-#: and is ~1.2x faster than B ≥ 8; B = 4 halves the per-block fixed cost
-#: of B = 2 at equal speed. At the eval-narrow and serve shapes the
-#: budget gives B = 32 and 64, so every set of width ≤ 16 there runs as
-#: one block.
+#: Working-set target of one arena block and of one narrow-step tip
+#: chunk. A block's hot rows span three ``(2B, C, P, S)`` arrays
+#: (contributions, scratch, gathered). At the eval-wide shape (1024
+#: patterns × 4 categories, a 128 KiB row) 768 KiB gives B = 4; the same
+#: sweep measured, µs per set for widths 16 / 64: B = 2: 1343 / 6078,
+#: B = 4: 1407 / 6422, B = 8: 1634 / 7039, one block per set: 1595 / 7056.
+#: B ≤ 4 keeps the block in the 2 MiB per-core L2 and is ~1.1x faster than
+#: B ≥ 8; B = 4 halves the per-block fixed cost of B = 2 within 5% of its
+#: speed. At the eval-narrow and serve shapes the budget gives B = 32 and
+#: 64, so every set of width ≤ 16 there runs as one block.
 CACHE_BUDGET_BYTES = 768 * 1024
 
 _MIN_BLOCK = 4
 _MAX_BLOCK = 64
+
+# Child kinds after lowering: a store slot, an explicit tip's partials,
+# a compact tip (resolved to a row of a gather), a gathered tip row.
+_SLOT, _EXPLICIT, _CODES, _GATHERED = range(4)
+
+#: ``(kind, index, matrix)``: index is a store slot, a tip index or a row.
+Child = Tuple[int, int, int]
+
+
+def _row_bytes(instance: "BeagleInstance") -> int:
+    """Bytes of one ``(C, P, S)`` partials row."""
+    return (
+        instance.category_count
+        * instance.pattern_count
+        * instance.state_count
+        * instance.dtype.itemsize
+    )
 
 
 def block_ops(instance: "BeagleInstance") -> int:
@@ -100,218 +131,419 @@ def block_ops(instance: "BeagleInstance") -> int:
     Three hot ``(2B, C, P, S)`` arrays per block — ``6·B·C·P·S``
     elements — inside :data:`CACHE_BUDGET_BYTES`, clamped to ``[4, 64]``.
     """
-    row_bytes = (
-        instance.category_count
-        * instance.pattern_count
-        * instance.state_count
-        * instance.dtype.itemsize
-    )
-    block = CACHE_BUDGET_BYTES // (6 * row_bytes)
+    block = CACHE_BUDGET_BYTES // (6 * _row_bytes(instance))
     return int(min(max(block, _MIN_BLOCK), _MAX_BLOCK))
 
 
-def execute_set(instance: "BeagleInstance", ops: List["Operation"]) -> None:
-    """Run one independent operation set, strategy chosen by its width."""
-    if len(ops) < ARENA_MIN_OPS:
-        execute_per_operation(instance, ops)
+def _chunk_rows(instance: "BeagleInstance") -> int:
+    """Compact-tip rows per narrow-step gather: the rows that fit
+    :data:`CACHE_BUDGET_BYTES`, and never more than one per tip (a tree
+    pass reads each tip once)."""
+    return max(1, min(CACHE_BUDGET_BYTES // _row_bytes(instance), instance.tip_count))
+
+
+def _columns(entries: List[Tuple[int, ...]], width: int) -> np.ndarray:
+    """Equal-length int tuples as the rows of a ``(width, n)`` array."""
+    return np.array(list(zip(*entries)) or [()] * width, dtype=np.int64)
+
+
+def _bases(instance: "BeagleInstance", mats: np.ndarray) -> np.ndarray:
+    """``(n, C)`` first rows of each (matrix, category) in the flat view of
+    the padded transposed matrices: the rows :func:`_gather_codes` adds
+    tip codes to."""
+    C, S = instance.category_count, instance.state_count
+    return (mats[:, None] * C + np.arange(C)) * (S + 1)
+
+
+def _gather_codes(
+    instance: "BeagleInstance",
+    ws: "Workspace",
+    tips: np.ndarray,
+    base: np.ndarray,
+    out: np.ndarray,
+) -> None:
+    """Compact-tip contributions ``P(t)ᵀ[code]`` into ``out`` ``(n, C, P, S)``.
+
+    Every (row, category, pattern) resolves to one row of the instance's
+    padded transposed matrices — the ones row S for the "unknown" code —
+    so the rows arrive in one flat gather. Every ``np.take`` in this
+    module takes from a C-contiguous array (a strided one would be
+    copied whole first) with ``mode="clip"``, which writes ``out``
+    unbuffered: lowering already range-checked each index.
+    """
+    n = len(tips)
+    ws.ensure_tips(n)
+    np.take(instance._tip_codes_dense, tips, axis=0, out=ws.codes[:n], mode="clip")
+    np.add(base[:, :, None], ws.codes[:n, None, :], out=ws.rowidx[:n])
+    rows = instance._padded.reshape(-1, instance.state_count)
+    np.take(rows, ws.rowidx[:n], axis=0, out=out, mode="clip")
+
+
+def _rescale(
+    rows: np.ndarray, ws: "Workspace", scale: "ScaleBufferBank", index: int
+) -> None:
+    """Rescale one ``(C, P, S)`` destination in place and write its log
+    factors: :func:`~repro.beagle.kernels.rescale_partials` on the
+    workspace's per-pattern scratch (a pattern whose maximum is not
+    positive keeps factor 1)."""
+    factors, safe, mask = ws.scale_factors, ws.scale_safe, ws.scale_mask
+    np.amax(rows, axis=(0, 2), out=factors)
+    np.greater(factors, 0.0, out=mask)
+    safe.fill(1.0)
+    np.copyto(safe, factors, where=mask)
+    rows /= safe[None, :, None]
+    np.log(safe, out=ws.scale_logs)
+    scale.write(index, ws.scale_logs)
+
+
+class _TipChunk:
+    """The compact-tip children of a run of narrow steps, gathered at once.
+
+    Row ``j`` of the workspace's gathered tip rows holds the ``j``-th
+    ``(tip, matrix)`` pair added; the first step of the run that needs
+    them gathers the whole chunk (:meth:`gather`).
+    """
+
+    __slots__ = ("rows", "tips", "base")
+
+    def __init__(self) -> None:
+        self.rows: List[Tuple[int, int]] = []
+
+    def take(self, child: Child) -> Child:
+        """A compact-tip child becomes the next gathered row; any other
+        child is returned as it is."""
+        kind, tip, mat = child
+        if kind != _CODES:
+            return child
+        self.rows.append((tip, mat))
+        return (_GATHERED, len(self.rows) - 1, mat)
+
+    def freeze(self, instance: "BeagleInstance") -> None:
+        """Turn the rows into the tips and bases the gather takes."""
+        self.tips, mats = _columns(self.rows, 2)
+        self.base = _bases(instance, mats)
+
+    def gather(self, instance: "BeagleInstance", ws: "Workspace") -> None:
+        n = len(self.tips)
+        ws.ensure_gathered(n, _chunk_rows(instance))
+        _gather_codes(instance, ws, self.tips, self.base, ws.gathered_tips[:n])
+        ws.gathered_by = self
+
+
+def _contribution(
+    instance: "BeagleInstance", child: Child, gathered: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """One child's factor of Eq. 1; a computed factor lands in ``out``."""
+    kind, index, mat = child
+    if kind == _SLOT:
+        source = instance._partials[index]
+    elif kind == _GATHERED:
+        return gathered[index]
+    elif kind == _CODES:
+        codes = instance._tip_codes[index]
+        return np.take(instance._padded[mat], codes, axis=1, out=out, mode="clip")
     else:
-        execute_arena(instance, ops, block_ops(instance))
+        source = instance._tip_partials[index]
+    return np.matmul(source, instance._transposed[mat], out=out)
 
 
-def execute_operation(instance: "BeagleInstance", op: "Operation") -> int:
-    """One operation through the single-operation kernel.
+class _NarrowStep:
+    """A narrow set: each operation straight into its destination.
 
-    Writes the destination buffer in place and marks it valid; returns
-    its store slot. Rescaling is left to the caller
-    (:func:`rescale_operation`).
+    ``products`` holds ``(destination slot, first child, second child)``
+    per operation, ``scaled`` ``(destination slot, scale buffer)`` per
+    rescaled operation.
     """
-    partials1, codes1 = instance._child_arrays(op.child1)
-    partials2, codes2 = instance._child_arrays(op.child2)
-    slot = instance._internal_slot(op.destination)
-    update_partials(
-        instance._matrices[op.child1_matrix],
-        instance._matrices[op.child2_matrix],
-        partials1,
-        codes1,
-        partials2,
-        codes2,
-        out=instance._partials[slot],
-    )
-    instance._partials_valid[slot] = True
-    return slot
 
+    __slots__ = ("ops", "chunk", "products", "scaled")
 
-def rescale_operation(
-    instance: "BeagleInstance", op: "Operation", slot: int
-) -> None:
-    """Rescale a computed destination and write its log factors (a no-op
-    for an operation without a ``destination_scale``)."""
-    if op.destination_scale >= 0:
-        logs = rescale_partials(instance._partials[slot])
-        instance.scale.write(op.destination_scale, logs)
+    def __init__(
+        self,
+        ops: Sequence["Operation"],
+        chunk: Optional[_TipChunk],
+        products: List[Tuple[int, Child, Child]],
+        scaled: List[Tuple[int, int]],
+    ) -> None:
+        self.ops = ops
+        self.chunk = chunk
+        self.products = products
+        self.scaled = scaled
 
-
-def execute_per_operation(
-    instance: "BeagleInstance", ops: List["Operation"]
-) -> None:
-    """Narrow-set strategy: each operation straight into its destination."""
-    recorder = get_recorder()
-    for op in ops:
+    def run(self, instance: "BeagleInstance", ws: "Workspace") -> None:
+        chunk = self.chunk
+        if chunk is not None and ws.gathered_by is not chunk:
+            chunk.gather(instance, ws)
+        partials = instance._partials
+        valid = instance._partials_valid
+        gathered, row = ws.gathered_tips, ws.row
+        recorder = get_recorder()
         with recorder.phase(PHASE_PARTIALS):
-            slot = execute_operation(instance, op)
-        if op.destination_scale >= 0:
+            for dest, first, second in self.products:
+                out = partials[dest]
+                x = _contribution(instance, first, gathered, out)
+                y = _contribution(instance, second, gathered, row if x is out else out)
+                np.multiply(x, y, out=out)
+                valid[dest] = True
+        if self.scaled:
             with recorder.phase(PHASE_SCALING):
-                rescale_operation(instance, op, slot)
+                for dest, index in self.scaled:
+                    _rescale(partials[dest], ws, instance.scale, index)
 
 
-def execute_arena(
-    instance: "BeagleInstance", ops: List["Operation"], block: int
-) -> None:
-    """Wide-set strategy: the set in arena blocks of ``block`` operations."""
-    k = len(ops)
-    ws = instance.workspace
-    ws.ensure(min(k, block))
-    for lo in range(0, k, block):
-        _execute_block(instance, ws, ops[lo : lo + block])
+class _Block:
+    """One arena block's classification, fixed at lowering.
 
-
-def _execute_block(
-    instance: "BeagleInstance", ws: "Workspace", block: List["Operation"]
-) -> None:
-    """Evaluate one block of operations through the arena ``ws``.
-
-    Child buffers are validated here (firsts before seconds, matching the
-    serial order), destinations are written and marked valid, and
-    operations carrying a ``destination_scale`` are rescaled exactly as
-    the single-operation path rescales them. Block-local row layout
-    (``nb`` operations): first children occupy contribution rows
-    ``0..nb-1``, second children ``nb..2nb-1``.
+    Block-local row layout (``nb`` operations): first children occupy
+    contribution rows ``0..nb-1``, second children ``nb..2nb-1``.
     """
-    nb = len(block)
-    tip_count = instance.tip_count
-    tip_codes = instance._tip_codes
-    tip_partials = instance._tip_partials
-    valid = instance._partials_valid
-    with get_recorder().phase(PHASE_PARTIALS):
-        # Classification pass: bucket each row as internal partials
-        # (lower or upper bank alike), compact tip codes or explicit tip
-        # partials. Pure int bookkeeping into preallocated arrays.
-        n_int = n_code = n_exp = 0
-        for row in range(2 * nb):
-            op = block[row % nb]
-            if row < nb:
-                b, mat = op.child1, op.child1_matrix
-            else:
-                b, mat = op.child2, op.child2_matrix
-            ws.child_buffers[row] = b
-            if b < tip_count:
-                if b in tip_codes:
-                    ws.code_sel[n_code] = row
-                    ws.code_tips[n_code] = b
-                    ws.code_mats[n_code] = mat
-                    n_code += 1
-                elif b in tip_partials:
-                    ws.explicit_sel[n_exp] = row
-                    ws.explicit_mats[n_exp] = mat
-                    n_exp += 1
-                else:
-                    raise ValueError(f"tip buffer {b} has no data")
-            else:
-                slot = instance._internal_slot(b)
-                if not valid[slot]:
-                    raise ValueError(
-                        f"partials buffer {b} read before being computed"
-                    )
-                ws.internal_sel[n_int] = row
-                ws.internal_slots[n_int] = slot
-                ws.internal_mats[n_int] = mat
-                n_int += 1
-        for i, op in enumerate(block):
-            ws.dest_slots[i] = instance._internal_slot(op.destination)
 
-        C, S = instance.category_count, instance.state_count
-        if n_int:
-            # Internal children: gather partials and matrices into
-            # contiguous stacks, one batched L @ Pᵀ, scatter back.
-            np.take(
-                instance._partials,
-                ws.internal_slots[:n_int],
-                axis=0,
-                out=ws.gathered[:n_int],
-            )
-            np.take(
-                instance._matrices,
-                ws.internal_mats[:n_int],
-                axis=0,
-                out=ws.mats[:n_int],
-            )
-            np.copyto(ws.mats_T[:n_int], ws.mats[:n_int].transpose(0, 1, 3, 2))
-            np.matmul(
-                ws.gathered[:n_int], ws.mats_T[:n_int], out=ws.scratch[:n_int]
-            )
-            ws.contributions[ws.internal_sel[:n_int]] = ws.scratch[:n_int]
-        if n_code:
-            # Compact tips: transpose matrices and pad a ones row at
-            # state index S (the "unknown" code), then resolve every
-            # (row, category, pattern) to one flat row gather.
-            np.take(
-                instance._matrices,
-                ws.code_mats[:n_code],
-                axis=0,
-                out=ws.mats[:n_code],
-            )
-            np.copyto(
-                ws.padded_T[:n_code, :, :S, :],
-                ws.mats[:n_code].transpose(0, 1, 3, 2),
-            )
-            ws.padded_T[:n_code, :, S, :] = 1.0
-            np.take(
-                instance._tip_codes_dense,
-                ws.code_tips[:n_code],
-                axis=0,
-                out=ws.codes[:n_code],
-            )
-            np.add(
-                ws.row_base[:n_code, :, None],
-                ws.codes[:n_code][:, None, :],
-                out=ws.rowidx[:n_code],
-            )
-            rows2d = ws.padded_T[:n_code].reshape(n_code * C * (S + 1), S)
-            np.take(
-                rows2d,
-                ws.rowidx[:n_code],
-                axis=0,
-                out=ws.scratch[:n_code],
-                mode="clip",
-            )
-            ws.contributions[ws.code_sel[:n_code]] = ws.scratch[:n_code]
-        for j in range(n_exp):  # rare: partial-ambiguity tips
-            row = int(ws.explicit_sel[j])
-            partials = tip_partials[int(ws.child_buffers[row])]
-            np.matmul(
-                partials,
-                instance._matrices[int(ws.explicit_mats[j])].transpose(0, 2, 1),
-                out=ws.contributions[row],
-            )
+    __slots__ = (
+        "nb",
+        "slot_rows",
+        "slots",
+        "slot_mats",
+        "code_rows",
+        "code_tips",
+        "code_base",
+        "explicit",
+        "dests",
+        "scaled",
+    )
 
-        product = ws.contributions[:nb]
-        np.multiply(product, ws.contributions[nb : 2 * nb], out=product)
-    if any(op.destination_scale >= 0 for op in block):
-        with get_recorder().phase(PHASE_SCALING):
-            factors = ws.scale_factors
-            safe = ws.scale_safe
-            mask = ws.scale_mask
-            logs = ws.scale_logs
-            for i, op in enumerate(block):
-                if op.destination_scale < 0:
-                    continue
-                rows = product[i]  # (C, P, S) view
-                np.amax(rows, axis=(0, 2), out=factors)
-                np.less_equal(factors, 0.0, out=mask)
-                np.copyto(safe, factors)
-                safe[mask] = 1.0
-                rows /= safe[None, :, None]
-                np.log(safe, out=logs)
-                instance.scale.write(op.destination_scale, logs)
-    instance._partials[ws.dest_slots[:nb]] = product
-    valid[ws.dest_slots[:nb]] = True
+    def __init__(
+        self,
+        instance: "BeagleInstance",
+        children: List[Child],
+        dests: List[int],
+        scaled: List[Tuple[int, int]],
+    ) -> None:
+        self.nb = len(dests)
+        slots, codes, explicit = [], [], []
+        for row, (kind, index, mat) in enumerate(children):
+            if kind == _SLOT:
+                slots.append((row, index, mat))
+            elif kind == _CODES:
+                codes.append((row, index, mat))
+            else:
+                explicit.append((row, index, mat))
+        self.slot_rows, self.slots, self.slot_mats = _columns(slots, 3)
+        self.code_rows, self.code_tips, code_mats = _columns(codes, 3)
+        if codes:
+            self.code_base = _bases(instance, code_mats)
+        self.explicit = explicit
+        self.dests = np.array(dests, dtype=np.int64)
+        self.scaled = scaled
+
+    def run(self, instance: "BeagleInstance", ws: "Workspace") -> None:
+        nb = self.nb
+        recorder = get_recorder()
+        S = instance.state_count
+        with recorder.phase(PHASE_PARTIALS):
+            n = len(self.slots)
+            if n:
+                # Internal children: gather partials and (padded)
+                # transposed matrices into stacks, one batched L @ Pᵀ,
+                # scatter back.
+                np.take(
+                    instance._partials,
+                    self.slots,
+                    axis=0,
+                    out=ws.gathered[:n],
+                    mode="clip",
+                )
+                np.take(
+                    instance._padded,
+                    self.slot_mats,
+                    axis=0,
+                    out=ws.mats[:n],
+                    mode="clip",
+                )
+                np.matmul(ws.gathered[:n], ws.mats[:n, :, :S], out=ws.scratch[:n])
+                ws.contributions[self.slot_rows] = ws.scratch[:n]
+            n = len(self.code_rows)
+            if n:
+                _gather_codes(
+                    instance, ws, self.code_tips, self.code_base, ws.scratch[:n]
+                )
+                ws.contributions[self.code_rows] = ws.scratch[:n]
+            for row, tip, mat in self.explicit:  # rare: partial-ambiguity tips
+                np.matmul(
+                    instance._tip_partials[tip],
+                    instance._transposed[mat],
+                    out=ws.contributions[row],
+                )
+            product = ws.contributions[:nb]
+            np.multiply(product, ws.contributions[nb : 2 * nb], out=product)
+        if self.scaled:
+            with recorder.phase(PHASE_SCALING):
+                for i, index in self.scaled:
+                    _rescale(product[i], ws, instance.scale, index)
+        instance._partials[self.dests] = product
+        instance._partials_valid[self.dests] = True
+
+
+class _ArenaStep:
+    """A wide set: arena blocks of :func:`block_ops` operations."""
+
+    __slots__ = ("ops", "blocks", "width")
+
+    def __init__(self, ops: Sequence["Operation"], blocks: List[_Block]) -> None:
+        self.ops = ops
+        self.blocks = blocks
+        self.width = max(b.nb for b in blocks)
+
+    def run(self, instance: "BeagleInstance", ws: "Workspace") -> None:
+        ws.ensure(self.width)
+        for block in self.blocks:
+            block.run(instance, ws)
+
+
+class Program:
+    """A plan's operation sets lowered for one instance: one step per set.
+
+    Steps run in order, each from one ``update_partials_set`` call:
+    :meth:`start` checks every slot the program reads before writing it
+    and rewinds, then :meth:`step_for` hands out the next step when the
+    submitted set is that step's set. Every slot a step reads is then
+    either one those checks covered or one an earlier step wrote.
+    """
+
+    __slots__ = ("steps", "reads", "_cursor")
+
+    def __init__(self, steps: List, reads: List[int]) -> None:
+        self.steps = steps
+        #: Store slots read before the program writes them (none for a
+        #: full traversal).
+        self.reads = reads
+        self._cursor = 0
+
+    def start(self, instance: "BeagleInstance") -> None:
+        """Check the externally read slots and rewind to the first step.
+
+        Raises
+        ------
+        ValueError
+            If a slot the program reads before writing it holds no
+            computed partials.
+        """
+        valid = instance._partials_valid
+        for slot in self.reads:
+            if not valid[slot]:
+                raise ValueError(
+                    f"partials buffer {slot + instance.tip_count} "
+                    "read before being computed"
+                )
+        self._cursor = 0
+        if instance._workspace is not None:
+            # Gathered tip rows reflect the matrices of an earlier run.
+            instance._workspace.gathered_by = None
+
+    def step_for(self, ops: Sequence["Operation"]):
+        """The next step if ``ops`` is its set (same operations, same
+        order), advancing past it; otherwise ``None``."""
+        i = self._cursor
+        if i < len(self.steps):
+            step = self.steps[i]
+            mine = step.ops
+            if mine is ops or (
+                len(mine) == len(ops) and all(a is b for a, b in zip(mine, ops))
+            ):
+                self._cursor = i + 1
+                return step
+        return None
+
+
+def compile_program(
+    instance: "BeagleInstance", operation_sets: Sequence[Sequence["Operation"]]
+) -> Program:
+    """Lower ``operation_sets`` for ``instance`` (empty sets are skipped).
+
+    Raises
+    ------
+    ValueError
+        If a set has internal dependencies or a tip child has no data.
+    IndexError
+        If a buffer or matrix index is out of range.
+    """
+    tip_count, n_slots = instance.tip_count, instance._partials.shape[0]
+    n_mats = instance._padded.shape[0]
+    codes, explicit = instance._tip_codes, instance._tip_partials
+    written: set = set()
+    reads: List[int] = []
+
+    def slot_of(buffer: int) -> int:
+        slot = buffer - tip_count
+        if not 0 <= slot < n_slots:
+            raise IndexError(f"partials buffer {buffer} out of range")
+        return slot
+
+    def child(buffer: int, mat: int) -> Child:
+        """Resolve one child; a slot no earlier set wrote joins ``reads``."""
+        if not 0 <= mat < n_mats:
+            raise IndexError(f"matrix buffer {mat} out of range")
+        if buffer < tip_count:
+            if buffer in codes:
+                return (_CODES, buffer, mat)
+            if buffer in explicit:
+                return (_EXPLICIT, buffer, mat)
+            raise ValueError(f"tip buffer {buffer} has no data")
+        slot = slot_of(buffer)
+        if slot not in written:
+            reads.append(slot)
+        return (_SLOT, slot, mat)
+
+    steps: List = []
+    chunks: List[_TipChunk] = []
+    # Narrow steps' tip children are gathered ahead in chunks when there
+    # is a set loop to gather ahead of; a one-set program gathers them in
+    # its step.
+    hoist = len(operation_sets) > 1
+    chunk_rows = _chunk_rows(instance) if hoist else 0
+    for ops in operation_sets:
+        if not ops:
+            continue
+        if not operations_independent(ops):
+            raise ValueError("operation set contains internal dependencies")
+        firsts, seconds, dests, scaled = [], [], [], []
+        for i, op in enumerate(ops):
+            firsts.append(child(op.child1, op.child1_matrix))
+            seconds.append(child(op.child2, op.child2_matrix))
+            dests.append(slot_of(op.destination))
+            if op.destination_scale >= 0:
+                scaled.append((i, op.destination_scale))
+        if len(ops) >= ARENA_MIN_OPS:
+            block = block_ops(instance)
+            blocks = [
+                _Block(
+                    instance,
+                    firsts[lo : lo + block] + seconds[lo : lo + block],
+                    dests[lo : lo + block],
+                    [(i - lo, s) for i, s in scaled if lo <= i < lo + block],
+                )
+                for lo in range(0, len(ops), block)
+            ]
+            steps.append(_ArenaStep(ops, blocks))
+        else:
+            products = list(zip(dests, firsts, seconds))
+            n_codes = [c[0] for c in firsts + seconds].count(_CODES) if hoist else 0
+            chunk = None
+            if n_codes:
+                if not chunks or len(chunks[-1].rows) + n_codes > chunk_rows:
+                    chunks.append(_TipChunk())
+                chunk = chunks[-1]
+                products = [(d, chunk.take(a), chunk.take(b)) for d, a, b in products]
+            steps.append(
+                _NarrowStep(ops, chunk, products, [(dests[i], s) for i, s in scaled])
+            )
+        written.update(dests)
+    for chunk in chunks:
+        chunk.freeze(instance)
+    return Program(steps, reads)
+
+
+def execute_set(instance: "BeagleInstance", ops: Sequence["Operation"]) -> None:
+    """Run one independent operation set as a one-set program."""
+    program = compile_program(instance, [ops])
+    program.start(instance)
+    for step in program.steps:
+        step.run(instance, instance.workspace)

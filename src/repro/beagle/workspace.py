@@ -3,14 +3,14 @@
 Two pieces of engine state that make the hot path *incremental-friendly*:
 
 * :class:`Workspace` — a grow-on-demand arena of scratch arrays sized to
-  the widest arena block run so far (see :mod:`repro.beagle.setexec`).
-  Once warm, arena execution performs **zero per-set array
-  allocations**: gathers land in preallocated buffers
-  (``np.take(..., out=)``), matmuls write through ``out=``, and index
-  bookkeeping reuses fixed ``int64`` arrays. On a GPU this arena would be
-  device memory allocated once at instance creation (exactly BEAGLE's
-  buffer model); on the CPU it removes the allocator from the profile of
-  wide sets.
+  the widest arena block and the largest tip chunk run so far (see
+  :mod:`repro.beagle.setexec`). Once warm, a compiled program performs
+  **zero per-set array allocations**: gathers land in preallocated
+  buffers (``np.take(..., out=)``), matmuls write through ``out=``, and
+  index bookkeeping reuses fixed ``int64`` arrays. On a GPU this arena
+  would be device memory allocated once at instance creation (exactly
+  BEAGLE's buffer model); on the CPU it removes the allocator from the
+  profile.
 
 * :class:`TransitionMatrixCache` — an LRU cache of computed transition
   matrices keyed by (eigen decomposition, rates version, quantized branch
@@ -32,7 +32,7 @@ __all__ = ["Workspace", "TransitionMatrixCache"]
 
 
 class Workspace:
-    """Grow-on-demand scratch arena for batched operation-set execution.
+    """Grow-on-demand scratch arena for operation-set execution.
 
     Parameters
     ----------
@@ -43,10 +43,13 @@ class Workspace:
 
     Notes
     -----
-    :meth:`ensure` grows every buffer to hold at least ``k`` operations
-    (``2k`` child rows) and bumps :attr:`allocations`; repeated calls at
-    or below the high-water mark are free. Tests assert steady state by
-    checking that :attr:`allocations` stops moving across evaluations.
+    Three groups grow independently, each geometrically: arena-block
+    buffers (:meth:`ensure`, ``2k`` child rows for ``k`` operations), the
+    compact-tip gather scratch (:meth:`ensure_tips`) and the tip rows
+    narrow steps gather ahead of their sets (:meth:`ensure_gathered`).
+    Every growth bumps :attr:`allocations`; calls at or below the
+    high-water mark are free. Tests assert steady state by checking that
+    :attr:`allocations` stops moving across evaluations.
     """
 
     def __init__(
@@ -60,17 +63,26 @@ class Workspace:
         self.category_count = category_count
         self.pattern_count = pattern_count
         self.state_count = state_count
-        #: Operations the arena can currently hold without growing.
+        #: Operations the arena blocks can currently hold without growing.
         self.capacity = 0
+        #: Rows the compact-tip gather scratch can hold.
+        self.tip_capacity = 0
         #: Times the arena (re)allocated its buffers — stable in steady state.
         self.allocations = 0
-        # Per-pattern scaling scratch is size-independent: allocate once.
-        P = pattern_count
+        #: The tip chunk whose contributions ``gathered_tips`` holds.
+        self.gathered_by: Optional[object] = None
+        self._allocate_blocks(0)
+        self._allocate_tips(0)
+        C, P, S = category_count, pattern_count, state_count
+        self.gathered_tips = np.empty((0, C, P, S), dtype=self.dtype)
+        # Size-independent scratch, allocated once: one (C, P, S) row for
+        # a narrow step's second computed child, and per-pattern scaling.
+        self.row = np.empty((C, P, S), dtype=self.dtype)
         self._factors = np.empty(P, dtype=self.dtype)
         self._safe = np.empty(P, dtype=self.dtype)
-        # Log factors stay in the instance dtype so the batched rescale
-        # computes exactly what the serial kernel computes; the scale
-        # bank widens to float64 on write, as it does for the serial path.
+        # Log factors stay in the instance dtype so every step computes
+        # exactly what the single-operation kernel computes; the scale
+        # bank widens to float64 on write.
         self._logs = np.empty(P, dtype=self.dtype)
         self._mask = np.empty(P, dtype=bool)
 
@@ -93,11 +105,34 @@ class Workspace:
         )
 
     def ensure(self, k: int) -> None:
-        """Grow every buffer to hold at least ``k`` operations."""
+        """Grow the arena-block buffers to hold at least ``k`` operations."""
         if k <= self.capacity:
             return
+        self._allocate_blocks(max(k, 2 * self.capacity))
+        self.allocations += 1
+        if 2 * self.capacity > self.tip_capacity:
+            self._allocate_tips(max(2 * self.capacity, 2 * self.tip_capacity))
+
+    def ensure_tips(self, n: int) -> None:
+        """Grow the compact-tip gather scratch to at least ``n`` rows."""
+        if n <= self.tip_capacity:
+            return
+        self._allocate_tips(max(n, 2 * self.tip_capacity))
+        self.allocations += 1
+
+    def ensure_gathered(self, n: int, target: int) -> None:
+        """Hold at least ``n`` gathered tip rows. Growth jumps straight to
+        ``max(n, target)`` rows, so an instance whose tip chunks stay
+        within ``target`` rows grows once."""
+        if n <= len(self.gathered_tips):
+            return
         C, P, S = self.category_count, self.pattern_count, self.state_count
-        cap = max(k, 2 * self.capacity)
+        self.gathered_tips = np.empty((max(n, target), C, P, S), dtype=self.dtype)
+        self.gathered_by = None
+        self.allocations += 1
+
+    def _allocate_blocks(self, cap: int) -> None:
+        C, P, S = self.category_count, self.pattern_count, self.state_count
         rows = 2 * cap  # one child row per (operation, side)
         dt = self.dtype
         # Child contributions for the whole block: firsts then seconds.
@@ -106,33 +141,17 @@ class Workspace:
         self.scratch = np.empty((rows, C, P, S), dtype=dt)
         # Internal-child partials gathered contiguously for the matmul.
         self.gathered = np.empty((rows, C, P, S), dtype=dt)
-        # Transition matrices gathered per group, plus their transposes.
-        self.mats = np.empty((rows, C, S, S), dtype=dt)
-        self.mats_T = np.empty((rows, C, S, S), dtype=dt)
-        # Transposed matrices padded with a ones row at state index S, so
-        # the tip-code gather resolves the "unknown" code to all-ones.
-        self.padded_T = np.empty((rows, C, S + 1, S), dtype=dt)
-        # Tip-code gather bookkeeping.
+        # Their padded transposed transition matrices, gathered alike.
+        self.mats = np.empty((rows, C, S + 1, S), dtype=dt)
+        self.capacity = cap
+
+    def _allocate_tips(self, rows: int) -> None:
+        C, P = self.category_count, self.pattern_count
+        # Each tip row's codes, then its flat matrix-row index per
+        # (category, pattern).
         self.codes = np.empty((rows, P), dtype=np.int64)
         self.rowidx = np.empty((rows, C, P), dtype=np.int64)
-        # row_base[i, c] = (i*C + c) * (S+1): the flat row offset of
-        # (operation-row i, category c) in the padded_T row matrix.
-        base = (np.arange(rows)[:, None] * C + np.arange(C)[None, :]) * (S + 1)
-        self.row_base = np.ascontiguousarray(base, dtype=np.int64)
-        # Child classification (filled by the block's classification pass).
-        self.child_buffers = np.empty(rows, dtype=np.int64)
-        self.internal_sel = np.empty(rows, dtype=np.int64)
-        self.internal_slots = np.empty(rows, dtype=np.int64)
-        self.internal_mats = np.empty(rows, dtype=np.int64)
-        self.code_sel = np.empty(rows, dtype=np.int64)
-        self.code_tips = np.empty(rows, dtype=np.int64)
-        self.code_mats = np.empty(rows, dtype=np.int64)
-        self.explicit_sel = np.empty(rows, dtype=np.int64)
-        self.explicit_mats = np.empty(rows, dtype=np.int64)
-        # Destinations.
-        self.dest_slots = np.empty(cap, dtype=np.int64)
-        self.capacity = cap
-        self.allocations += 1
+        self.tip_capacity = rows
 
     # -- per-pattern scaling scratch (size-independent views) -----------
     @property
@@ -152,53 +171,31 @@ class Workspace:
 
     @property
     def scale_mask(self) -> np.ndarray:
-        """``(P,)`` bool scratch marking non-positive factors."""
+        """``(P,)`` bool scratch marking positive factors."""
         return self._mask
+
+    _BUFFERS = (
+        "contributions",
+        "scratch",
+        "gathered",
+        "gathered_tips",
+        "mats",
+        "codes",
+        "rowidx",
+        "row",
+        "_factors",
+        "_safe",
+        "_logs",
+        "_mask",
+    )
 
     def nbytes(self) -> int:
         """Bytes currently held by the arena's buffers."""
-        total = (
-            self._factors.nbytes
-            + self._safe.nbytes
-            + self._logs.nbytes
-            + self._mask.nbytes
-        )
-        if self.capacity:
-            for name in (
-                "contributions",
-                "scratch",
-                "gathered",
-                "mats",
-                "mats_T",
-                "padded_T",
-                "codes",
-                "rowidx",
-                "row_base",
-                "child_buffers",
-                "internal_sel",
-                "internal_slots",
-                "internal_mats",
-                "code_sel",
-                "code_tips",
-                "code_mats",
-                "explicit_sel",
-                "explicit_mats",
-                "dest_slots",
-            ):
-                total += getattr(self, name).nbytes
-        return total
+        return sum(getattr(self, name).nbytes for name in self._BUFFERS)
 
     def buffer_token(self) -> Tuple[int, ...]:
         """Identity token of the big buffers — unchanged means reused."""
-        if not self.capacity:
-            return ()
-        return (
-            id(self.contributions),
-            id(self.scratch),
-            id(self.gathered),
-            id(self.mats),
-            id(self.padded_T),
-        )
+        return tuple(id(getattr(self, name)) for name in self._BUFFERS[:4])
 
 
 class TransitionMatrixCache:

@@ -225,6 +225,10 @@ def execute_plan(
 ) -> float:
     """Run a plan on an instance and return the root log-likelihood.
 
+    From a plan's second execution on an instance, its sets run as the
+    program the instance compiled for it
+    (:meth:`~repro.beagle.instance.BeagleInstance.bind_plan`).
+
     When the plan has scaling enabled, per-node scale factors written by
     the operations are accumulated into the cumulative buffer (the last
     slot of the scale bank — internal nodes use slots ``0 .. n−2``, so
@@ -254,8 +258,15 @@ def _execute_plan_body(
         instance.update_transition_matrices(
             0, plan.matrix_indices, plan.branch_lengths
         )
-    for op_set in plan.operation_sets:
-        instance.update_partials_set(op_set)
+    # One update_partials_set call per set, so every wrapper in the stack
+    # sees each launch; the bound program resolves each call to its
+    # precompiled step.
+    instance.bind_plan(plan)
+    try:
+        for op_set in plan.operation_sets:
+            instance.update_partials_set(op_set)
+    finally:
+        instance.unbind_plan()
 
     if not plan.scaling:
         return instance.calculate_root_log_likelihood(plan.root_buffer)

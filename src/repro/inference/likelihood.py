@@ -47,7 +47,7 @@ class _SnapshotArena:
     def __init__(self, instance: BeagleInstance) -> None:
         self._instance = instance
         shape = instance._partials.shape[1:]
-        mshape = instance._matrices.shape[1:]
+        mshape = instance._padded.shape[1:]
         self._partials = np.empty((0,) + shape, dtype=instance.dtype)
         self._matrices = np.empty((0,) + mshape, dtype=instance.dtype)
         self._slots = np.empty(0, dtype=np.int64)
@@ -66,14 +66,14 @@ class _SnapshotArena:
             self._slots = np.empty(n, dtype=np.int64)
         if m > self._matrices.shape[0]:
             self._matrices = np.empty(
-                (m,) + inst._matrices.shape[1:], dtype=inst.dtype
+                (m,) + inst._padded.shape[1:], dtype=inst.dtype
             )
             self._matrix_indices = np.empty(m, dtype=np.int64)
         self._slots[:n] = slots
         self._matrix_indices[:m] = matrix_indices
         np.take(inst._partials, self._slots[:n], axis=0, out=self._partials[:n])
         np.take(
-            inst._matrices,
+            inst._padded,  # the matrix store, transposed and padded
             self._matrix_indices[:m],
             axis=0,
             out=self._matrices[:m],
@@ -88,7 +88,7 @@ class _SnapshotArena:
         if n:
             inst._partials[self._slots[:n]] = self._partials[:n]
         if m:
-            inst._matrices[self._matrix_indices[:m]] = self._matrices[:m]
+            inst._padded[self._matrix_indices[:m]] = self._matrices[:m]
         self._n_slots = 0
         self._n_matrices = 0
 

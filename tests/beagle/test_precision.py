@@ -57,6 +57,19 @@ class TestDtypePlumbing:
         assert single.rerooted_for_concurrency().precision == "single"
         assert single.with_tree(tree.copy()).precision == "single"
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_get_partials_of_a_code_tip_keeps_the_instance_dtype(self, dtype):
+        from repro.beagle import BeagleInstance
+
+        inst = BeagleInstance(2, 1, 2, 3, 4, category_count=2, dtype=dtype)
+        inst.set_tip_states(0, [0, 4, 2])  # 4 is the "unknown" code
+        got = inst.get_partials(0)
+        assert got.dtype == dtype
+        assert got.shape == (2, 3, 4)
+        assert np.array_equal(got[:, 0], [[1, 0, 0, 0]] * 2)
+        assert np.array_equal(got[:, 1], np.ones((2, 4)))
+        assert np.array_equal(got[:, 2], [[0, 0, 1, 0]] * 2)
+
     def test_kernels_preserve_instance_dtype(self):
         """The batched kernel path must never silently widen float32:
         every working buffer, workspace scratch array and stored partial
@@ -73,7 +86,9 @@ class TestDtypePlumbing:
             assert ws.scratch.dtype == dtype
             assert ws.gathered.dtype == dtype
             assert ws.mats.dtype == dtype
-            assert ws.padded_T.dtype == dtype
+            assert ws.gathered_tips.dtype == dtype
+            assert ws.row.dtype == dtype
+            assert inst._padded.dtype == dtype
 
     def test_child_contribution_dtype_follows_matrices(self):
         from repro.beagle.kernels import child_contribution

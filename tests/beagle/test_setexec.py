@@ -1,9 +1,11 @@
-"""The set executor's selector and its accounting.
+"""The set executor's selector, its accounting and the program cache.
 
-``execute_set`` picks per-operation or arena execution from a set's width
-alone. Whichever strategy runs, a set is one kernel launch, the arena
-stops allocating once warm, and the choice never depends on the
-instance's shape or precision.
+Lowering picks a narrow or an arena step from a set's width alone.
+Whichever step runs, a set is one kernel launch, the arena stops
+allocating once warm, and the choice never depends on the instance's
+shape or precision. A plan's second execution runs as a program the
+instance compiled for it; the cache behind that must never serve a stale
+program, and every wrapper in a worker stack must still see each launch.
 """
 
 from __future__ import annotations
@@ -44,20 +46,15 @@ def wide_case():
 
 @pytest.fixture
 def chosen(monkeypatch):
-    """Record ``(width, strategy)`` for every set ``execute_set`` runs."""
+    """Record ``(width, step kind)`` for every step the executor runs."""
     log = []
-    per_op, arena = setexec.execute_per_operation, setexec.execute_arena
+    for cls, kind in ((setexec._NarrowStep, "narrow"), (setexec._ArenaStep, "arena")):
 
-    def spy_per_op(instance, ops):
-        log.append((len(ops), "per-operation"))
-        per_op(instance, ops)
+        def spy(step, instance, ws, run=cls.run, kind=kind):
+            log.append((len(step.ops), kind))
+            run(step, instance, ws)
 
-    def spy_arena(instance, ops, block):
-        log.append((len(ops), "arena"))
-        arena(instance, ops, block)
-
-    monkeypatch.setattr(setexec, "execute_per_operation", spy_per_op)
-    monkeypatch.setattr(setexec, "execute_arena", spy_arena)
+        monkeypatch.setattr(cls, "run", spy)
     return log
 
 
@@ -86,7 +83,10 @@ class TestAccounting:
     def test_workspace_allocations_stay_flat(self, case):
         tree, instance = case()
         plan = make_plan(tree)
+        # Warm-up: the first execution runs set by set; the second
+        # compiles the plan, whose narrow steps gather tips ahead.
         first = execute_plan(instance, plan)
+        assert execute_plan(instance, plan) == first
         allocations = instance.workspace.allocations
         token = instance.workspace.buffer_token()
         for _ in range(3):
@@ -102,7 +102,7 @@ class TestSelector:
             execute_plan(instance, make_plan(tree))
         assert chosen
         for width, strategy in chosen:
-            expected = "arena" if width >= setexec.ARENA_MIN_OPS else "per-operation"
+            expected = "arena" if width >= setexec.ARENA_MIN_OPS else "narrow"
             assert strategy == expected, width
 
     def test_strategy_depends_on_width_only(self, chosen):
@@ -120,7 +120,7 @@ class TestSelector:
                 execute_plan(instance, make_plan(tree))
                 choices.append(list(chosen))
         assert all(c == choices[0] for c in choices)
-        assert {s for _, s in choices[0]} == {"per-operation", "arena"}
+        assert {s for _, s in choices[0]} == {"narrow", "arena"}
 
     def test_block_size_from_row_bytes(self):
         _, narrow = narrow_case()
@@ -137,3 +137,181 @@ class TestSelector:
                 rates=discrete_gamma(0.5, categories) if categories > 1 else None,
             )
             assert setexec.block_ops(instance) == block
+
+
+def _count_one_set_programs(monkeypatch):
+    """Record every set the instance runs as a one-set program."""
+    from repro.beagle import instance as instance_module
+
+    calls = []
+    run = instance_module.execute_set
+
+    def spy(instance, ops):
+        calls.append(len(ops))
+        run(instance, ops)
+
+    monkeypatch.setattr(instance_module, "execute_set", spy)
+    return calls
+
+
+def _fresh_value(tree, patterns, edit=None):
+    """logL of a fresh instance (after ``edit``) and a fresh plan."""
+    instance = create_instance(tree, MODEL, patterns)
+    if edit is not None:
+        edit(instance)
+    return execute_plan(instance, make_plan(tree))
+
+
+class TestProgramCache:
+    def setup_method(self):
+        self.tree = optimal_reroot_fast(pectinate_tree(16, branch_length=0.1)).tree
+        self.patterns = random_patterns(self.tree.tip_names(), 16, seed=1)
+        self.instance = create_instance(self.tree, MODEL, self.patterns)
+
+    def test_second_execution_compiles(self, monkeypatch):
+        plan = make_plan(self.tree)
+        first = execute_plan(self.instance, plan)
+        assert self.instance._program is None
+        one_set = _count_one_set_programs(monkeypatch)
+        assert execute_plan(self.instance, plan) == first
+        assert self.instance._program[0] is plan
+        assert execute_plan(self.instance, plan) == first
+        assert one_set == []  # every set ran its compiled step
+
+    def test_tip_data_change_is_never_served_stale(self):
+        plan = make_plan(self.tree)
+        for _ in range(2):
+            execute_plan(self.instance, plan)
+        rng = np.random.default_rng(5)
+        codes = rng.integers(0, 5, size=16)
+        ambiguous = rng.uniform(0.05, 1.0, size=(16, 4))
+
+        def edit(instance):
+            instance.set_tip_states(0, codes)
+            instance.set_tip_partials(1, ambiguous)
+
+        edit(self.instance)
+        expected = _fresh_value(self.tree, self.patterns, edit)
+        for _ in range(3):
+            assert execute_plan(self.instance, plan) == expected
+
+    def test_new_matrices_are_gathered_again(self):
+        """Tip rows gathered ahead in one run never serve the next run,
+        even when only the matrices changed under the same plan."""
+        plan = make_plan(self.tree)
+        for _ in range(2):
+            execute_plan(self.instance, plan)
+        lengths = [1.7 * t for t in plan.branch_lengths]
+        self.instance.update_transition_matrices(0, plan.matrix_indices, lengths)
+        got = execute_plan(self.instance, plan, update_matrices=False)
+        fresh = create_instance(self.tree, MODEL, self.patterns)
+        fresh.update_transition_matrices(0, plan.matrix_indices, lengths)
+        assert got == execute_plan(fresh, make_plan(self.tree), update_matrices=False)
+
+    def test_alternating_plans_each_match_a_fresh_instance(self):
+        plan_a = make_plan(self.tree)
+        other = self.tree.copy()
+        for edge in other.edges():
+            edge.length *= 1.5
+        plan_b = make_plan(other, "serial")
+        value_a = _fresh_value(self.tree, self.patterns)
+        value_b = _fresh_value(other, self.patterns)
+        assert value_a != value_b
+        for plan, expected in [(plan_a, value_a)] * 2 + [(plan_b, value_b)] * 2 + [
+            (plan_a, value_a),
+            (plan_b, value_b),
+            (plan_a, value_a),
+        ]:
+            assert execute_plan(self.instance, plan) == expected
+
+    def test_one_shot_plans_keep_the_full_plans_program(self):
+        from repro.core import incremental_plan
+
+        tree = balanced_tree(16, branch_length=0.1)
+        patterns = random_patterns(tree.tip_names(), 16, seed=2)
+        instance = create_instance(tree, MODEL, patterns)
+        plan = make_plan(tree)
+        for _ in range(2):
+            full = execute_plan(instance, plan)
+        program = instance._program[2]
+        tip = tree.tips()[3]
+        tip.length = 0.37
+        value = execute_plan(instance, incremental_plan(tree, [tip]))
+        assert value == _fresh_value(tree, patterns) != full
+        assert instance._program[0] is plan and instance._program[2] is program
+        # The full plan carries the branch lengths it was made with.
+        assert execute_plan(instance, plan) == full
+        assert instance._program[2] is program
+
+    def test_unread_buffer_still_rejected_when_compiled(self):
+        from repro.core import incremental_plan
+
+        tree = balanced_tree(8, branch_length=0.1)
+        patterns = random_patterns(tree.tip_names(), 8, seed=3)
+        instance = create_instance(tree, MODEL, patterns)
+        plan = incremental_plan(tree, [tree.tips()[0]])
+        instance.invalidate_partials()
+        for _ in range(2):
+            with pytest.raises(ValueError, match="read before being computed"):
+                execute_plan(instance, plan)
+
+
+class _LaunchCounter:
+    """Counts launch calls on their way to the engine. The fault injector
+    forwards a one-operation set as ``update_partials_serial``."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def update_partials_set(self, operations):
+        self.calls += 1
+        self._inner.update_partials_set(operations)
+
+    def update_partials_serial(self, operations):
+        self.calls += len(operations)
+        self._inner.update_partials_serial(operations)
+
+
+class TestWrappersSeeEveryLaunch:
+    """A compiled plan still reaches every wrapper once per set."""
+
+    def stack(self, instance, rate, seed):
+        from repro.analysis.sanitizer import RaceDetector, SanitizedInstance
+        from repro.exec import FaultInjector, FaultSpec, ResilientInstance
+
+        counter = _LaunchCounter(SanitizedInstance(instance, RaceDetector()))
+        injector = FaultInjector(counter, FaultSpec(rate=rate, seed=seed))
+        return ResilientInstance(injector, sleep=lambda s: None), injector, counter
+
+    @pytest.mark.parametrize("case", [narrow_case, wide_case], ids=["narrow", "wide"])
+    def test_fault_free_stack_counts_one_call_per_set(self, case, monkeypatch):
+        tree, instance = case()
+        plan = make_plan(tree)
+        resilient, injector, counter = self.stack(instance, 0.0, 0)
+        execute_plan(resilient, plan)
+        one_set = _count_one_set_programs(monkeypatch)
+        for run in range(2, 5):
+            execute_plan(resilient, plan)
+            assert counter.calls == run * plan.n_launches
+            assert injector._launch_counter == run * plan.n_launches
+        assert instance._program[0] is plan
+        assert one_set == []  # the wrappers forwarded every compiled step
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("case", [narrow_case, wide_case], ids=["narrow", "wide"])
+    def test_chaos_value_equals_fault_free(self, case, seed):
+        tree, clean = case()
+        plan = make_plan(tree)
+        expected = execute_plan(clean, plan)
+        _, instance = case()
+        resilient, injector, counter = self.stack(instance, 0.3, seed)
+        for _ in range(3):
+            assert execute_plan(resilient, plan) == expected
+        assert injector.log.injected > 0
+        # Faults raised before execution never reach the inner wrappers;
+        # every set still reached them at least once per run.
+        assert counter.calls >= 3 * plan.n_launches

@@ -38,10 +38,11 @@ class TestWorkspace:
         ws.ensure(2)
         rows = 2 * ws.capacity
         assert ws.contributions.shape == (rows, 3, 6, 4)
-        assert ws.mats.shape == (rows, 3, 4, 4)
-        # padded_T carries a ones row at state index S for "unknown" codes.
-        assert ws.padded_T.shape == (rows, 3, 5, 4)
+        # Gathered transposed matrices keep the ones row at state index S
+        # that the "unknown" tip code reads.
+        assert ws.mats.shape == (rows, 3, 5, 4)
         assert ws.codes.shape == (rows, 6)
+        assert ws.rowidx.shape == (rows, 3, 6)
         assert ws.contributions.dtype == np.float32
         assert ws.scale_logs.dtype == np.float32
 

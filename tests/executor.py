@@ -1,11 +1,13 @@
-"""Pin the set executor to one strategy for the duration of a block.
+"""Pin the set executor to one step kind for the duration of a block.
 
-:func:`repro.beagle.setexec.execute_set` chooses per-operation or arena
-execution from a set's width and reads its cut-offs from module globals
-at call time, so patching them steers every set the engine runs —
-through ``execute_plan``, ``TreeLikelihood`` or ``ShardedLikelihood`` —
-without touching the engine. Hypothesis-driven tests use this instead of
-the ``monkeypatch`` fixture, which is function-scoped.
+:func:`repro.beagle.setexec.compile_program` lowers a set to a narrow or
+an arena step from its width and reads its cut-offs from module globals
+when it lowers, so patching them steers every set lowered inside the
+block — through ``execute_plan``, ``TreeLikelihood`` or
+``ShardedLikelihood`` — without touching the engine. A program compiled
+before the block keeps the steps it was lowered to. Hypothesis-driven
+tests use this instead of the ``monkeypatch`` fixture, which is
+function-scoped.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ __all__ = ["forced_executor"]
 
 @contextmanager
 def forced_executor(block: Optional[int] = None) -> Iterator[None]:
-    """Run every set per operation (``block=None``) or through the arena
-    in blocks of ``block`` operations, whatever its width."""
+    """Lower every set to a narrow step (``block=None``) or to arena
+    blocks of ``block`` operations, whatever its width."""
     if block is None:
         patches = {"ARENA_MIN_OPS": 10**9}
     else:
