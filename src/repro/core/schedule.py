@@ -124,6 +124,12 @@ def upper_operation_for_node(tree: Tree, node) -> Operation:
     root child). Root children themselves are *seeded*, not computed (see
     :func:`upper_seeds`).
     """
+    return _upper_operation(tree, node, upper_base(tree))
+
+
+def _upper_operation(tree: Tree, node, base: int) -> Operation:
+    """:func:`upper_operation_for_node` with the upper base given, so a
+    whole pass counts the tips once rather than once per node."""
     parent = node.parent
     if parent is None:
         raise ValueError("the root has no branch, hence no upper partials")
@@ -134,7 +140,6 @@ def upper_operation_for_node(tree: Tree, node) -> Operation:
     sibling = node.sibling()
     if sibling is None:
         raise ValueError("upper operations require a bifurcating tree")
-    base = upper_base(tree)
     sibling_index = tree.index_of(sibling)
     parent_index = tree.index_of(parent)
     if parent.parent.parent is None and len(tree.root.children) == 2:
@@ -162,8 +167,9 @@ def preorder_upper_operations(tree: Tree) -> List[Operation]:
     whole levels, mirroring the reroot-aware batching of the post-order
     pass: a shallower (better-rooted) tree yields fewer pre-order sets.
     """
+    base = upper_base(tree)
     return [
-        upper_operation_for_node(tree, node)
+        _upper_operation(tree, node, base)
         for node in levelorder(tree)
         if node.parent is not None and node.parent.parent is not None
     ]

@@ -12,7 +12,9 @@ from repro.core import (
     postorder_operations,
     reverse_levelorder_operations,
 )
-from repro.trees import balanced_tree, parse_newick, pectinate_tree
+from repro.core.schedule import preorder_upper_operations, upper_operation_for_node
+from repro.trees import Tree, balanced_tree, parse_newick, pectinate_tree
+from repro.trees.traversal import levelorder
 from tests.strategies import tree_strategy
 
 
@@ -88,3 +90,33 @@ class TestMatrixUpdates:
         by_index = dict(zip(indices, lengths))
         assert by_index[t.index_of(t.find("a"))] == pytest.approx(0.1)
         assert by_index[t.index_of(t.find("c"))] == pytest.approx(0.4)
+
+
+class TestUpperOperations:
+    @given(tree_strategy(min_tips=3, max_tips=25))
+    def test_pass_matches_per_node_operations(self, tree):
+        tree.assign_indices()
+        expected = [
+            upper_operation_for_node(tree, node)
+            for node in levelorder(tree)
+            if node.parent is not None and node.parent.parent is not None
+        ]
+        assert preorder_upper_operations(tree) == expected
+        assert len(expected) == 2 * tree.n_tips - 4
+
+    def test_pass_counts_tips_once(self, monkeypatch):
+        # Counting the tips walks the whole tree; once per node made the
+        # pass quadratic in the tip count.
+        counted = []
+        n_tips = Tree.n_tips.fget
+
+        def counting(tree):
+            counted.append(1)
+            return n_tips(tree)
+
+        monkeypatch.setattr(Tree, "n_tips", property(counting))
+        tree = balanced_tree(64)
+        tree.assign_indices()
+        ops = preorder_upper_operations(tree)
+        assert len(ops) == 2 * 64 - 4
+        assert len(counted) == 1
