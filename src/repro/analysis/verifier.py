@@ -173,9 +173,11 @@ def verify_gradient_plan(gplan: "GradientPlan") -> AnalysisReport:
     Structural invariants checked on top of the dataflow: operation
     count (``2n − 4``), seed shape (exactly the two root children,
     seeded from each other's subtrees), bank discipline (``child1``
-    lower, ``child2`` and destination upper, each non-root non-root-child
-    node written exactly once), and pulley-matrix sanity (the root's own
-    matrix slot, finite non-negative merged length).
+    lower; ``child2`` upper, or a root child's lowers — the seed source
+    a root child's children read directly; destination upper; each
+    non-root non-root-child node written exactly once), and pulley-matrix
+    sanity (the root's own matrix slot, finite non-negative merged
+    length).
     """
     report = AnalysisReport()
     report.extend(verify_plan(gplan.post))
@@ -241,6 +243,7 @@ def _check_gradient_structure(
                 hint="each root child's upper buffer is its sibling's lowers",
             )
         )
+    seed_sources = {source for _, source in upper_seeds(tree)}
     seen: set = set()
     for op_set in gplan.upper_operation_sets:
         for op in op_set:
@@ -271,7 +274,7 @@ def _check_gradient_structure(
                         buffers=(op.child1,),
                     )
                 )
-            if op.child2 < base:
+            if op.child2 < base and op.child2 not in seed_sources:
                 out.append(
                     Diagnostic(
                         code="upper-child2-not-upper",
@@ -280,7 +283,8 @@ def _check_gradient_structure(
                             f"upper operation for buffer {op.destination} "
                             f"reads child2 {op.child2} from the lower "
                             f"bank; the parent contribution must come "
-                            f"from upper partials"
+                            f"from upper partials (or a root child's "
+                            f"lowers)"
                         ),
                         buffers=(op.child2,),
                     )

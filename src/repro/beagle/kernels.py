@@ -45,8 +45,10 @@ def dense_tip_partials(
     The identity-matrix contribution of :func:`child_contribution`:
     observed states become one-hot rows, the "unknown" code ``n_states``
     becomes all-ones. Used to seed pre-order upper-partial buffers from
-    tip sources and to hand tip lowers to the per-branch derivative
-    recombination.
+    tip sources and by ``get_partials`` on a tip. The gradient sweep's
+    batched, chunked recombination gathers the same 0/1 rows for a
+    whole chunk of tips at once
+    (:meth:`~repro.beagle.instance.BeagleInstance.edge_partials`).
     """
     eye = np.eye(n_states, dtype=dtype)
     return child_contribution(

@@ -20,8 +20,9 @@ shape over an extended buffer space: the upper partials of node ``i``
 live at buffer ``upper_base(tree) + i`` where ``upper_base`` is ``2n−1``
 (one upper slot per node, after every lower buffer). An upper operation's
 ``child1`` is the sibling's *lower* buffer, its ``child2`` the parent's
-*upper* buffer, so the greedy set builder and the dataflow verifier work
-unchanged on the combined index space. The merged pulley edge (the two
+*upper* buffer (for a root child's children, the other root child's
+lower buffer, which that upper buffer copies), so the greedy set builder
+and the dataflow verifier work unchanged on the combined index space. The merged pulley edge (the two
 root branches of the unrooted view) stores its transition matrix under
 the root's own buffer index — the one matrix slot a rooted post-order
 plan never uses.
@@ -120,9 +121,10 @@ def upper_operation_for_node(tree: Tree, node) -> Operation:
     its branch — exactly the ``V`` buffer the per-edge rerooted evaluation
     computes — built from the sibling's lower partials (through the
     sibling's own matrix) and the parent's upper partials (through the
-    parent's branch matrix; the merged pulley matrix when the parent is a
-    root child). Root children themselves are *seeded*, not computed (see
-    :func:`upper_seeds`).
+    parent's branch matrix). When the parent is a root child its upper
+    partials are the other root child's lowers, which are read directly
+    through the merged pulley matrix. Root children themselves are
+    *seeded*, not computed (see :func:`upper_seeds`).
     """
     return _upper_operation(tree, node, upper_base(tree))
 
@@ -144,15 +146,22 @@ def _upper_operation(tree: Tree, node, base: int) -> Operation:
     parent_index = tree.index_of(parent)
     if parent.parent.parent is None and len(tree.root.children) == 2:
         # Parent is a root child: its upward branch is the merged pulley
-        # edge, whose matrix lives under the root's buffer index.
+        # edge, whose matrix lives under the root's buffer index, and its
+        # upper partials are a copy of the other root child's lowers.
+        # Read those lowers directly: a compact-code tip then goes through
+        # the tip gather, as in the rerooted evaluation, rather than as
+        # dense partials through a matmul (an unknown code's all-ones row
+        # times P sums a row of P, which need not be exactly 1).
         parent_matrix = tree.index_of(tree.root)
+        parent_source = tree.index_of(parent.sibling())
     else:
         parent_matrix = parent_index
+        parent_source = base + parent_index
     return Operation(
         destination=base + tree.index_of(node),
         child1=sibling_index,
         child1_matrix=sibling_index,
-        child2=base + parent_index,
+        child2=parent_source,
         child2_matrix=parent_matrix,
         destination_scale=-1,
     )

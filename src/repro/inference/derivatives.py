@@ -18,30 +18,40 @@ capability, and it powers the Newton branch optimiser in
 :mod:`repro.inference.optimize` — quadratically convergent, a fraction
 of Brent's likelihood evaluations per branch.
 
-Two evaluation strategies share one recombination formula:
+Two evaluation strategies share one recombination routine. It takes a
+batch of ``k`` branches — stacked ``(k, C, P, S)`` half-tree partials
+and ``(k,)`` lengths — and per category makes one eigen call per
+derivative order and one stacked matmul per order, then reduces each
+branch over its own row:
 
 * :func:`edge_log_likelihood_derivatives` — the per-edge oracle: one
   rerooted post-order evaluation per branch, O(n) partial updates each.
   A :class:`DerivativeSession` amortises the engine instance across
   edges of the same (model, data) pair so the path is no longer
   quadratic in *allocations* (it stays quadratic in partial updates).
+  It recombines a batch of one.
 * :func:`all_branch_derivatives` — the one-sweep engine: a single
   post-order + pre-order :class:`~repro.core.planner.GradientPlan`
   leaves every node's lower *and* upper partials in the instance, and
   all ``2n − 3`` branches recombine from buffers already in memory —
-  ``3n − 5`` partial updates total instead of ``(2n−3)(n−1)``. Results
-  are bit-consistent with the per-edge oracle (same partials bits, same
-  recombination arithmetic), which the gradient parity gate asserts.
+  ``3n − 5`` partial updates total instead of ``(2n−3)(n−1)``. The
+  branches go in cache-sized chunks
+  (:func:`~repro.beagle.setexec.block_ops`, the arena's block rule),
+  each gathered from the store in one call. Results are bit-consistent
+  with the per-edge oracle (same partials bits, same routine, per-row
+  reductions), which the gradient parity gate asserts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..beagle.instance import BeagleInstance
+from ..beagle.setexec import block_ops
 from ..core.planner import (
     create_instance,
     execute_gradient_plan,
@@ -168,74 +178,54 @@ class DerivativeSession:
         )
 
 
-def _half_tree_partials(
-    tree: Tree,
-    model: SubstitutionModel,
-    patterns: PatternData,
-    rates: RateCategories,
-) -> Tuple[np.ndarray, np.ndarray, BeagleInstance]:
-    """Raw subtree partials of the root's two children, plus the instance.
-
-    The returned ``(U, V, instance)`` carry the children's own subtree
-    partials of shape ``(C, P, S)`` — *excluding* their root branches.
-    The caller recombines them through ``P(t)`` itself, which is what
-    makes the branch length ``t`` a free variable for differentiation.
-    """
-    instance = create_instance(tree, model, patterns, rates=rates)
-    plan = make_plan(tree, "concurrent")
-    instance.invalidate_partials()
-    instance.update_transition_matrices(0, plan.matrix_indices, plan.branch_lengths)
-    for op_set in plan.operation_sets:
-        instance.update_partials_set(op_set)
-    left, right = tree.root.children
-    return (
-        instance.get_partials(tree.index_of(left)),
-        instance.get_partials(tree.index_of(right)),
-        instance,
-    )
-
-
-def _recombine(
+def _recombine_edges(
     U: np.ndarray,
     V: np.ndarray,
-    t: float,
+    t: np.ndarray,
     model: SubstitutionModel,
     rates: RateCategories,
     weights: np.ndarray,
-    n_patterns: int,
-) -> EdgeDerivatives:
-    """``(logL, d/dt, d²/dt²)`` from the two half-tree partials of a branch.
+) -> List[EdgeDerivatives]:
+    """``(logL, d/dt, d²/dt²)`` of ``k`` branches from their half-tree partials.
 
-    The shared recombination of the per-edge oracle and the one-sweep
-    engine — called with identical ``U``/``V`` bits the two paths return
-    identical floats, which is the whole parity story.
+    ``U`` and ``V`` are ``(k, C, P, S)`` stacks, ``t`` the ``(k,)`` branch
+    lengths. Per category, one :func:`transition_matrices` call and one
+    :func:`transition_derivatives` call per order cover all ``k`` scaled
+    lengths, followed by one stacked matmul per order. Each branch is
+    reduced over its own row with ``np.dot(weights, row)``, so a branch's
+    bits do not depend on the batch it rides in. The one recombination
+    of both the per-edge oracle (a batch of one) and the sweep.
     """
     eigen = model.eigen
     pi = model.frequencies
-    category_weights = rates.probabilities
+    k, n_patterns = U.shape[0], U.shape[2]
 
-    site_L = np.zeros(n_patterns)
-    site_d1 = np.zeros(n_patterns)
-    site_d2 = np.zeros(n_patterns)
-    for c, (rate, cat_weight) in enumerate(zip(rates.rates, category_weights)):
+    site_L = np.zeros((k, n_patterns))
+    site_d1 = np.zeros((k, n_patterns))
+    site_d2 = np.zeros((k, n_patterns))
+    for c, (rate, cat_weight) in enumerate(zip(rates.rates, rates.probabilities)):
         scaled_t = rate * t
-        P = transition_matrices(eigen, [scaled_t])[0]
-        dP = transition_derivatives(eigen, [scaled_t], order=1)[0] * rate
-        d2P = transition_derivatives(eigen, [scaled_t], order=2)[0] * rate**2
-        Uc, Vc = U[c], V[c]
+        P = transition_matrices(eigen, scaled_t)
+        dP = transition_derivatives(eigen, scaled_t, order=1) * rate
+        d2P = transition_derivatives(eigen, scaled_t, order=2) * rate**2
+        Uc, Vc = U[:, c], V[:, c]
         for matrix, accumulator in ((P, site_L), (dP, site_d1), (d2P, site_d2)):
-            joint = Uc * (Vc @ matrix.T)
+            joint = Uc * (Vc @ matrix.transpose(0, 2, 1))
             accumulator += cat_weight * (joint @ pi)
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_likelihood = float(np.dot(weights, np.log(site_L)))
+        logs = np.log(site_L)
         ratio1 = site_d1 / site_L
         ratio2 = site_d2 / site_L
-    first = float(np.dot(weights, ratio1))
-    second = float(np.dot(weights, ratio2 - ratio1**2))
-    return EdgeDerivatives(
-        log_likelihood=log_likelihood, first=first, second=second
-    )
+    curvature = ratio2 - ratio1**2
+    return [
+        EdgeDerivatives(
+            log_likelihood=float(np.dot(weights, logs[i])),
+            first=float(np.dot(weights, ratio1[i])),
+            second=float(np.dot(weights, curvature[i])),
+        )
+        for i in range(k)
+    ]
 
 
 def edge_log_likelihood_derivatives(
@@ -263,8 +253,8 @@ def edge_log_likelihood_derivatives(
         unrooted length). The input tree is never modified.
     session:
         A :class:`DerivativeSession` to reuse one engine instance across
-        calls (same model/patterns/rates). Without one, a fresh float64
-        instance is created per call — the legacy behaviour.
+        calls (same model/patterns/rates). Without one, a throwaway
+        float64 session serves the call.
     """
     if edge.parent is None:
         raise ValueError("the root has no branch")
@@ -285,11 +275,12 @@ def edge_log_likelihood_derivatives(
     # `fraction=0` puts the zero-length side (the clone of `edge`) first,
     # so U below is the focal subtree's raw partials and V the far side's.
     rerooted = reroot_above(tree, edge, fraction=0.0)
-    if session is not None:
-        U, V, _ = session.half_tree_partials(rerooted)
-    else:
-        U, V, _ = _half_tree_partials(rerooted, model, patterns, rates)
-    return _recombine(U, V, t, model, rates, patterns.weights, patterns.n_patterns)
+    if session is None:
+        session = DerivativeSession(model, patterns, rates)
+    U, V, _ = session.half_tree_partials(rerooted)
+    return _recombine_edges(
+        U[None], V[None], np.array([t]), model, rates, patterns.weights
+    )[0]
 
 
 def merged_edge_length(tree: Tree, edge: Node) -> float:
@@ -355,11 +346,14 @@ class BranchGradient:
             [merged_edge_length(self.tree, e) for e in self.edges]
         )
 
+    @cached_property
+    def _by_id(self) -> Dict[int, EdgeDerivatives]:
+        """Canonical edge ``id`` → derivatives, built on first lookup."""
+        return {id(e): d for e, d in zip(self.edges, self.derivatives)}
+
     def for_edge(self, edge: Node) -> EdgeDerivatives:
         """The derivatives of one branch (by its child node)."""
-        by_id: Dict[int, EdgeDerivatives] = {
-            id(e): d for e, d in zip(self.edges, self.derivatives)
-        }
+        by_id = self._by_id
         if id(edge) in by_id:
             return by_id[id(edge)]
         # The second root child aliases the merged pulley edge.
@@ -384,12 +378,14 @@ def all_branch_derivatives(
     """Every branch's ``(logL, d/dt, d²/dt²)`` in one two-pass sweep.
 
     One post-order pass fills the lower partials, one pre-order pass the
-    upper partials (``3n − 5`` partial updates total), and each of the
-    ``2n − 3`` canonical branches recombines its two resident buffers
-    through the shared per-edge formula. Bit-consistent with
+    upper partials (``3n − 5`` partial updates total), and the ``2n − 3``
+    canonical branches recombine in chunks of
+    :func:`~repro.beagle.setexec.block_ops` branches: one
+    :meth:`~repro.beagle.instance.BeagleInstance.edge_partials` gather
+    and one batched recombination per chunk. Bit-consistent with
     :func:`edge_log_likelihood_derivatives` run per edge at the same
-    dtype: both paths feed identical half-tree partials bits to
-    identical recombination arithmetic.
+    dtype: both paths feed identical half-tree partials bits to the same
+    recombination routine, which reduces every branch on its own row.
 
     Parameters
     ----------
@@ -413,16 +409,14 @@ def all_branch_derivatives(
     log_likelihood = execute_gradient_plan(instance, gplan)
 
     edges = canonical_edges(tree)
-    weights = patterns.weights
-    n_patterns = patterns.n_patterns
-    derivatives = []
-    for edge in edges:
-        index = tree.index_of(edge)
-        U = instance.get_partials(index)
-        V = instance.upper_partials(index)
-        t = merged_edge_length(tree, edge)
-        derivatives.append(
-            _recombine(U, V, t, model, rates, weights, n_patterns)
+    nodes = [tree.index_of(edge) for edge in edges]
+    lengths = np.array([merged_edge_length(tree, edge) for edge in edges])
+    chunk = block_ops(instance)
+    derivatives: List[EdgeDerivatives] = []
+    for start in range(0, len(edges), chunk):
+        U, V = instance.edge_partials(nodes[start : start + chunk])
+        derivatives += _recombine_edges(
+            U, V, lengths[start : start + chunk], model, rates, patterns.weights
         )
     obs = get_recorder()
     if obs.enabled:

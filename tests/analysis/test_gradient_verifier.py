@@ -69,8 +69,10 @@ class TestSeededCorruptions:
     def test_child1_from_upper_bank(self):
         gplan = self.plan()
         sets = [list(s) for s in gplan.upper_operation_sets]
-        op = sets[0][0]
-        sets[0][0] = replace(op, child1=op.child2)
+        # The first level reads a root child's lowers as child2; below it
+        # every child2 is an upper buffer.
+        op = sets[-1][0]
+        sets[-1][0] = replace(op, child1=op.child2)
         bad = replace(gplan, upper_operation_sets=sets)
         assert "upper-child1-not-lower" in verify_gradient_plan(bad).codes()
 

@@ -15,9 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.beagle.setexec import block_ops
 from repro.core import make_gradient_plan
 from repro.core.planner import create_instance
-from repro.data import compress, simulate_alignment
+from repro.data import Alignment, compress, simulate_alignment
 from repro.inference import (
     DerivativeSession,
     TreeLikelihood,
@@ -26,8 +27,10 @@ from repro.inference import (
     edge_log_likelihood_derivatives,
     merged_edge_length,
 )
+from repro.inference.derivatives import _recombine_edges
 from repro.models import HKY85, JC69, discrete_gamma
-from repro.trees import balanced_tree, pectinate_tree, yule_tree
+from repro.models.siterates import single_rate
+from repro.trees import balanced_tree, parse_newick, pectinate_tree, yule_tree
 from repro.trees.reroot import reroot_above
 from tests.strategies import tree_strategy
 
@@ -57,7 +60,8 @@ class TestAllBranchDerivatives:
     def test_matches_per_edge_oracle_exactly(self, tree, seed):
         # f64 parity is exact: the one-sweep upper bank holds the same
         # bits as the rerooted oracle's far-side half-tree partials, and
-        # both paths share _recombine.
+        # both paths recombine through _recombine_edges (the oracle as a
+        # batch of one).
         for edge in tree.root.traverse_postorder():
             if edge.parent is not None:
                 edge.length = max(float(edge.length), 0.05)
@@ -158,8 +162,6 @@ class TestAllBranchDerivatives:
         assert a.gradient().tolist() == b.gradient().tolist()
 
     def test_validation(self):
-        from repro.trees import parse_newick
-
         with pytest.raises(ValueError, match="at least three tips"):
             all_branch_derivatives(
                 parse_newick("(a:0.1,b:0.1);"),
@@ -196,6 +198,17 @@ class TestBranchGradientAccessors:
         assert bg.for_edge(second) is bg.for_edge(first)
         with pytest.raises(KeyError):
             bg.for_edge(tree.root)
+
+    def test_for_edge_returns_each_edges_own_derivatives(self):
+        tree = yule_tree(12, np.random.default_rng(4))
+        patterns = make_patterns(tree)
+        bg = all_branch_derivatives(tree, MODEL, patterns)
+        for i, edge in enumerate(bg.edges):
+            assert bg.for_edge(edge) is bg.derivatives[i]
+        first, second = tree.root.children
+        assert bg.for_edge(second) is bg.derivatives[bg.edges.index(first)]
+        # The lookup map is built once per gradient, not per call.
+        assert bg._by_id is bg._by_id
 
     def test_canonical_edges_skip_second_root_child(self):
         tree = pectinate_tree(8, branch_length=0.1)
@@ -262,9 +275,148 @@ class TestGradientPlanShape:
         assert batched.n_operations == serial.n_operations
 
     def test_validation(self):
-        from repro.trees import parse_newick
-
         with pytest.raises(ValueError, match="unknown mode"):
             make_gradient_plan(balanced_tree(4), "sideways")
         with pytest.raises(ValueError, match="at least three tips"):
             make_gradient_plan(parse_newick("(a:0.1,b:0.1);"))
+
+
+# ----------------------------------------------------------------------
+# Batched recombination: chunked sweep, batch-size invariance, the gather
+# ----------------------------------------------------------------------
+def ambiguous_patterns(tree, n_sites, seed):
+    """Random DNA with unknown characters on every taxon and partial
+    ambiguity codes (explicit tip partials) on every other taxon."""
+    rng = np.random.default_rng(seed)
+    sequences = {}
+    for k, name in enumerate(tree.tip_names()):
+        row = rng.choice(list("ACGT"), size=n_sites)
+        row[rng.random(n_sites) < 0.1] = "N"
+        if k % 2:
+            row[rng.random(n_sites) < 0.1] = rng.choice(["R", "Y"])
+        sequences[name] = "".join(row)
+    return compress(Alignment(sequences))
+
+
+def _triple(d):
+    return (d.log_likelihood, d.first, d.second)
+
+
+class TestBatchedRecombination:
+    @settings(max_examples=12, deadline=None)
+    @given(
+        tree=tree_strategy(min_tips=4, max_tips=12),
+        categories=st.sampled_from([1, 4]),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_sweep_batches_and_gather(self, tree, categories, dtype, seed):
+        for edge in tree.root.traverse_postorder():
+            if edge.parent is not None:
+                edge.length = max(float(edge.length), 0.02)
+        tree.invalidate_indices()
+        patterns = ambiguous_patterns(tree, 48, seed)
+        assert patterns.partials and (patterns.codes == 4).any()
+        rates = discrete_gamma(0.7, 4) if categories == 4 else None
+        instance = create_instance(
+            tree, MODEL, patterns, rates=rates, dtype=dtype
+        )
+        bg = all_branch_derivatives(
+            tree, MODEL, patterns, rates=rates, instance=instance
+        )
+
+        # The sweep equals the per-edge oracle bit for bit.
+        expected, _ = oracle_triples(tree, MODEL, patterns, rates, dtype=dtype)
+        assert [_triple(d) for d in bg.derivatives] == [
+            _triple(d) for d in expected
+        ]
+
+        # The gather equals the per-buffer getters, dtype included.
+        nodes = [tree.index_of(e) for e in bg.edges]
+        lower, upper = instance.edge_partials(nodes)
+        assert lower.dtype == upper.dtype == np.dtype(dtype)
+        for i, node in enumerate(nodes):
+            want_lower = instance.get_partials(node)
+            want_upper = instance.upper_partials(node)
+            assert want_lower.dtype == want_upper.dtype == np.dtype(dtype)
+            assert np.array_equal(lower[i], want_lower)
+            assert np.array_equal(upper[i], want_upper)
+
+        # The batched routine does not depend on the batch size.
+        lengths = bg.branch_lengths()
+        weights = patterns.weights
+        rates = rates or single_rate()
+
+        def batched(size):
+            out = []
+            for start in range(0, len(nodes), size):
+                part = slice(start, start + size)
+                out += _recombine_edges(
+                    lower[part], upper[part], lengths[part], MODEL, rates, weights
+                )
+            return [_triple(d) for d in out]
+
+        whole = batched(len(nodes))
+        assert whole == [_triple(d) for d in bg.derivatives]
+        for size in (1, 3, block_ops(instance)):
+            assert batched(size) == whole
+
+        # A buffer that has not been computed is rejected.
+        instance.invalidate_upper_partials()
+        with pytest.raises(ValueError, match="read before being computed"):
+            instance.edge_partials(nodes)
+
+    def test_gather_errors_match_the_getters(self):
+        tree = balanced_tree(8, branch_length=0.1)
+        patterns = make_patterns(tree)
+        instance = create_instance(tree, MODEL, patterns)
+        with pytest.raises(ValueError, match="upper partials not enabled"):
+            instance.edge_partials([0])
+        all_branch_derivatives(tree, MODEL, patterns, instance=instance)
+        with pytest.raises(IndexError):
+            instance.edge_partials([instance.upper_base])
+        assert instance.edge_partials([])[0].shape == (0, 1, patterns.n_patterns, 4)
+        internal = tree.index_of(tree.root.children[0])
+        for invalidate, getter in (
+            (instance.invalidate_upper_partials, instance.upper_partials),
+            (instance.invalidate_partials, instance.get_partials),
+        ):
+            invalidate()
+            with pytest.raises(ValueError) as want:
+                getter(internal)
+            with pytest.raises(ValueError) as got:
+                instance.edge_partials([internal, 0])
+            assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_unknown_codes_at_a_root_child_tip(self, dtype):
+        # The root child's children read its sibling tip through the tip
+        # gather, as the rerooted evaluation does; a dense all-ones row
+        # through a matmul would sum a row of P instead of giving 1.
+        tree = parse_newick("(a:0.1,((b:0.2,c:0.05):0.1,d:0.3):0.15);")
+        patterns = compress(
+            Alignment(
+                {
+                    "a": "ANNAGNCTNA",
+                    "b": "ACGACGCTTA",
+                    "c": "ACGRCGCYTA",
+                    "d": "GCGACNCTTA",
+                }
+            )
+        )
+        bg = all_branch_derivatives(tree, MODEL, patterns, dtype=dtype)
+        expected, _ = oracle_triples(tree, MODEL, patterns, dtype=dtype)
+        assert [_triple(d) for d in bg.derivatives] == [
+            _triple(d) for d in expected
+        ]
+
+    def test_sweep_spans_several_chunks(self):
+        tree = balanced_tree(32, branch_length=0.1)
+        patterns = make_patterns(tree, n_sites=200)
+        instance = create_instance(tree, MODEL, patterns)
+        bg = all_branch_derivatives(tree, MODEL, patterns, instance=instance)
+        assert len(bg.edges) > 2 * block_ops(instance)
+        expected, _ = oracle_triples(tree, MODEL, patterns)
+        assert [_triple(d) for d in bg.derivatives] == [
+            _triple(d) for d in expected
+        ]
