@@ -18,17 +18,16 @@ answers with the library's dirty-path machinery:
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from conftest import emit
 
 from repro.bench import format_table
 from repro.core import (
-    IncrementalLikelihood,
     dirty_nodes,
     incremental_operation_sets,
     optimal_reroot_fast,
 )
-from repro.data import compress, random_patterns, simulate_alignment
+from repro.data import random_patterns
+from repro.inference import TreeLikelihood, branch_length_move
 from repro.models import JC69
 from repro.trees import pectinate_tree, random_attachment_tree
 
@@ -92,17 +91,23 @@ def test_incremental_updates(benchmark, results_dir, full_scale):
         ),
     )
 
-    # Kernel under measurement: one real incremental branch update on a
-    # 256-tip tree (engine-computed, validated against a fresh instance).
+    # Kernel under measurement: one real dirty-path proposal on a 256-tip
+    # tree — an in-place multiplier move evaluated by TreeLikelihood.propose
+    # and then rejected, so every call starts from the same state. The
+    # proposal's value is validated against a fresh full evaluation.
     big = optimal_reroot_fast(random_attachment_tree(256, 1)).tree
     patterns = random_patterns(sorted(t.name for t in big.tips()), 64, seed=9)
-    inc = IncrementalLikelihood(big, JC69(), patterns)
-    inc.full_log_likelihood()
-    edge = big.edges()[10]
+    evaluator = TreeLikelihood(big, JC69(), patterns)
+    evaluator.log_likelihood()
+    rng = np.random.default_rng(10)
 
     def update():
-        return inc.set_branch_length(edge, 0.3)
+        value = evaluator.propose(branch_length_move(big, rng))
+        evaluator.reject()
+        return value
 
-    value = benchmark(update)
-    fresh = IncrementalLikelihood(big, JC69(), patterns)
-    assert value == pytest.approx(fresh.full_log_likelihood(), abs=1e-8)
+    benchmark(update)
+    value = evaluator.propose(branch_length_move(big, rng))
+    fresh = TreeLikelihood(big.copy(), JC69(), patterns).log_likelihood()
+    evaluator.reject()
+    assert value == fresh

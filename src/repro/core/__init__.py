@@ -39,7 +39,6 @@ from .planner import (
     make_plan,
 )
 from .incremental import (
-    IncrementalLikelihood,
     dirty_nodes,
     incremental_operation_sets,
     incremental_plan,
@@ -71,7 +70,6 @@ __all__ = [
     "GradientPlan",
     "make_gradient_plan",
     "execute_gradient_plan",
-    "IncrementalLikelihood",
     "dirty_nodes",
     "incremental_operation_sets",
     "incremental_plan",

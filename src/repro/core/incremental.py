@@ -20,23 +20,17 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
 
-from ..beagle.instance import BeagleInstance
 from ..beagle.operations import Operation
-from ..data.patterns import PatternData
-from ..models.ratematrix import SubstitutionModel
-from ..models.siterates import RateCategories
 from ..trees import Tree
 from ..trees.node import Node
-from ..trees.traversal import node_depths
 from .opsets import build_operation_sets
-from .planner import ExecutionPlan, create_instance, execute_plan, make_plan
+from .planner import ExecutionPlan
 from .schedule import operation_for_node
 
 __all__ = [
     "dirty_nodes",
     "incremental_operation_sets",
     "incremental_plan",
-    "IncrementalLikelihood",
 ]
 
 
@@ -47,18 +41,25 @@ def dirty_nodes(tree: Tree, changed: Iterable[Node]) -> List[Node]:
     its ancestors. The union over all changed nodes is returned in
     reverse level-order (deepest first) so the greedy set builder can
     batch updates from disjoint paths.
+
+    Each ancestor's depth comes from its own walk, counted down from the
+    root's 0 or from the depth of the marked node where the walk stopped,
+    so the cost is the length of the paths, not the size of the tree.
     """
     marked: Dict[int, Node] = {}
+    depths: Dict[int, int] = {}
     for node in changed:
+        path: List[Node] = []
         ancestor = node.parent
-        while ancestor is not None:
-            if id(ancestor) in marked:
-                break  # everything above is already marked
+        while ancestor is not None and id(ancestor) not in marked:
             marked[id(ancestor)] = ancestor
+            path.append(ancestor)
             ancestor = ancestor.parent
-    depths = node_depths(tree)
-    ordered = sorted(marked.values(), key=lambda n: -depths[id(n)])
-    return ordered
+        # Everything above a marked node is already marked.
+        top = -1 if ancestor is None else depths[id(ancestor)]
+        for offset, walked in enumerate(reversed(path), start=1):
+            depths[id(walked)] = top + offset
+    return sorted(marked.values(), key=lambda n: -depths[id(n)])
 
 
 def incremental_operation_sets(
@@ -149,88 +150,3 @@ def incremental_plan(
         mode="incremental",
         incremental=True,
     )
-
-
-class IncrementalLikelihood:
-    """A likelihood evaluator with cheap single-branch updates.
-
-    After one full evaluation, :meth:`set_branch_length` recomputes only
-    the changed branch's transition matrix and the partials on the path
-    to the root — the access pattern of a real inference loop. Launch
-    counts are tracked by the underlying instance's ``stats``.
-
-    Parameters
-    ----------
-    tree:
-        The working tree. Branch lengths are mutated in place by
-        :meth:`set_branch_length`; topology must not change (build a new
-        evaluator for topology moves).
-    model, patterns, rates, scaling:
-        As for :func:`repro.core.planner.create_instance`.
-    verify:
-        Statically verify the full plan and every incremental dirty-path
-        schedule before execution (see :mod:`repro.analysis`).
-    """
-
-    def __init__(
-        self,
-        tree: Tree,
-        model: SubstitutionModel,
-        patterns: PatternData,
-        *,
-        rates: Optional[RateCategories] = None,
-        scaling: bool = False,
-        verify: bool = False,
-    ) -> None:
-        if scaling:
-            # Incremental updates would need to re-accumulate scale
-            # factors along the dirty path only; for clarity this
-            # implementation recomputes factors with full evaluations.
-            raise NotImplementedError(
-                "incremental updates do not support manual scaling"
-            )
-        self.tree = tree
-        self.model = model
-        self.patterns = patterns
-        self.rates = rates
-        self.verify = verify
-        self.instance: BeagleInstance = create_instance(
-            tree, model, patterns, rates=rates
-        )
-        self.plan = make_plan(tree, "concurrent", verify=verify)
-        self._evaluated = False
-
-    # ------------------------------------------------------------------
-    def full_log_likelihood(self) -> float:
-        """Evaluate everything (also refreshes all cached partials)."""
-        value = execute_plan(self.instance, self.plan)
-        self._evaluated = True
-        return value
-
-    def set_branch_length(self, node: Node, length: float) -> float:
-        """Change one branch and return the updated log-likelihood.
-
-        Only the branch's transition matrix and the partials of the
-        node's ancestors are recomputed.
-        """
-        if node.parent is None:
-            raise ValueError("the root has no branch")
-        if length < 0:
-            raise ValueError("branch lengths must be non-negative")
-        if not self._evaluated:
-            self.full_log_likelihood()
-        node.length = float(length)
-        plan = incremental_plan(self.tree, [node], verify=self.verify)
-        return execute_plan(self.instance, plan)
-
-    def update_cost(self, node: Node) -> int:
-        """Operations a change to this branch will recompute (path length)."""
-        if node.parent is None:
-            raise ValueError("the root has no branch")
-        return len(dirty_nodes(self.tree, [node]))
-
-    def update_launches(self, node: Node) -> int:
-        """Operation sets (kernel launches) one branch update needs."""
-        if node.parent is None:
-            raise ValueError("the root has no branch")
-        return len(incremental_operation_sets(self.tree, [node]))

@@ -183,16 +183,15 @@ def create_instance(
     (exactly the ``setTipStates``/``setTipPartials`` split in BEAGLE).
     """
     rates = rates or single_rate()
-    names = set(patterns.taxa)
-    tips = {t.name for t in tree.tips()}
-    if tips != names:
+    tips = tree.tips()
+    if {t.name for t in tips} != set(patterns.taxa):
         raise ValueError("tree tips and pattern taxa must match by name")
     # Use the tree's canonical (left-to-right) indexing so instance and
     # plan agree no matter which is created first; data rows are matched
     # to tip buffers by taxon name.
     tree.assign_indices()
 
-    n = tree.n_tips
+    n = len(tips)
     instance = BeagleInstance(
         tip_count=n,
         partials_buffer_count=n - 1,
@@ -203,8 +202,7 @@ def create_instance(
         scale_buffer_count=n if scaling else 0,
         dtype=dtype,
     )
-    for tip in tree.tips():
-        index = tree.index_of(tip)
+    for index, tip in enumerate(tips):
         if tip.name in patterns.partials:
             instance.set_tip_partials(index, patterns.tip_partials(tip.name))
         else:

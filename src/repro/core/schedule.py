@@ -126,12 +126,6 @@ def upper_operation_for_node(tree: Tree, node) -> Operation:
     through the merged pulley matrix. Root children themselves are
     *seeded*, not computed (see :func:`upper_seeds`).
     """
-    return _upper_operation(tree, node, upper_base(tree))
-
-
-def _upper_operation(tree: Tree, node, base: int) -> Operation:
-    """:func:`upper_operation_for_node` with the upper base given, so a
-    whole pass counts the tips once rather than once per node."""
     parent = node.parent
     if parent is None:
         raise ValueError("the root has no branch, hence no upper partials")
@@ -142,6 +136,7 @@ def _upper_operation(tree: Tree, node, base: int) -> Operation:
     sibling = node.sibling()
     if sibling is None:
         raise ValueError("upper operations require a bifurcating tree")
+    base = upper_base(tree)
     sibling_index = tree.index_of(sibling)
     parent_index = tree.index_of(parent)
     if parent.parent.parent is None and len(tree.root.children) == 2:
@@ -176,9 +171,8 @@ def preorder_upper_operations(tree: Tree) -> List[Operation]:
     whole levels, mirroring the reroot-aware batching of the post-order
     pass: a shallower (better-rooted) tree yields fewer pre-order sets.
     """
-    base = upper_base(tree)
     return [
-        _upper_operation(tree, node, base)
+        upper_operation_for_node(tree, node)
         for node in levelorder(tree)
         if node.parent is not None and node.parent.parent is not None
     ]

@@ -8,7 +8,10 @@ The two classic moves a MrBayes-style sampler needs:
   branch length. Hastings ratio equals the multiplier.
 
 Both return *new* trees; inputs are never mutated, so a rejected proposal
-needs no undo bookkeeping.
+needs no undo bookkeeping. The :class:`Move` functions
+(:func:`branch_length_move`, :func:`nni_move`, :func:`nni_move_at`) are
+their in-place counterparts for the incremental sampler: they mutate the
+working tree and return an ``undo`` that restores it exactly.
 
 A subtlety worth documenting: in a rooted representation of an unrooted
 tree the root is a "pulley" — the edge between the root's two children is
@@ -28,6 +31,7 @@ import numpy as np
 
 from ..trees import Tree
 from ..trees.node import Node
+from ..trees.tree import new_topology_epoch
 
 __all__ = [
     "Proposal",
@@ -60,8 +64,8 @@ def internal_edges(tree: Tree) -> List[Node]:
     root = tree.root
     return [
         node
-        for node in root.traverse_postorder()
-        if not node.is_tip and node.parent is not None and node.parent is not root
+        for node in tree.internals()
+        if node.parent is not None and node.parent is not root
     ]
 
 
@@ -96,6 +100,29 @@ def _swap(parent_a: Node, child_a: Node, parent_b: Node, child_b: Node) -> None:
     parent_a.children.insert(pos_a, child_b)
     child_a.parent = parent_b
     parent_b.children.insert(pos_b, child_a)
+
+
+def _exchange(
+    tree: Tree, parent_a: Node, child_a: Node, parent_b: Node, child_b: Node
+) -> Callable[[], None]:
+    """Apply an in-place NNI exchange and return its undo.
+
+    The exchange starts a new topology epoch but keeps the frozen index
+    map. The undo puts back the epoch from before the exchange when the
+    tree still holds the exchange's own epoch, so a rejected move keeps
+    the tree's cached post-order; after any other topology edit it takes
+    a fresh epoch.
+    """
+    before = tree.topology_epoch
+    _swap(parent_a, child_a, parent_b, child_b)
+    after = tree.topology_epoch = new_topology_epoch()
+
+    def undo() -> None:
+        _swap(parent_a, child_b, parent_b, child_a)
+        restored = tree.topology_epoch == after
+        tree.topology_epoch = before if restored else new_topology_epoch()
+
+    return undo
 
 
 @dataclass(frozen=True)
@@ -185,21 +212,13 @@ def nni_move(tree: Tree, rng: np.random.Generator) -> Optional[Move]:
         sibling = v.sibling()
         assert sibling is not None
         child = v.children[int(rng.integers(2))]
-        _swap(v, child, u, sibling)
-
-        def undo() -> None:
-            _swap(v, sibling, u, child)
-
+        undo = _exchange(tree, v, child, u, sibling)
         touched = [child, sibling]
     else:
         a, b = tree.root.children
         child_a = a.children[int(rng.integers(2))]
         child_b = b.children[int(rng.integers(2))]
-        _swap(a, child_a, b, child_b)
-
-        def undo() -> None:
-            _swap(a, child_b, b, child_a)
-
+        undo = _exchange(tree, a, child_a, b, child_b)
         touched = [child_a, child_b]
     return Move(kind="nni", log_hastings=0.0, touched=touched, undo=undo)
 
@@ -237,21 +256,13 @@ def nni_move_at(tree: Tree, index: int) -> Move:
         sibling = v.sibling()
         assert sibling is not None
         child = v.children[index % 2]
-        _swap(v, child, u, sibling)
-
-        def undo() -> None:
-            _swap(v, sibling, u, child)
-
+        undo = _exchange(tree, v, child, u, sibling)
         touched = [child, sibling]
     else:
         a, b = tree.root.children
         child_a = a.children[index - n_regular]
         child_b = b.children[0]
-        _swap(a, child_a, b, child_b)
-
-        def undo() -> None:
-            _swap(a, child_b, b, child_a)
-
+        undo = _exchange(tree, a, child_a, b, child_b)
         touched = [child_a, child_b]
     return Move(kind="nni", log_hastings=0.0, touched=touched, undo=undo)
 

@@ -9,11 +9,21 @@ library. The root always receives the highest index of its subtree ordering.
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .node import Node
 
-__all__ = ["Tree", "Edge"]
+__all__ = ["Tree", "Edge", "new_topology_epoch"]
+
+#: One counter for every tree, so an epoch a move restores can never be
+#: issued again to a different topology.
+_epochs = itertools.count(1)
+
+
+def new_topology_epoch() -> int:
+    """A topology epoch no tree has held before."""
+    return next(_epochs)
 
 #: An edge is identified by its child endpoint: the branch from
 #: ``node.parent`` down to ``node``. The root has no edge.
@@ -30,44 +40,82 @@ class Tree:
         bifurcating (every internal node has two children); use
         :meth:`is_bifurcating` to check and
         :meth:`resolve_multifurcations` to repair parsed input.
+
+    Topology queries (:meth:`nodes`, :meth:`edges`, :meth:`tips`,
+    :meth:`internals`, :attr:`n_tips`, :attr:`n_nodes`) read one post-order
+    list, walked once per :attr:`topology_epoch`. The epoch changes on
+    :meth:`invalidate_indices`, on reassigning :attr:`root` and on the
+    in-place NNI moves of :mod:`repro.inference.proposals`; after editing
+    a live tree through :class:`Node` directly, call
+    :meth:`invalidate_indices`.
     """
+
+    #: Identifies the current topology; see the class docstring.
+    topology_epoch: int
 
     def __init__(self, root: Node) -> None:
         if root is None:
             raise ValueError("tree requires a root node")
-        self.root = root
         self._index: Optional[Dict[int, int]] = None  # id(node) -> buffer index
+        self._post: List[Node] = []
+        self._post_epoch = 0  # no epoch is 0: the first query walks the tree
+        self._n_tips = 0
+        self.root = root
+
+    @property
+    def root(self) -> Node:
+        """The root node; reassigning it starts a new topology epoch."""
+        return self._root
+
+    @root.setter
+    def root(self, node: Node) -> None:
+        """Make ``node`` the root and start a new topology epoch."""
+        self._root = node
+        self.topology_epoch = new_topology_epoch()
 
     # ------------------------------------------------------------------
     # Basic queries
     # ------------------------------------------------------------------
+    def _postorder(self) -> List[Node]:
+        """The post-order node list of this topology epoch (do not mutate).
+
+        Walked once per epoch; every topology query below derives from it.
+        """
+        if self._post_epoch != self.topology_epoch:
+            self._post = list(self._root.traverse_postorder())
+            self._n_tips = sum(1 for n in self._post if not n.children)
+            self._post_epoch = self.topology_epoch
+        return self._post
+
     def nodes(self) -> List[Node]:
         """All nodes in post-order."""
-        return list(self.root.traverse_postorder())
+        return list(self._postorder())
 
     def tips(self) -> List[Node]:
         """Tips in stable left-to-right order."""
-        return list(self.root.tips())
+        return [n for n in self._postorder() if not n.children]
 
     def internals(self) -> List[Node]:
         """Internal nodes in post-order (children before parents)."""
-        return [n for n in self.root.traverse_postorder() if not n.is_tip]
+        return [n for n in self._postorder() if n.children]
 
     def edges(self) -> List[Node]:
         """Every edge, identified by its child node (root excluded)."""
-        return [n for n in self.root.traverse_postorder() if n.parent is not None]
+        # The root is last in post-order and is the only parentless node.
+        return self._postorder()[:-1]
 
     @property
     def n_tips(self) -> int:
-        return sum(1 for _ in self.root.tips())
+        self._postorder()
+        return self._n_tips
 
     @property
     def n_nodes(self) -> int:
-        return sum(1 for _ in self.root.traverse_postorder())
+        return len(self._postorder())
 
     def is_bifurcating(self) -> bool:
         """True when every internal node has exactly two children."""
-        return all(n.is_binary for n in self.root.traverse_postorder())
+        return all(n.is_binary for n in self._postorder())
 
     def tip_names(self) -> List[str]:
         """Tip labels in left-to-right order."""
@@ -121,8 +169,8 @@ class Tree:
         for i, tip in enumerate(tips):
             index[id(tip)] = i
         next_idx = len(tips)
-        for node in self.root.traverse_postorder():
-            if not node.is_tip:
+        for node in self._postorder():
+            if node.children:
                 index[id(node)] = next_idx
                 next_idx += 1
         self._index = index
@@ -136,8 +184,13 @@ class Tree:
         return self._index[id(node)]
 
     def invalidate_indices(self) -> None:
-        """Drop cached indices after structural edits."""
+        """Drop cached indices and start a new topology epoch.
+
+        Call it after editing the structure through :class:`Node` directly:
+        the post-order every topology query reads is cached per epoch.
+        """
         self._index = None
+        self.topology_epoch = new_topology_epoch()
 
     # ------------------------------------------------------------------
     # Copying

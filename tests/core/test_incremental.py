@@ -8,15 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
-    IncrementalLikelihood,
-    count_operation_sets,
     dirty_nodes,
     incremental_operation_sets,
     optimal_reroot_fast,
 )
 from repro.beagle import operations_independent
 from repro.data import compress, simulate_alignment
-from repro.models import HKY85, JC69, discrete_gamma
+from repro.inference import Move, TreeLikelihood
+from repro.models import HKY85, discrete_gamma
 from repro.trees import balanced_tree, node_depths, pectinate_tree
 from tests.strategies import tree_strategy
 
@@ -91,91 +90,124 @@ class TestIncrementalOperationSets:
         assert len(sets) == 4  # but only tree-height launches
 
 
+def _set_length(edge, length):
+    """An in-place move setting one branch length, shaped like
+    :func:`repro.inference.branch_length_move`'s moves."""
+    old = edge.length
+    edge.length = float(length)
+
+    def undo():
+        edge.length = old
+
+    return Move(
+        kind="branch",
+        log_hastings=0.0,
+        touched=[edge],
+        changed_edges=[edge],
+        undo=undo,
+    )
+
+
 class TestIncrementalLikelihood:
+    """Dirty-path updates through the production route,
+    :meth:`TreeLikelihood.propose` / ``accept`` / ``reject``: each update
+    equals a fresh full evaluation bit for bit and costs exactly
+    ``len(dirty_nodes)`` operations."""
+
     MODEL = HKY85(2.0, [0.3, 0.2, 0.2, 0.3])
 
-    def make(self, tree, patterns=None, sites=30):
+    def make(self, tree, patterns=None, sites=30, **kwargs):
         if patterns is None:
             aln = simulate_alignment(tree, self.MODEL, sites, seed=61)
             patterns = compress(aln)
-        return IncrementalLikelihood(tree, self.MODEL, patterns), patterns
+        return TreeLikelihood(tree, self.MODEL, patterns, **kwargs), patterns
+
+    def fresh(self, tree, patterns, **kwargs):
+        return TreeLikelihood(
+            tree.copy(), self.MODEL, patterns, **kwargs
+        ).log_likelihood()
 
     def test_matches_full_recompute(self):
         tree = balanced_tree(12, branch_length=0.2)
-        inc, patterns = self.make(tree)
-        inc.full_log_likelihood()
-        edge = tree.edges()[3]
-        updated = inc.set_branch_length(edge, 0.7)
-        # Independent full evaluation on the mutated tree, same data:
-        fresh, _ = self.make(tree, patterns)
-        assert updated == pytest.approx(fresh.full_log_likelihood(), abs=1e-8)
+        ev, patterns = self.make(tree)
+        ev.log_likelihood()
+        updated = ev.propose(_set_length(tree.edges()[3], 0.7))
+        ev.accept()
+        assert ev.last_incremental_plan is not None
+        assert updated == self.fresh(tree, patterns)
 
     def test_sequence_of_updates(self):
         tree = balanced_tree(8, branch_length=0.1)
-        inc, patterns = self.make(tree)
-        inc.full_log_likelihood()
+        ev, patterns = self.make(tree)
+        ev.log_likelihood()
         rng = np.random.default_rng(62)
-        for _ in range(5):
-            edge = tree.edges()[int(rng.integers(len(tree.edges())))]
-            value = inc.set_branch_length(edge, float(rng.uniform(0.01, 1.0)))
-        fresh, _ = self.make(tree, patterns)
-        assert value == pytest.approx(fresh.full_log_likelihood(), abs=1e-8)
+        kept = ev.log_likelihood()
+        for step in range(6):
+            edges = tree.edges()
+            edge = edges[int(rng.integers(len(edges)))]
+            value = ev.propose(_set_length(edge, float(rng.uniform(0.01, 1.0))))
+            if step % 2:
+                ev.reject()
+            else:
+                ev.accept()
+                kept = value
+        assert kept == self.fresh(tree, patterns)
 
     def test_auto_initial_evaluation(self):
         tree = balanced_tree(8, branch_length=0.1)
-        inc, patterns = self.make(tree)
-        # set_branch_length before any full evaluation must still work.
-        edge = tree.edges()[0]
-        value = inc.set_branch_length(edge, 0.4)
-        fresh, _ = self.make(tree, patterns)
-        assert value == pytest.approx(fresh.full_log_likelihood(), abs=1e-8)
+        ev, patterns = self.make(tree)
+        # A proposal before any full evaluation is evaluated in full.
+        value = ev.propose(_set_length(tree.edges()[0], 0.4))
+        ev.accept()
+        assert ev.last_incremental_plan is None
+        assert value == self.fresh(tree, patterns)
 
     def test_update_is_cheaper_than_full(self):
         tree = balanced_tree(64, branch_length=0.1)
-        inc, _ = self.make(tree)
-        inc.full_log_likelihood()
-        inc.instance.stats.reset()
-        inc.set_branch_length(tree.tips()[0], 0.5)
+        ev, _ = self.make(tree)
+        ev.log_likelihood()
+        ev.instance.stats.reset()
+        tip = tree.tips()[0]
+        ev.propose(_set_length(tip, 0.5))
         # Only log2(64) = 6 operations, not 63.
-        assert inc.instance.stats.operations == 6
+        assert ev.instance.stats.operations == 6
+        assert ev.instance.stats.operations == len(dirty_nodes(tree, [tip]))
 
     def test_update_cost_and_launches(self):
         tree = pectinate_tree(16)
-        inc, _ = self.make(tree)
+        ev, _ = self.make(tree)
+        ev.log_likelihood()
         deepest = max(tree.tips(), key=lambda n: node_depths(tree)[id(n)])
-        assert inc.update_cost(deepest) == 15
-        assert inc.update_launches(deepest) == 15
+        ev.instance.stats.reset()
+        ev.propose(_set_length(deepest, 0.3))
+        plan = ev.last_incremental_plan
+        assert plan.n_operations == len(dirty_nodes(tree, [deepest])) == 15
+        assert plan.n_launches == 15
+        assert ev.instance.stats.operations == 15
+        ev.reject()
         shallow = tree.root.children[-1]
-        assert inc.update_cost(shallow) == 1
+        ev.propose(_set_length(shallow, 0.3))
+        assert ev.last_incremental_plan.n_operations == 1
+        ev.reject()
 
     def test_gamma_rates(self):
         tree = balanced_tree(8, branch_length=0.2)
-        model = JC69()
-        aln = simulate_alignment(tree, model, 20, seed=63)
-        inc = IncrementalLikelihood(
-            tree, model, compress(aln), rates=discrete_gamma(0.5, 4)
-        )
-        inc.full_log_likelihood()
-        edge = tree.edges()[2]
-        value = inc.set_branch_length(edge, 0.9)
-        fresh = IncrementalLikelihood(
-            tree, model, compress(aln), rates=discrete_gamma(0.5, 4)
-        )
-        assert value == pytest.approx(fresh.full_log_likelihood(), abs=1e-8)
+        rates = discrete_gamma(0.5, 4)
+        ev, patterns = self.make(tree, sites=20, rates=rates)
+        ev.log_likelihood()
+        value = ev.propose(_set_length(tree.edges()[2], 0.9))
+        ev.accept()
+        assert value == self.fresh(tree, patterns, rates=rates)
 
     def test_validation(self):
         tree = balanced_tree(4, branch_length=0.1)
-        inc, _ = self.make(tree)
-        with pytest.raises(ValueError):
-            inc.set_branch_length(tree.root, 0.5)
-        with pytest.raises(ValueError):
-            inc.set_branch_length(tree.edges()[0], -1.0)
-        with pytest.raises(ValueError):
-            inc.update_cost(tree.root)
-        with pytest.raises(NotImplementedError):
-            model = JC69()
-            aln = simulate_alignment(tree, model, 10, seed=64)
-            IncrementalLikelihood(tree, model, compress(aln), scaling=True)
+        ev, _ = self.make(tree)
+        ev.log_likelihood()
+        with pytest.raises(ValueError, match="root"):
+            ev.propose(_set_length(tree.root, 0.5))
+        scaled, _ = self.make(tree, scaling=True)
+        with pytest.raises(ValueError, match="scaling"):
+            scaled.propose(_set_length(tree.edges()[0], 0.5))
 
 
 class TestRerootingShrinksUpdates:

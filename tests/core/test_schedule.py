@@ -13,7 +13,8 @@ from repro.core import (
     reverse_levelorder_operations,
 )
 from repro.core.schedule import preorder_upper_operations, upper_operation_for_node
-from repro.trees import Tree, balanced_tree, parse_newick, pectinate_tree
+from repro.trees import balanced_tree, parse_newick, pectinate_tree
+from repro.trees.node import Node
 from repro.trees.traversal import levelorder
 from tests.strategies import tree_strategy
 
@@ -106,17 +107,19 @@ class TestUpperOperations:
 
     def test_pass_counts_tips_once(self, monkeypatch):
         # Counting the tips walks the whole tree; once per node made the
-        # pass quadratic in the tip count.
-        counted = []
-        n_tips = Tree.n_tips.fget
-
-        def counting(tree):
-            counted.append(1)
-            return n_tips(tree)
-
-        monkeypatch.setattr(Tree, "n_tips", property(counting))
+        # pass quadratic in the tip count. The pass may walk the tree at
+        # most once (to number the nodes and count the tips together).
         tree = balanced_tree(64)
-        tree.assign_indices()
+        tree.invalidate_indices()
+        walks = []
+        for name in ("traverse_postorder", "tips"):
+            method = getattr(Node, name)
+
+            def counting(node, _method=method, _name=name):
+                walks.append(_name)
+                return _method(node)
+
+            monkeypatch.setattr(Node, name, counting)
         ops = preorder_upper_operations(tree)
         assert len(ops) == 2 * 64 - 4
-        assert len(counted) == 1
+        assert len(walks) <= 1, walks
