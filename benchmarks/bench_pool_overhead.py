@@ -18,7 +18,9 @@ Measured claims:
   bound (``bench_fault_overhead`` bounds that wrapper separately),
 * every pool result is bit-identical to the serial value,
 * the device model's degraded-fleet curve — throughput as workers are
-  evicted, 0 to N−1 — is monotone non-increasing, and a real pool run at
+  evicted, 0 to N−1, with identical jobs list-scheduled on the
+  survivors: ``n_jobs / (ceil(n_jobs / survivors) · job_seconds)`` — is
+  monotone non-increasing, and a real pool run at
   every eviction level still returns bit-identical, fully accounted
   results. (Measured wall-clock throughput is reported alongside but
   not gated: the CPU engine's threads contend for the interpreter lock,
@@ -28,6 +30,7 @@ Measured claims:
 
 from __future__ import annotations
 
+import math
 import time
 
 from conftest import emit
@@ -36,7 +39,7 @@ from repro.bench import format_table
 from repro.core import create_instance, execute_plan, make_plan
 from repro.data import random_patterns
 from repro.exec import LikelihoodPool
-from repro.gpu import GP100, SimulatedDevice, WorkloadDims
+from repro.gpu import GP100, WorkloadDims, time_set_sizes
 from repro.models import JC69
 from repro.trees import balanced_tree
 
@@ -145,11 +148,13 @@ def test_fault_free_dispatch_overhead_under_five_percent(
 def test_degraded_fleet_throughput_is_monotone(results_dir):
     make_case, reference = setup_case()
     plan = make_case()[1]
-    device = SimulatedDevice(GP100)
     dims = WorkloadDims(patterns=SITES, states=4)
-    modelled = dict(
-        device.degraded_fleet_curve(plan, dims, N_JOBS, N_WORKERS)
-    )
+    job_seconds = time_set_sizes(GP100, dims, plan.set_sizes).seconds
+    modelled = {
+        evicted: N_JOBS
+        / (math.ceil(N_JOBS / (N_WORKERS - evicted)) * job_seconds)
+        for evicted in range(N_WORKERS)
+    }
 
     rows = []
     measured = []

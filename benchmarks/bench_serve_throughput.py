@@ -6,8 +6,11 @@ Two views of the same trade-off:
   inline pool serves a multi-tenant backlog with coalescing on and off;
   every served value is gated bit-identical to the serial evaluation, so
   the speedup is not bought with accuracy.
-* **device model** — :meth:`SimulatedDevice.time_coalesced` prices the
-  same lockstep launch schedule at thousands of tenants, where the
+* **device model** — :func:`~repro.gpu.perfmodel.time_set_sizes` prices
+  the lockstep launch schedule of
+  :meth:`~repro.serve.CoalescedBatch.launch_schedule` (one launch per
+  round, summing the members' same-depth sets) at thousands of
+  tenants, where the
   per-launch overhead the coalescer amortises dominates: aggregate
   requests/s rises monotonically with width while per-request latency
   (the p99 proxy: every member waits for the shared launch) rises too.
@@ -23,15 +26,17 @@ from repro.bench import format_table
 from repro.core.planner import create_instance, execute_plan, make_plan
 from repro.data import random_patterns
 from repro.exec import LikelihoodPool
-from repro.gpu import SimulatedDevice, WorkloadDims
+from repro.gpu import GP100, WorkloadDims, time_set_sizes
 from repro.models import JC69
 from repro.serve import (
     AdmissionConfig,
+    CoalescedBatch,
     CoalescePolicy,
     FairnessConfig,
     LikelihoodServer,
     RequestDims,
 )
+from repro.serve.request import LikelihoodRequest
 from repro.trees import balanced_tree
 
 from conftest import FULL, emit
@@ -114,13 +119,25 @@ def test_coalescing_throughput_and_latency(results_dir):
         ),
     )
 
-    device = SimulatedDevice()
     wdims = WorkloadDims(patterns=512, states=4, categories=4)
-    set_shape = [8, 4, 2, 1]
+    set_shape = (8, 4, 2, 1)
     model_rows = []
-    for width, req_s, per_req_s in device.coalescing_curve(
-        set_shape, wdims, [1, 2, 4, 8, 16, 32]
-    ):
+    for width in (1, 2, 4, 8, 16, 32):
+        batch = CoalescedBatch(
+            [
+                LikelihoodRequest(
+                    index=i, tenant=f"tenant-{i}", make_case=make_case,
+                    label=f"r{i}", set_sizes=set_shape,
+                )
+                for i in range(width)
+            ]
+        )
+        # Every member waits for the whole batch: the batch's device
+        # time is each request's latency.
+        per_req_s = time_set_sizes(
+            GP100, wdims, batch.launch_schedule()
+        ).seconds
+        req_s = width / per_req_s
         model_rows.append(
             {
                 "width": width,

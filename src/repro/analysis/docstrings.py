@@ -12,7 +12,7 @@ Allowlist format: one ``path:qualname`` entry per line, ``#`` comments
 and blank lines ignored, paths relative to the scanned root with ``/``
 separators, e.g.::
 
-    beagle/kernels.py:update_partials
+    beagle/kernels.py:operation_flops
     exec/pool.py:LikelihoodPool.submit
 
 Entries that no longer match anything are reported as *stale* so the

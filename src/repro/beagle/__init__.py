@@ -10,9 +10,7 @@ from .kernels import (
     child_contribution,
     edge_site_likelihoods,
     operation_flops,
-    rescale_partials,
     root_site_likelihoods,
-    update_partials,
 )
 from .scaling import ScaleBufferBank
 from .workspace import TransitionMatrixCache, Workspace
@@ -24,8 +22,6 @@ __all__ = [
     "operations_independent",
     "validate_operation_order",
     "child_contribution",
-    "update_partials",
-    "rescale_partials",
     "root_site_likelihoods",
     "edge_site_likelihoods",
     "operation_flops",

@@ -7,11 +7,10 @@ fine-grained ``patterns × states`` grid maps onto contiguous BLAS batches,
 and the medium-grained ``× subtrees`` axis (paper §IV-B) is one more
 leading batch dimension.
 
-:func:`update_partials` computes one operation (one "kernel launch"), the
-reference for the set executor (:mod:`repro.beagle.setexec`), which runs
-the same arithmetic as compiled narrow steps or batched arena blocks for
-a whole independent operation set, the analogue of BEAGLE's
-multi-operation kernel (§VI-A).
+:func:`child_contribution` is one child's factor of an operation; the
+set executor (:mod:`repro.beagle.setexec`) runs the same arithmetic as
+compiled narrow steps or batched arena blocks for a whole independent
+operation set, the analogue of BEAGLE's multi-operation kernel (§VI-A).
 
 FLOP accounting (:func:`operation_flops`) follows the paper's effective-
 FLOPS throughput metric (§VI-C).
@@ -26,10 +25,8 @@ import numpy as np
 __all__ = [
     "child_contribution",
     "dense_tip_partials",
-    "update_partials",
     "root_site_likelihoods",
     "edge_site_likelihoods",
-    "rescale_partials",
     "operation_flops",
 ]
 
@@ -102,44 +99,6 @@ def child_contribution(
         [matrices, np.ones((C, S, 1), dtype=dtype)], axis=2
     )
     return padded[:, :, codes].transpose(0, 2, 1)
-
-
-def update_partials(
-    matrices1: np.ndarray,
-    matrices2: np.ndarray,
-    partials1: Optional[np.ndarray] = None,
-    codes1: Optional[np.ndarray] = None,
-    partials2: Optional[np.ndarray] = None,
-    codes2: Optional[np.ndarray] = None,
-    out: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Compute one destination partials array (a single operation).
-
-    Implements Eq. 1 of the paper for every category, pattern and parent
-    state: the product of the two child contributions. ``out`` may be a
-    preallocated ``(C, P, S)`` buffer to write into (a view into the
-    instance's partials storage — no copies, per the hpc guide).
-    """
-    left = child_contribution(matrices1, partials1, codes1)
-    right = child_contribution(matrices2, partials2, codes2)
-    if out is None:
-        return left * right
-    np.multiply(left, right, out=out)
-    return out
-
-
-def rescale_partials(partials: np.ndarray) -> np.ndarray:
-    """Rescale ``(C, P, S)`` partials in place; return per-pattern log factors.
-
-    The scale factor for a pattern is the maximum of its partials across
-    categories and states (BEAGLE's default "dynamic max" scaler).
-    Patterns whose partials are all zero keep factor 1 so a hard underflow
-    stays visible as a −inf site likelihood rather than NaN.
-    """
-    factors = partials.max(axis=(0, 2))
-    safe = np.where(factors > 0.0, factors, 1.0)
-    partials /= safe[None, :, None]
-    return np.log(safe)
 
 
 def root_site_likelihoods(

@@ -183,9 +183,10 @@ def _rescale(
     rows: np.ndarray, ws: "Workspace", scale: "ScaleBufferBank", index: int
 ) -> None:
     """Rescale one ``(C, P, S)`` destination in place and write its log
-    factors: :func:`~repro.beagle.kernels.rescale_partials` on the
-    workspace's per-pattern scratch (a pattern whose maximum is not
-    positive keeps factor 1)."""
+    factors: each pattern divides by its maximum over categories and
+    states (BEAGLE's "dynamic max" scaler) using the workspace's
+    per-pattern scratch; a pattern whose maximum is not positive keeps
+    factor 1, so a hard underflow stays visible as −inf."""
     factors, safe, mask = ws.scale_factors, ws.scale_safe, ws.scale_mask
     np.amax(rows, axis=(0, 2), out=factors)
     np.greater(factors, 0.0, out=mask)

@@ -524,6 +524,9 @@ def _validate_args(args, out) -> int:
     if args.deadline_ms is not None and args.device_model:
         print("error: --deadline-ms requires a CPU resource", file=out)
         return 2
+    if args.pool and args.device_model:
+        print("error: --pool requires a CPU resource", file=out)
+        return 2
     if (
         args.worker_fault_rates is not None
         or args.pool_inline
@@ -886,50 +889,6 @@ def _run_benchmark(args, out) -> int:
                     f"{launch.n_waves:3d} waves, {launch.seconds * 1e6:7.2f} us",
                     file=out,
                 )
-        if args.fault_rate > 0.0 and args.resilience != "none":
-            spec = FaultSpec(rate=args.fault_rate, seed=args.fault_seed)
-            r_timing, r_stats = device.time_plan_resilient(
-                plan, dims, spec, _resilience_policy(args.resilience)
-            )
-            print(
-                f"modelled resilient time: {r_timing.seconds * 1e6:.2f} us "
-                f"({r_timing.n_launches} launches incl. retries, "
-                f"overhead {r_timing.seconds / timing.seconds - 1:+.1%})",
-                file=out,
-            )
-            print(f"modelled {r_stats.format()}", file=out)
-        if args.pool:
-            mech = "streams" if args.streams else "kernel"
-            p_timing = device.time_pool(
-                plan,
-                dims,
-                args.reps,
-                args.pool,
-                worker_fault_specs=_worker_fault_specs(args),
-                policy=_resilience_policy(args.resilience),
-                mechanism=mech,
-                n_streams=args.streams or 4,
-            )
-            print(
-                f"modelled pool: {args.pool} workers, {args.reps} jobs -> "
-                f"makespan {p_timing.seconds * 1e3:.3f} ms, "
-                f"{p_timing.throughput:.1f} jobs/s "
-                f"(completed {p_timing.completed}, surfaced "
-                f"{p_timing.surfaced}, rerouted {p_timing.rerouted}, "
-                f"evicted {list(p_timing.evicted)})",
-                file=out,
-            )
-            if args.full_timing:
-                print("modelled degraded-fleet curve (evicted, jobs/s):", file=out)
-                curve = device.degraded_fleet_curve(
-                    plan, dims, args.reps, args.pool,
-                    mechanism=mech, n_streams=args.streams or 4,
-                )
-                for evicted_count, throughput in curve:
-                    print(
-                        f"  {evicted_count:3d} evicted: {throughput:10.1f}",
-                        file=out,
-                    )
     return 0
 
 

@@ -31,9 +31,8 @@ Fault classes
 
 :class:`FaultInjector` wraps a :class:`~repro.beagle.instance.BeagleInstance`
 (anything with its ``update_partials_*`` surface) and applies the schedule
-to each launch attempt; :class:`FaultSchedule` alone is shared with the
-device model (:meth:`repro.gpu.simulator.SimulatedDevice.time_plan_resilient`)
-so modelled timings see the same fault sequence the engine would.
+to each launch attempt; :class:`FaultSchedule` is the seeded stream
+itself, which a pool worker keeps across jobs so its faults persist.
 """
 
 from __future__ import annotations

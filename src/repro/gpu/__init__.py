@@ -15,14 +15,7 @@ from .streams import (
     streams_set_time,
     streams_time_set_sizes,
 )
-from .simulator import (
-    BenchmarkPoint,
-    IncrementalTiming,
-    ShardTiming,
-    SimulatedDevice,
-    simulate_tree,
-    simulated_speedup,
-)
+from .simulator import SimulatedDevice, simulate_tree, simulated_speedup
 
 __all__ = [
     "DeviceSpec",
@@ -39,9 +32,6 @@ __all__ = [
     "streams_set_time",
     "streams_time_set_sizes",
     "SimulatedDevice",
-    "BenchmarkPoint",
-    "ShardTiming",
-    "IncrementalTiming",
     "simulate_tree",
     "simulated_speedup",
     "fit_device_spec",

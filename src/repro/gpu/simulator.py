@@ -3,198 +3,30 @@
 :class:`SimulatedDevice` plays the role of the GP100 in the paper's
 benchmarks: given an :class:`~repro.core.planner.ExecutionPlan` (or just a
 tree) and the workload dimensions, it produces launch-by-launch timings,
-total time, and effective GFLOPS. It can optionally drive a real
-:class:`~repro.beagle.instance.BeagleInstance` alongside the model so
-every simulated number corresponds to an actually computed likelihood.
+total time, and effective GFLOPS — the modelled numbers behind Fig. 5,
+Fig. 6 and Table III — plus the modelled one-sweep gradient economics.
+Any other schedule is priced by handing its launch sizes to
+:func:`~repro.gpu.perfmodel.time_set_sizes` directly.
 """
 
 from __future__ import annotations
 
-import math
-from collections import deque
-from itertools import zip_longest
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple, Union
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..exec.faults import FaultSchedule, FaultSpec
-    from ..exec.resilient import FaultStats, RetryPolicy
+from typing import List, Optional
 
 from ..core.planner import ExecutionPlan, GradientPlan, make_plan
 from ..obs import get_recorder
 from ..obs.profile import PHASE_MODELLED
 from ..trees import Tree
 from .device import GP100, DeviceSpec
-from .perfmodel import (
-    EvaluationTiming,
-    LaunchTiming,
-    WorkloadDims,
-    launch_time,
-    launch_time_mixed,
-    time_set_sizes,
-)
+from .perfmodel import EvaluationTiming, LaunchTiming, WorkloadDims, time_set_sizes
 
 __all__ = [
     "SimulatedDevice",
-    "BenchmarkPoint",
-    "CoalesceTiming",
     "GradientTiming",
-    "IncrementalTiming",
-    "PoolTiming",
-    "ShardTiming",
     "simulate_tree",
     "simulated_speedup",
 ]
-
-
-@dataclass(frozen=True)
-class BenchmarkPoint:
-    """One row of a paper-style benchmark table."""
-
-    label: str
-    n_tips: int
-    n_launches: int
-    seconds: float
-    gflops: float
-    speedup_vs_serial: float
-
-
-@dataclass(frozen=True)
-class IncrementalTiming:
-    """Modelled full-traversal vs dirty-path timing of one proposal.
-
-    Attributes
-    ----------
-    full:
-        Timing of the full-traversal plan (what a non-incremental
-        sampler pays per proposal).
-    incremental:
-        Timing of the dirty-path plan for the same proposal.
-    """
-
-    full: EvaluationTiming
-    incremental: EvaluationTiming
-
-    @property
-    def speedup(self) -> float:
-        """Full-traversal seconds over dirty-path seconds."""
-        if self.incremental.seconds <= 0.0:
-            return float("inf")
-        return self.full.seconds / self.incremental.seconds
-
-    @property
-    def operations_saved(self) -> int:
-        """Partial-likelihood operations the dirty path avoids."""
-        full_ops = sum(launch.n_operations for launch in self.full.launches)
-        inc_ops = sum(
-            launch.n_operations for launch in self.incremental.launches
-        )
-        return full_ops - inc_ops
-
-
-@dataclass(frozen=True)
-class PoolTiming:
-    """Modelled execution of a job batch on a multi-worker pool.
-
-    Attributes
-    ----------
-    seconds:
-        Makespan — the time the last busy worker finishes.
-    completed / surfaced / rerouted:
-        Job accounting under the modelled fault streams.
-    evicted:
-        Workers removed after ``failure_threshold`` consecutive failed
-        jobs.
-    busy_seconds / jobs_per_worker:
-        Per-worker load, index-aligned with the pool's workers.
-    stats:
-        Modelled :class:`~repro.exec.resilient.FaultStats` (detection is
-        perfect in the model).
-    """
-
-    seconds: float
-    n_jobs: int
-    n_workers: int
-    completed: int
-    surfaced: int
-    rerouted: int
-    evicted: Tuple[int, ...]
-    busy_seconds: Tuple[float, ...]
-    jobs_per_worker: Tuple[int, ...]
-    stats: "FaultStats"
-
-    @property
-    def throughput(self) -> float:
-        """Completed jobs per modelled second."""
-        return self.completed / self.seconds if self.seconds > 0.0 else 0.0
-
-
-@dataclass(frozen=True)
-class CoalesceTiming:
-    """Modelled cross-request coalescing economics of one batch.
-
-    Attributes
-    ----------
-    coalesced_seconds:
-        Device time of the lockstep schedule: round ``r`` fuses every
-        member's ``r``-th operation set into one launch of their summed
-        sizes, so the per-launch fixed cost is paid once per round
-        instead of once per member set.
-    solo_seconds:
-        The same members served one at a time on the same device (the
-        uncoalesced baseline).
-    coalesced_launches / solo_launches:
-        Launch counts of the two schedules.
-    width:
-        Members in the batch.
-    wasted_seconds:
-        Device time the coalesced schedule spends on padded lanes —
-        nonzero only when the caller passes per-member true pattern
-        counts (the serve assembler's ``pad`` mode). It is the padded
-        launch cost minus what a width-aware fused launch of the same
-        operations at their true widths would cost, summed over rounds.
-        Zero while launches stay under device saturation (padding rides
-        in the same waves for free), growing once padded lanes force
-        extra waves — exactly the regime where ``split`` wins.
-
-    Per-request latency under coalescing is ``coalesced_seconds`` for
-    *every* member — nobody's value is ready before the batch finishes —
-    while the solo baseline's k-th member waits the cumulative time of
-    the members before it. That is the p99-versus-throughput trade the
-    serving bench reports.
-    """
-
-    coalesced_seconds: float
-    solo_seconds: float
-    coalesced_launches: int
-    solo_launches: int
-    width: int
-    wasted_seconds: float = 0.0
-
-    @property
-    def speedup(self) -> float:
-        """Solo seconds over coalesced seconds (aggregate throughput gain).
-
-        When true member widths were priced, the solo baseline ran each
-        member at its *own* pattern count, so padding waste no longer
-        cancels out of this ratio — ``pad`` has to beat an honest
-        unpadded baseline.
-        """
-        if self.coalesced_seconds <= 0.0:
-            return float("inf") if self.solo_seconds > 0.0 else 1.0
-        return self.solo_seconds / self.coalesced_seconds
-
-    @property
-    def launches_saved(self) -> int:
-        """Kernel launches the lockstep schedule avoids."""
-        return self.solo_launches - self.coalesced_launches
-
-    @property
-    def wasted_fraction(self) -> float:
-        """Share of coalesced device time spent on padded lanes."""
-        if self.coalesced_seconds <= 0.0:
-            return 0.0
-        return self.wasted_seconds / self.coalesced_seconds
 
 
 @dataclass(frozen=True)
@@ -244,57 +76,6 @@ class GradientTiming:
         return self.per_edge.n_operations - self.one_sweep.n_operations
 
 
-@dataclass(frozen=True)
-class ShardTiming:
-    """Modelled execution of one sharded likelihood evaluation.
-
-    Attributes
-    ----------
-    seconds:
-        Makespan — when the slowest worker finishes its shards (the
-        reduction itself is host-side and modelled as free).
-    unsharded_seconds:
-        The same evaluation as one full-width instance, for overhead /
-        speedup accounting.
-    shard_seconds:
-        Per-shard device time, in shard order.
-    shard_widths:
-        Pattern count of each shard (as :func:`repro.exec.sharding.
-        plan_shards` would cut them).
-    busy_seconds:
-        Per-worker load under round-robin shard placement.
-    """
-
-    seconds: float
-    unsharded_seconds: float
-    shard_seconds: Tuple[float, ...]
-    shard_widths: Tuple[int, ...]
-    busy_seconds: Tuple[float, ...]
-
-    @property
-    def n_shards(self) -> int:
-        """Number of shards in the modelled evaluation."""
-        return len(self.shard_seconds)
-
-    @property
-    def speedup(self) -> float:
-        """Unsharded seconds over sharded makespan."""
-        return self.unsharded_seconds / self.seconds if self.seconds else 0.0
-
-    @property
-    def overhead(self) -> float:
-        """Total sharded device-seconds over unsharded seconds, minus 1.
-
-        The per-launch fixed cost is paid once per shard instead of
-        once, so total device work grows with the shard count even
-        though the makespan shrinks — this is the fault-free sharding
-        overhead the benchmark gates below 5 % for sane shard widths.
-        """
-        if not self.unsharded_seconds:
-            return 0.0
-        return sum(self.shard_seconds) / self.unsharded_seconds - 1.0
-
-
 class SimulatedDevice:
     """A device executing plans under the analytical timing model."""
 
@@ -315,542 +96,6 @@ class SimulatedDevice:
                 PHASE_MODELLED, timing.seconds, calls=timing.n_launches
             )
         return timing
-
-    def time_plan_incremental(
-        self, plan: ExecutionPlan, dims: WorkloadDims
-    ) -> EvaluationTiming:
-        """Simulated timing of a dirty-path (incremental) plan.
-
-        Same analytical model as :meth:`time_plan` — incremental plans
-        are ordinary :class:`~repro.core.planner.ExecutionPlan` objects,
-        just shorter — but the method refuses a full-traversal plan so
-        callers cannot silently time the wrong thing. Modelled seconds
-        are credited to :data:`~repro.obs.profile.PHASE_MODELLED`.
-        """
-        if not plan.incremental:
-            raise ValueError(
-                "plan is a full traversal; use time_plan for it"
-            )
-        return self.time_plan(plan, dims)
-
-    def incremental_speedup(
-        self,
-        full_plan: ExecutionPlan,
-        incremental_plan: ExecutionPlan,
-        dims: WorkloadDims,
-    ) -> IncrementalTiming:
-        """Modelled economics of one dirty-path proposal.
-
-        Times the full-traversal plan and the incremental plan under the
-        same workload dimensions and returns both with the speedup and
-        operations-saved accounting — the per-proposal quantity the
-        incremental MCMC benchmark aggregates.
-        """
-        full = self.time_plan(full_plan, dims)
-        incremental = self.time_plan_incremental(incremental_plan, dims)
-        return IncrementalTiming(full=full, incremental=incremental)
-
-    def _set_cost(
-        self, dims: WorkloadDims, k: int, mechanism: str, n_streams: int
-    ) -> LaunchTiming:
-        """Modelled cost of one operation set under a launch mechanism."""
-        if mechanism == "streams":
-            from .streams import streams_set_time
-
-            return streams_set_time(self.spec, dims, k, n_streams)
-        if mechanism != "kernel":
-            raise ValueError(f"unknown launch mechanism {mechanism!r}")
-        return launch_time(self.spec, dims, k)
-
-    def time_plan_resilient(
-        self,
-        plan: ExecutionPlan,
-        dims: WorkloadDims,
-        faults: Union["FaultSpec", "FaultSchedule"],
-        policy: Optional["RetryPolicy"] = None,
-        *,
-        mechanism: str = "kernel",
-        n_streams: int = 4,
-    ) -> Tuple[EvaluationTiming, "FaultStats"]:
-        """Simulated timing of one plan under faults and recovery.
-
-        Replays the same seeded :class:`~repro.exec.faults.FaultSchedule`
-        the engine-side :class:`~repro.exec.faults.FaultInjector` would
-        consume — attempt ``i`` of the model faults exactly when attempt
-        ``i`` of a real run would — and charges every attempt (including
-        ones that fault) a full launch under the analytical model, the
-        pessimistic assumption that a fault is discovered only at launch
-        completion. Batched sets that exhaust their retry budget degrade
-        to per-operation launches when the policy allows, so the returned
-        timing quantifies what resilience costs in device time.
-
-        ``mechanism`` selects the launch model: ``"kernel"`` is the
-        paper's multi-operation kernel; ``"streams"`` issues each set
-        through :func:`repro.gpu.streams.streams_set_time` (a faulting
-        attempt re-pays the whole stream round, which is why the streams
-        ablation degrades faster under faults).
-
-        Returns the timing plus the modelled
-        :class:`~repro.exec.resilient.FaultStats` (detection is perfect
-        in the model: every injected fault is detected).
-        """
-        from ..exec.faults import FaultSchedule, FaultSpec
-        from ..exec.resilient import FaultStats, RetryPolicy
-
-        schedule = FaultSchedule(faults) if isinstance(faults, FaultSpec) else faults
-        policy = policy or RetryPolicy()
-        stats = FaultStats()
-        launches: List[LaunchTiming] = []
-        self._model_plan(
-            plan, dims, schedule, policy, stats, launches, mechanism, n_streams
-        )
-        stats.injected = schedule.injected
-        stats.injected_by_class = dict(schedule.by_class)
-        return EvaluationTiming(launches=launches, dims=dims), stats
-
-    def _model_plan(
-        self,
-        plan: ExecutionPlan,
-        dims: WorkloadDims,
-        schedule: "FaultSchedule",
-        policy: "RetryPolicy",
-        stats: "FaultStats",
-        launches: List[LaunchTiming],
-        mechanism: str,
-        n_streams: int,
-    ) -> bool:
-        """Model one plan evaluation; returns False if any set errored."""
-
-        def run_launch(k: int, batched: bool) -> bool:
-            failures = 0
-            underflows = 0
-            while True:
-                launches.append(self._set_cost(dims, k, mechanism, n_streams))
-                fault = schedule.draw(batched=batched)
-                if fault is None:
-                    return True
-                stats.detected += 1
-                stats.detected_by_class[fault] = (
-                    stats.detected_by_class.get(fault, 0) + 1
-                )
-                failures += 1
-                if fault == "underflow":
-                    underflows += 1
-                    if underflows > policy.underflow_retries:
-                        return False
-                if failures > policy.max_retries:
-                    return False
-                stats.retried += 1
-
-        succeeded = True
-        for size in plan.set_sizes:
-            if run_launch(size, batched=size > 1):
-                continue
-            if policy.degrade and size > 1:
-                stats.degraded += 1
-                if not all(run_launch(1, batched=False) for _ in range(size)):
-                    stats.errors += 1
-                    succeeded = False
-            else:
-                stats.errors += 1
-                succeeded = False
-        return succeeded
-
-    # ------------------------------------------------------------------
-    # Pool-level models (paper-style throughput of a degraded fleet)
-    # ------------------------------------------------------------------
-    def time_pool(
-        self,
-        plan: ExecutionPlan,
-        dims: WorkloadDims,
-        n_jobs: int,
-        n_workers: int,
-        *,
-        worker_fault_specs: Optional[Sequence[Optional["FaultSpec"]]] = None,
-        policy: Optional["RetryPolicy"] = None,
-        failure_threshold: int = 3,
-        mechanism: str = "kernel",
-        n_streams: int = 4,
-    ) -> PoolTiming:
-        """List-scheduled timing of ``n_jobs`` identical evaluations on a
-        pool of ``n_workers`` modelled devices.
-
-        Mirrors :class:`~repro.exec.pool.LikelihoodPool` semantics in the
-        analytical model: each job goes to the earliest-available worker
-        that has not already failed it; each worker consumes its own
-        persistent seeded :class:`~repro.exec.faults.FaultSchedule`; a
-        job whose recovery pipeline is exhausted fails the worker and
-        reroutes; ``failure_threshold`` consecutive failed jobs evict the
-        worker (the model folds the breaker's open → half-open → evicted
-        path into one step, since a modelled fault stream that exhausts
-        retries would also fail the probe). Attempt-level faulting and
-        recovery costs replay :meth:`time_plan_resilient` exactly.
-        """
-        from ..exec.faults import FaultSchedule
-        from ..exec.resilient import FaultStats, RetryPolicy
-
-        if n_jobs < 0:
-            raise ValueError("n_jobs must be non-negative")
-        if n_workers < 1:
-            raise ValueError("need at least one worker")
-        specs: List[Optional["FaultSpec"]] = list(worker_fault_specs or [])
-        if len(specs) > n_workers:
-            raise ValueError(f"{len(specs)} fault specs for {n_workers} workers")
-        specs += [None] * (n_workers - len(specs))
-        policy = policy or RetryPolicy()
-        schedules = [
-            FaultSchedule(spec) if spec is not None and spec.rate > 0.0 else None
-            for spec in specs
-        ]
-        stats = FaultStats()
-        available = [0.0] * n_workers
-        busy = [0.0] * n_workers
-        jobs_done = [0] * n_workers
-        consecutive = [0] * n_workers
-        alive = [True] * n_workers
-        evicted: List[int] = []
-        tried: Dict[int, Set[int]] = {j: set() for j in range(n_jobs)}
-        completed = 0
-        surfaced = 0
-        rerouted = 0
-
-        queue = deque(range(n_jobs))
-        clean_seconds: Optional[float] = None
-        while queue:
-            job = queue.popleft()
-            candidates = [
-                i for i in range(n_workers) if alive[i] and i not in tried[job]
-            ]
-            if not candidates:
-                surfaced += 1
-                stats.surfaced += 1
-                continue
-            worker = min(candidates, key=lambda i: (available[i], i))
-            schedule = schedules[worker]
-            if schedule is None:
-                # Healthy worker: every job costs the clean plan time.
-                if clean_seconds is None:
-                    clean_seconds = self.time_plan(plan, dims).seconds
-                elapsed, ok = clean_seconds, True
-            else:
-                launches: List[LaunchTiming] = []
-                ok = self._model_plan(
-                    plan,
-                    dims,
-                    schedule,
-                    policy,
-                    stats,
-                    launches,
-                    mechanism,
-                    n_streams,
-                )
-                elapsed = sum(launch.seconds for launch in launches)
-            available[worker] += elapsed
-            busy[worker] += elapsed
-            if ok:
-                jobs_done[worker] += 1
-                consecutive[worker] = 0
-                completed += 1
-                continue
-            consecutive[worker] += 1
-            tried[job].add(worker)
-            if consecutive[worker] >= failure_threshold:
-                alive[worker] = False
-                evicted.append(worker)
-            if any(alive[i] and i not in tried[job] for i in range(n_workers)):
-                rerouted += 1
-                stats.rerouted += 1
-                queue.append(job)
-            else:
-                surfaced += 1
-                stats.surfaced += 1
-
-        for schedule in schedules:
-            if schedule is not None:
-                stats.injected += schedule.injected
-                for label, count in schedule.by_class.items():
-                    stats.injected_by_class[label] = (
-                        stats.injected_by_class.get(label, 0) + count
-                    )
-        return PoolTiming(
-            seconds=max(busy) if any(busy) else 0.0,
-            n_jobs=n_jobs,
-            n_workers=n_workers,
-            completed=completed,
-            surfaced=surfaced,
-            rerouted=rerouted,
-            evicted=tuple(evicted),
-            busy_seconds=tuple(busy),
-            jobs_per_worker=tuple(jobs_done),
-            stats=stats,
-        )
-
-    def degraded_fleet_curve(
-        self,
-        plan: ExecutionPlan,
-        dims: WorkloadDims,
-        n_jobs: int,
-        n_workers: int,
-        *,
-        mechanism: str = "kernel",
-        n_streams: int = 4,
-    ) -> List[Tuple[int, float]]:
-        """Throughput (jobs/s) of a clean pool as workers are evicted.
-
-        Returns ``(evicted_count, throughput)`` for 0 … ``n_workers − 1``
-        evictions. With identical jobs, list scheduling gives makespan
-        ``ceil(n_jobs / survivors) · job_seconds``, so the curve is
-        monotone non-increasing by construction — the reference shape the
-        real pool's degradation benchmark is compared against.
-        """
-        if n_workers < 1:
-            raise ValueError("need at least one worker")
-        if n_jobs < 1:
-            raise ValueError("need at least one job")
-        job_seconds = EvaluationTiming(
-            launches=[
-                self._set_cost(dims, k, mechanism, n_streams)
-                for k in plan.set_sizes
-            ],
-            dims=dims,
-        ).seconds
-        curve: List[Tuple[int, float]] = []
-        for evicted_count in range(n_workers):
-            survivors = n_workers - evicted_count
-            makespan = math.ceil(n_jobs / survivors) * job_seconds
-            curve.append((evicted_count, n_jobs / makespan))
-        return curve
-
-    # ------------------------------------------------------------------
-    # Cross-request coalescing (likelihood-as-a-service batches)
-    # ------------------------------------------------------------------
-    def time_coalesced(
-        self,
-        member_set_sizes: Sequence[Sequence[int]],
-        dims: WorkloadDims,
-        *,
-        mechanism: str = "kernel",
-        n_streams: int = 4,
-        member_patterns: Optional[Sequence[int]] = None,
-    ) -> CoalesceTiming:
-        """Modelled timing of one coalesced cross-request batch.
-
-        ``member_set_sizes`` holds each member's plan set sizes (the
-        shape :class:`~repro.serve.coalesce.CoalescedBatch` exposes).
-        The coalesced schedule runs members in lockstep — round ``r``
-        fuses every member's ``r``-th set into one launch of the summed
-        operation count, the BEAGLE 4.1 multi-client picture — while the
-        solo baseline launches every member's every set separately. All
-        members share ``dims``: the assembler only coalesces requests
-        whose dimensions agree.
-
-        For the assembler's ``"pad"`` mode pass the bucket's padded
-        pattern count as ``dims.patterns`` *and* each member's true
-        pattern count in ``member_patterns``. The coalesced schedule
-        then runs at the padded width (every lane is padded), but the
-        solo baseline runs each member at its own true width — a solo
-        request never pads — and ``wasted_seconds`` reports the padded
-        lanes' device-time cost, so ``pad`` vs ``split`` is an honest
-        trade-off instead of padding waste cancelling out of the
-        speedup. True-width pricing needs the additive launch model, so
-        ``member_patterns`` requires the ``"kernel"`` mechanism.
-        """
-        members = [list(sizes) for sizes in member_set_sizes]
-        if not members or any(not sizes for sizes in members):
-            raise ValueError("every member needs a non-empty set-size list")
-        if member_patterns is not None:
-            if mechanism != "kernel":
-                raise ValueError(
-                    "member_patterns pricing requires the 'kernel' mechanism"
-                )
-            if len(member_patterns) != len(members):
-                raise ValueError(
-                    "member_patterns must give one pattern count per member"
-                )
-            member_dims = [
-                WorkloadDims(
-                    patterns=patterns,
-                    states=dims.states,
-                    categories=dims.categories,
-                )
-                for patterns in member_patterns
-            ]
-            if any(d.patterns > dims.patterns for d in member_dims):
-                raise ValueError(
-                    "a member's true pattern count exceeds the padded width"
-                )
-        rounds: List[List[Tuple[int, int]]] = []
-        for sizes in zip_longest(*members):
-            rounds.append(
-                [(i, k) for i, k in enumerate(sizes) if k is not None]
-            )
-        coalesced = [
-            self._set_cost(
-                dims, sum(k for _, k in round_ops), mechanism, n_streams
-            )
-            for round_ops in rounds
-        ]
-        wasted = 0.0
-        if member_patterns is None:
-            solo = [
-                self._set_cost(dims, k, mechanism, n_streams)
-                for sizes in members
-                for k in sizes
-            ]
-        else:
-            solo = [
-                self._set_cost(member_dims[i], k, mechanism, n_streams)
-                for i, sizes in enumerate(members)
-                for k in sizes
-            ]
-            # Padded launch cost minus a width-aware fused launch of the
-            # same operations at their true widths: the padded lanes'
-            # device time, per round.
-            for round_ops, padded in zip(rounds, coalesced):
-                n_ops = sum(k for _, k in round_ops)
-                true_threads = sum(
-                    k * member_dims[i].threads_per_operation
-                    for i, k in round_ops
-                )
-                true_flops = sum(
-                    k * member_dims[i].flops_per_operation
-                    for i, k in round_ops
-                )
-                ideal = launch_time_mixed(
-                    self.spec, n_ops, true_threads, true_flops
-                )
-                wasted += padded.seconds - ideal.seconds
-        return CoalesceTiming(
-            coalesced_seconds=sum(t.seconds for t in coalesced),
-            solo_seconds=sum(t.seconds for t in solo),
-            coalesced_launches=len(coalesced),
-            solo_launches=len(solo),
-            width=len(members),
-            wasted_seconds=wasted,
-        )
-
-    def coalescing_curve(
-        self,
-        set_sizes: Sequence[int],
-        dims: WorkloadDims,
-        widths: Sequence[int],
-        *,
-        mechanism: str = "kernel",
-        n_streams: int = 4,
-    ) -> List[Tuple[int, float, float]]:
-        """Throughput and per-request latency as batch width grows.
-
-        Returns ``(width, requests_per_second, per_request_seconds)``
-        for homogeneous batches of ``width`` identical members with the
-        given ``set_sizes``. Throughput rises as the per-launch fixed
-        cost amortises across members; per-request latency *also* rises,
-        because every member waits for the whole batch — the curve the
-        serving bench plots and the brownout widen-first policy banks
-        on.
-        """
-        curve: List[Tuple[int, float, float]] = []
-        for width in widths:
-            if width < 1:
-                raise ValueError("widths must be positive")
-            timing = self.time_coalesced(
-                [list(set_sizes)] * width,
-                dims,
-                mechanism=mechanism,
-                n_streams=n_streams,
-            )
-            seconds = timing.coalesced_seconds
-            curve.append(
-                (width, width / seconds if seconds > 0.0 else 0.0, seconds)
-            )
-        return curve
-
-    # ------------------------------------------------------------------
-    # Shard-count scaling (data-parallel site sharding)
-    # ------------------------------------------------------------------
-    def time_sharded(
-        self,
-        plan: ExecutionPlan,
-        dims: WorkloadDims,
-        n_shards: int,
-        *,
-        n_workers: int = 1,
-        min_width: Optional[int] = None,
-    ) -> ShardTiming:
-        """Modelled timing of one sharded evaluation.
-
-        Shard widths come from :func:`repro.exec.sharding.plan_shards`
-        (even weights), so the model cuts the pattern axis exactly where
-        :class:`~repro.exec.sharding.ShardedLikelihood` would, including
-        the minimum-width floor. Each shard runs the *same* plan — the
-        tree does not change, only the pattern count per launch — and
-        shards are placed round-robin on ``n_workers`` modelled devices.
-        The deterministic host-side reduction is modelled as free: its
-        cost is ``O(n_patterns)`` additions against ``O(patterns ×
-        states² × tips)`` device work.
-        """
-        from ..exec.sharding import MIN_SHARD_WIDTH, plan_shards
-
-        if n_workers < 1:
-            raise ValueError("need at least one worker")
-        shards = plan_shards(
-            dims.patterns,
-            n_shards,
-            min_width=MIN_SHARD_WIDTH if min_width is None else min_width,
-        )
-        shard_seconds: List[float] = []
-        for shard in shards:
-            shard_dims = WorkloadDims(
-                patterns=shard.width,
-                states=dims.states,
-                categories=dims.categories,
-            )
-            shard_seconds.append(
-                time_set_sizes(self.spec, shard_dims, plan.set_sizes).seconds
-            )
-        busy = [0.0] * n_workers
-        for index, seconds in enumerate(shard_seconds):
-            busy[index % n_workers] += seconds
-        return ShardTiming(
-            seconds=max(busy),
-            unsharded_seconds=time_set_sizes(
-                self.spec, dims, plan.set_sizes
-            ).seconds,
-            shard_seconds=tuple(shard_seconds),
-            shard_widths=tuple(shard.width for shard in shards),
-            busy_seconds=tuple(busy),
-        )
-
-    def shard_scaling_curve(
-        self,
-        plan: ExecutionPlan,
-        dims: WorkloadDims,
-        shard_counts: Sequence[int],
-        *,
-        workers_per_shard: bool = True,
-        n_workers: int = 1,
-    ) -> List[Tuple[int, float]]:
-        """Patterns/second as the shard count grows.
-
-        Returns ``(n_shards, patterns_per_second)`` pairs. With
-        ``workers_per_shard`` every shard gets its own modelled device
-        (the scaling ceiling); otherwise shards share ``n_workers``
-        round-robin. The curve bends where the per-launch fixed cost —
-        paid once per shard per operation set — stops being amortised
-        by the shrinking shard width: the model's version of the
-        benchmark's throughput-vs-worker-count plot.
-        """
-        curve: List[Tuple[int, float]] = []
-        for count in shard_counts:
-            timing = self.time_sharded(
-                plan,
-                dims,
-                count,
-                n_workers=count if workers_per_shard else n_workers,
-            )
-            curve.append(
-                (count, dims.patterns / timing.seconds if timing.seconds else 0.0)
-            )
-        return curve
 
     def time_tree(
         self, tree: Tree, dims: WorkloadDims, mode: str = "concurrent"
@@ -913,24 +158,6 @@ class SimulatedDevice:
             )
         return GradientTiming(
             one_sweep=one_sweep, per_edge=per_edge, n_edges=len(edges)
-        )
-
-    def benchmark(
-        self,
-        tree: Tree,
-        dims: WorkloadDims,
-        label: str = "",
-        mode: str = "concurrent",
-    ) -> BenchmarkPoint:
-        """A complete benchmark row for one tree."""
-        timing = self.time_tree(tree, dims, mode)
-        return BenchmarkPoint(
-            label=label or f"{tree.n_tips}-tip",
-            n_tips=tree.n_tips,
-            n_launches=timing.n_launches,
-            seconds=timing.seconds,
-            gflops=timing.gflops,
-            speedup_vs_serial=self.speedup(tree, dims, mode),
         )
 
 

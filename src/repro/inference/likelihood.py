@@ -188,6 +188,8 @@ class TreeLikelihood:
         self.tree = tree
         self._instance: Optional[BeagleInstance] = None
         self._plan: Optional[ExecutionPlan] = None
+        self._plan_epoch = 0  # tree.topology_epoch the plan was built at
+        self._plan_lengths_stale = False
         self._incremental_ready = False
         self._pending: Optional["Move"] = None
         self._snapshot: Optional[_SnapshotArena] = None
@@ -258,11 +260,22 @@ class TreeLikelihood:
     def plan(self) -> ExecutionPlan:
         """The lazily built full-traversal execution plan.
 
-        Plans name buffer indices and operation sets only. After an accepted in-place topology move the
-        plan is rebuilt on the warm instance's frozen index map (see the
-        comment below) instead of via :func:`make_plan`.
+        An accepted proposal that left the topology alone keeps the plan
+        object, and with it the program the instance compiled for it;
+        the plan's branch lengths are refreshed here, on the next access.
+        After an accepted in-place topology move the plan is rebuilt on
+        the warm instance's frozen index map (see the comment below)
+        instead of via :func:`make_plan`.
         """
+        if self._plan is not None and self._plan_lengths_stale:
+            # Same topology epoch as at build time, so tree.edges() lists
+            # the plan's matrix nodes in its matrix_indices order.
+            self._plan.branch_lengths[:] = [
+                node.length for node in self.tree.edges()
+            ]
+        self._plan_lengths_stale = False
         if self._plan is None:
+            self._plan_epoch = self.tree.topology_epoch
             if self._incremental_ready and self._instance is not None:
                 # An accepted in-place topology move dropped the cached
                 # full plan but kept the warm engine instance, whose
@@ -430,10 +443,15 @@ class TreeLikelihood:
         if self._snapshot is not None:
             self._snapshot._n_slots = 0
             self._snapshot._n_matrices = 0
-        # Topology may have changed; the cached full plan is rebuilt from
-        # the current tree on the next full evaluation (buffer indices are
-        # frozen, so the engine instance itself stays valid).
-        self._plan = None
+        if self._plan is not None and self._plan_epoch == self.tree.topology_epoch:
+            # Branch lengths changed, the topology did not: keep the plan
+            # and refresh its lengths on the next access.
+            self._plan_lengths_stale = True
+        else:
+            # The cached full plan is rebuilt from the current tree on the
+            # next full evaluation (buffer indices are frozen, so the
+            # engine instance itself stays valid).
+            self._plan = None
 
     def reject(self) -> None:
         """Undo the pending proposal: restore buffers, then the tree."""

@@ -14,8 +14,8 @@ This module implements that policy layer:
   requests with *identical* pattern counts (lanes stay dense; bit-exact
   arena sharing applies to the whole batch). ``"pad"`` buckets pattern
   counts up to the next power of two, coalescing more aggressively at
-  the price of padded lanes: the device model prices every member at the
-  bucket width, so the throughput/waste trade-off is explicit.
+  the price of padded lanes: a fused launch runs every member at the
+  bucket width.
 * :class:`CoalescedBatch` — one pool job serving N requests. Members
   execute sequentially through the worker's full resilient stack (each
   against its own buffers, so every served value is **bit-identical to
@@ -23,10 +23,11 @@ This module implements that policy layer:
   same-shaped members adopt one shared
   :class:`~repro.beagle.workspace.Workspace` arena — one scratch
   allocation per batch instead of one per tenant. The *launch schedule*
-  — lockstep rounds whose width is the sum of the members' same-depth
-  set sizes — is what the GPU model prices
-  (:meth:`repro.gpu.simulator.SimulatedDevice.time_coalesced`): one
-  launch overhead per round instead of one per member set.
+  (:meth:`CoalescedBatch.launch_schedule`) — lockstep rounds whose width
+  is the sum of the members' same-depth set sizes — is what the GPU
+  model prices by handing it to
+  :func:`~repro.gpu.perfmodel.time_set_sizes`: one launch overhead per
+  round instead of one per member set.
 """
 
 from __future__ import annotations

@@ -1,6 +1,12 @@
-"""Unit tests for the vectorised likelihood kernels."""
+"""Unit tests for the vectorised likelihood kernels.
+
+``update_partials`` and ``rescale_partials`` below are the one-operation
+oracles for the set executor's arithmetic; the engine never calls them.
+"""
 
 from __future__ import annotations
+
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -8,11 +14,47 @@ import pytest
 from repro.beagle import (
     child_contribution,
     operation_flops,
-    rescale_partials,
     root_site_likelihoods,
-    update_partials,
 )
 from repro.models import HKY85, JC69
+
+
+def update_partials(
+    matrices1: np.ndarray,
+    matrices2: np.ndarray,
+    partials1: Optional[np.ndarray] = None,
+    codes1: Optional[np.ndarray] = None,
+    partials2: Optional[np.ndarray] = None,
+    codes2: Optional[np.ndarray] = None,
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Oracle for one operation: one destination partials array.
+
+    Eq. 1 of the paper for every category, pattern and parent state: the
+    product of the two child contributions, optionally written into a
+    preallocated ``(C, P, S)`` ``out``.
+    """
+    left = child_contribution(matrices1, partials1, codes1)
+    right = child_contribution(matrices2, partials2, codes2)
+    if out is None:
+        return left * right
+    np.multiply(left, right, out=out)
+    return out
+
+
+def rescale_partials(partials: np.ndarray) -> np.ndarray:
+    """Oracle rescaler: scale ``(C, P, S)`` partials in place and return
+    the per-pattern log factors.
+
+    The scale factor for a pattern is the maximum of its partials across
+    categories and states (BEAGLE's default "dynamic max" scaler).
+    Patterns whose partials are all zero keep factor 1 so a hard underflow
+    stays visible as a −inf site likelihood rather than NaN.
+    """
+    factors = partials.max(axis=(0, 2))
+    safe = np.where(factors > 0.0, factors, 1.0)
+    partials /= safe[None, :, None]
+    return np.log(safe)
 
 
 @pytest.fixture

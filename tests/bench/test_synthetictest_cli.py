@@ -201,6 +201,7 @@ class TestShardedRuns:
         for argv, message in [
             (["--shards", "-1"], "--shards must be non-negative"),
             (["--shards", "2", "--rsrc", "1"], "--shards requires a CPU"),
+            (["--pool", "2", "--rsrc", "1"], "--pool requires a CPU"),
             (["--shard-speculate"], "shard options require --shards"),
             (
                 ["--shards", "2", "--shard-resume"],

@@ -25,6 +25,7 @@ from repro.exec import (
     plan_shards,
 )
 from repro.exec.sharding import MIN_SHARD_WIDTH, reference_terms
+from repro.gpu import GP100, WorkloadDims, time_set_sizes
 from repro.models import random_gtr
 from repro.trees import yule_tree
 
@@ -181,6 +182,21 @@ class TestShardedLikelihood:
         )
         with pytest.raises(ShardFailure):
             engine.evaluate()
+
+    def test_modelled_seconds_prices_every_shard_width(self):
+        tree, model, patterns = _problem()
+        engine = ShardedLikelihood(tree, model, patterns, n_shards=4)
+        widths = [s.width for s in plan_shards(patterns.n_patterns, 4)]
+        assert [s.width for s in engine.shards] == widths
+
+        def seconds(width):
+            dims = WorkloadDims(patterns=width, states=model.n_states)
+            return time_set_sizes(GP100, dims, engine.plan.set_sizes).seconds
+
+        assert engine.modelled_seconds(GP100) == sum(map(seconds, widths))
+        # Every shard pays each launch's fixed cost, so the shards'
+        # total never undercuts one full-width evaluation.
+        assert engine.modelled_seconds(GP100) >= seconds(patterns.n_patterns)
 
     def test_with_tree_shares_pool_and_config(self):
         tree, model, patterns = _problem()

@@ -19,7 +19,6 @@ from repro.core import (
 from repro.gpu import (
     GP100,
     SMALL_GPU,
-    BenchmarkPoint,
     SimulatedDevice,
     WorkloadDims,
     simulate_tree,
@@ -43,13 +42,6 @@ class TestSimulatedDevice:
         tree = balanced_tree(16)
         timing = SimulatedDevice().time_tree(tree, DIMS, "serial")
         assert timing.n_launches == 15
-
-    def test_benchmark_point(self):
-        point = SimulatedDevice().benchmark(balanced_tree(8), DIMS, label="bal8")
-        assert isinstance(point, BenchmarkPoint)
-        assert point.label == "bal8"
-        assert point.n_launches == 3
-        assert point.speedup_vs_serial > 1.0
 
 
 class TestPaperShapes:
@@ -139,78 +131,6 @@ class TestPaperShapes:
         assert many < few
 
 
-class TestIncrementalTiming:
-    def _plans(self):
-        from repro.core import incremental_plan
-
-        tree = balanced_tree(32)
-        full = make_plan(tree, "concurrent")
-        dirty = incremental_plan(tree, [tree.tips()[0]])
-        return full, dirty
-
-    def test_time_plan_incremental_rejects_full_plans(self):
-        full, _ = self._plans()
-        with pytest.raises(ValueError, match="full traversal"):
-            SimulatedDevice().time_plan_incremental(full, DIMS)
-
-    def test_incremental_speedup_shape(self):
-        full, dirty = self._plans()
-        timing = SimulatedDevice().incremental_speedup(full, dirty, DIMS)
-        assert timing.full.n_operations == 31
-        assert timing.incremental.n_operations < timing.full.n_operations
-        assert timing.operations_saved == (
-            timing.full.n_operations - timing.incremental.n_operations
-        )
-        assert timing.speedup > 1.0
-        assert timing.incremental.seconds > 0.0
-
-
-class TestShardModel:
-    def test_time_sharded_widths_match_plan_shards(self):
-        from repro.exec.sharding import plan_shards
-
-        tree = balanced_tree(16)
-        plan = make_plan(tree, "concurrent")
-        timing = SimulatedDevice(GP100).time_sharded(plan, DIMS, 4)
-        expected = tuple(s.width for s in plan_shards(DIMS.patterns, 4))
-        assert timing.shard_widths == expected
-        assert timing.n_shards == 4
-        assert sum(timing.shard_widths) == DIMS.patterns
-
-    def test_sharding_overhead_is_nonnegative(self):
-        # Each shard pays the fixed launch cost per operation set, so
-        # modelled total device time never undercuts the full-width run.
-        tree = balanced_tree(16)
-        plan = make_plan(tree, "concurrent")
-        device = SimulatedDevice(GP100)
-        for n in (1, 2, 4, 8):
-            timing = device.time_sharded(plan, DIMS, n)
-            assert timing.overhead >= -1e-12
-            assert timing.seconds <= sum(timing.shard_seconds) + 1e-12
-
-    def test_more_workers_shrink_makespan(self):
-        tree = balanced_tree(16)
-        plan = make_plan(tree, "concurrent")
-        device = SimulatedDevice(GP100)
-        one = device.time_sharded(plan, DIMS, 8, n_workers=1)
-        four = device.time_sharded(plan, DIMS, 8, n_workers=4)
-        assert four.seconds < one.seconds
-        assert four.speedup > one.speedup
-
-    def test_scaling_curve_monotone_through_width_floor(self):
-        tree = balanced_tree(16)
-        plan = make_plan(tree, "concurrent")
-        device = SimulatedDevice(GP100)
-        curve = device.shard_scaling_curve(plan, DIMS, [1, 2, 4, 8, 16])
-        counts = [n for n, _ in curve]
-        rates = [r for _, r in curve]
-        assert counts == [1, 2, 4, 8, 16]
-        assert all(r > 0 for r in rates)
-        # One worker per shard: throughput must not degrade as shards
-        # are added (launch overhead is hidden by parallel workers).
-        assert rates[-1] >= rates[0]
-
-
 class TestGradientTiming:
     def test_op_counts_match_theory(self):
         device = SimulatedDevice(GP100)
@@ -261,58 +181,3 @@ class TestGradientTiming:
         batched = device.time_gradient(tree, DIMS)
         assert serial.one_sweep.n_launches > batched.one_sweep.n_launches
         assert serial.one_sweep.seconds > batched.one_sweep.seconds
-
-
-class TestPadPricing:
-    """Honest padded-lane economics for the serve layer's pad mode."""
-
-    def test_default_reports_no_waste(self):
-        device = SimulatedDevice(GP100)
-        timing = device.time_coalesced([[4, 2, 1]] * 4, DIMS)
-        assert timing.wasted_seconds == 0.0
-        assert timing.wasted_fraction == 0.0
-
-    def test_padding_under_saturation_is_free(self):
-        # Far below device saturation the padded lanes ride in the same
-        # waves: no extra device time, waste exactly zero.
-        device = SimulatedDevice(GP100)
-        dims = WorkloadDims(patterns=128, states=4)
-        timing = device.time_coalesced(
-            [[2, 1]] * 2, dims, member_patterns=[96, 128]
-        )
-        assert timing.wasted_seconds == 0.0
-        assert timing.speedup > 1.0
-
-    def test_padding_past_saturation_costs_waves(self):
-        device = SimulatedDevice(SMALL_GPU)
-        dims = WorkloadDims(patterns=4096, states=4, categories=4)
-        timing = device.time_coalesced(
-            [[8, 4, 2]] * 6, dims, member_patterns=[256] * 6
-        )
-        assert timing.wasted_seconds > 0.0
-        assert 0.0 < timing.wasted_fraction < 1.0
-
-    def test_true_width_solo_baseline_is_cheaper(self):
-        device = SimulatedDevice(SMALL_GPU)
-        dims = WorkloadDims(patterns=4096, states=4, categories=4)
-        padded_solo = device.time_coalesced([[8, 4, 2]] * 6, dims)
-        true_solo = device.time_coalesced(
-            [[8, 4, 2]] * 6, dims, member_patterns=[256] * 6
-        )
-        # Same coalesced schedule, honest (narrower) solo baseline.
-        assert true_solo.coalesced_seconds == padded_solo.coalesced_seconds
-        assert true_solo.solo_seconds < padded_solo.solo_seconds
-        assert true_solo.speedup < padded_solo.speedup
-
-    def test_validation(self):
-        device = SimulatedDevice(GP100)
-        with pytest.raises(ValueError, match="kernel"):
-            device.time_coalesced(
-                [[2]] * 2, DIMS, mechanism="streams", member_patterns=[64, 64]
-            )
-        with pytest.raises(ValueError, match="one pattern count per member"):
-            device.time_coalesced([[2]] * 2, DIMS, member_patterns=[64])
-        with pytest.raises(ValueError, match="exceeds the padded width"):
-            device.time_coalesced(
-                [[2]] * 2, DIMS, member_patterns=[64, DIMS.patterns + 1]
-            )

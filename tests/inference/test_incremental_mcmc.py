@@ -207,11 +207,27 @@ class TestProposalProtocol:
         instance's frozen buffer indices, not a reassigned plan."""
         ev = _evaluator(19)
         ev.log_likelihood()
+        plan = ev.plan
         move = nni_move(ev.tree, np.random.default_rng(4))
         assert move is not None
         ll = ev.propose(move)
         ev.accept()
         assert ev.log_likelihood() == ll == _fresh_ll(ev)
+        assert ev.plan is not plan
+
+    def test_accepted_branch_move_keeps_the_plan(self):
+        """An accepted move that leaves the topology alone keeps the full
+        plan object, and with it the program the instance compiled for
+        it; the plan's branch lengths follow the accepted tree."""
+        ev = _evaluator(20)
+        ev.log_likelihood()
+        plan = ev.plan
+        for seed in range(3):
+            move = branch_length_move(ev.tree, np.random.default_rng(seed))
+            ev.propose(move)
+            ev.accept()
+            assert ev.log_likelihood() == _fresh_ll(ev)
+            assert ev.plan is plan
 
     def test_warm_proposal_uses_incremental_plan(self):
         ev = _evaluator(9)

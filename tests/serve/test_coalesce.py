@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.planner import execute_plan
-from repro.gpu import SimulatedDevice, WorkloadDims
+from repro.gpu import GP100, WorkloadDims, time_set_sizes
 from repro.serve import (
     BatchAssembler,
     CoalescedBatch,
@@ -132,20 +132,31 @@ class TestLaunchSchedule:
         assert batch.launch_schedule() == []
 
     def test_model_prices_coalescing_ahead_of_solo(self):
-        device = SimulatedDevice()
         dims = WorkloadDims(patterns=128, states=4, categories=1)
-        timing = device.time_coalesced([[4, 2, 1]] * 8, dims)
-        assert timing.speedup > 1.0
-        assert timing.coalesced_launches == 3
-        assert timing.solo_launches == 24
-        assert timing.launches_saved == 21
+        batch = CoalescedBatch(
+            [request(i, set_sizes=(4, 2, 1)) for i in range(8)]
+        )
+        coalesced = time_set_sizes(GP100, dims, batch.launch_schedule())
+        solo = time_set_sizes(
+            GP100, dims, [k for m in batch.members for k in m.set_sizes]
+        )
+        assert solo.seconds > coalesced.seconds
+        assert coalesced.n_launches == 3
+        assert solo.n_launches == batch.solo_launches() == 24
 
     def test_curve_trades_latency_for_throughput(self):
-        device = SimulatedDevice()
         dims = WorkloadDims(patterns=128, states=4, categories=1)
-        curve = device.coalescing_curve([4, 2, 1], dims, [1, 4, 16])
-        throughputs = [point[1] for point in curve]
-        latencies = [point[2] for point in curve]
+        throughputs, latencies = [], []
+        for width in (1, 4, 16):
+            batch = CoalescedBatch(
+                [request(i, set_sizes=(4, 2, 1)) for i in range(width)]
+            )
+            # Every member waits for the whole batch.
+            seconds = time_set_sizes(
+                GP100, dims, batch.launch_schedule()
+            ).seconds
+            throughputs.append(width / seconds)
+            latencies.append(seconds)
         assert throughputs == sorted(throughputs)  # aggregate rises
         assert latencies == sorted(latencies)  # per-request pays
 
