@@ -159,10 +159,12 @@ class BeagleInstance:
         self.matrix_cache: Optional[TransitionMatrixCache] = None
         # Scratch arena for batched set execution, created on first use.
         self._workspace: Optional[Workspace] = None
-        # One-entry program cache: (plan, tip version, program), the plan
-        # last executed uncompiled, and the program bound to this run.
-        self._program: Optional[Tuple[object, int, Program]] = None
-        self._last_plan: Optional[object] = None
+        # Two-entry program cache, most recently bound first: (plan, tip
+        # version, program) for a gradient sweep's post and upper passes.
+        # Then the two plans last executed uncompiled, and the program
+        # bound to this run.
+        self._programs: List[Tuple[object, int, Program]] = []
+        self._seen: List[object] = []
         self._bound: Optional[Program] = None
 
         self.stats = InstanceStats()
@@ -608,33 +610,39 @@ class BeagleInstance:
         """
         self._launch(operations, "kernel.batch")
 
-    def bind_plan(self, plan) -> None:
+    def bind_plan(self, plan, operation_sets=None) -> None:
         """Run ``plan``'s sets through a program compiled for this instance.
 
-        Until :meth:`unbind_plan`, each ``update_partials_set`` call whose
-        set is the bound program's next one runs that set's precompiled
-        step; any other set runs as a one-set program. The program is
-        compiled on the plan's second execution — a one-shot plan (an
-        incremental dirty path, a gradient's fresh post-order plan) never
-        pays for it — and kept in a one-entry cache keyed on the plan
-        object itself and the tip-data version. ``plan`` is any object
-        with ``operation_sets``, and must not be mutated once executed.
+        Until :meth:`unbind_plan`, each ``update_partials_set`` (or
+        ``update_upper_partials_set``) call whose set is the bound
+        program's next one runs that set's precompiled step; any other
+        set runs as a one-set program. The program is compiled on the
+        plan's second execution — a one-shot plan (an incremental dirty
+        path) never pays for it — and kept in a two-entry cache keyed on
+        the plan object itself and the tip-data version, so a gradient
+        sweep's post-order and pre-order passes stay compiled together.
+        ``plan`` is any object with ``operation_sets``, or any key object
+        when ``operation_sets`` is given (a
+        :class:`~repro.core.planner.GradientPlan` binds its upper sets
+        this way); the sets must not be mutated once executed.
 
         Raises
         ------
         ValueError
             If the program reads a partials buffer that is not computed.
         """
-        cached = self._program
         version = self._tip_version
-        if cached is not None and cached[0] is plan and cached[1] == version:
-            program = cached[2]
-        elif self._last_plan is plan:
-            program = compile_program(self, plan.operation_sets)
-            self._program = (plan, version, program)
-        else:
-            self._last_plan = plan
-            return
+        entry = next((e for e in self._programs if e[0] is plan), None)
+        if entry is None or entry[1] != version:
+            if not any(seen is plan for seen in self._seen):
+                self._seen = [plan] + self._seen[:1]
+                return
+            if operation_sets is None:
+                operation_sets = plan.operation_sets
+            entry = (plan, version, compile_program(self, operation_sets))
+        others = [e for e in self._programs if e[0] is not plan]
+        self._programs = [entry] + others[:1]
+        program = entry[2]
         program.start(self)
         self._bound = program
 

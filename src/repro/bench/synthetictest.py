@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 from typing import List, Optional
@@ -644,7 +645,9 @@ def _run_gradient(args, tree, model, patterns, out) -> int:
     (one post-order + one pre-order sweep), then replays every canonical
     edge through the per-edge rerooted oracle on a shared
     :class:`~repro.inference.derivatives.DerivativeSession` and demands
-    every triple match bit for bit. Also asserts the one-sweep operation count
+    every triple match bit for bit; then perturbs the branch lengths,
+    runs a second (warm) sweep on the same topology and holds it to the
+    same check before restoring the lengths. Also asserts the one-sweep operation count
     (``3n − 5``) beats the per-edge total (``(2n − 3)(n − 1)``), the
     linear-vs-quadratic claim the gradient bench reports. Any violation
     exits 1. With the GP100 resource the modelled
@@ -678,24 +681,30 @@ def _run_gradient(args, tree, model, patterns, out) -> int:
         return 1
     grad = all_branch_derivatives(tree, model, patterns, mode=mode)
     session = DerivativeSession(model, patterns)
-    mismatches = 0
-    for edge, got in zip(grad.edges, grad.derivatives):
-        want = edge_log_likelihood_derivatives(
-            tree, model, patterns, edge, session=session
-        )
-        triple_got = (got.log_likelihood, got.first, got.second)
-        triple_want = (want.log_likelihood, want.first, want.second)
-        if triple_got != triple_want:
-            mismatches += 1
-            print(
-                f"gradient mismatch at edge {edge.name or edge!r}: "
-                f"sweep {triple_got} vs reroot {triple_want}",
-                file=out,
+
+    def mismatches(sweep) -> int:
+        """Edges whose sweep triple differs from the per-edge oracle's."""
+        count = 0
+        for edge, got in zip(sweep.edges, sweep.derivatives):
+            want = edge_log_likelihood_derivatives(
+                tree, model, patterns, edge, session=session
             )
+            triple_got = (got.log_likelihood, got.first, got.second)
+            triple_want = (want.log_likelihood, want.first, want.second)
+            if triple_got != triple_want:
+                count += 1
+                print(
+                    f"gradient mismatch at edge {edge.name or edge!r}: "
+                    f"sweep {triple_got} vs reroot {triple_want}",
+                    file=out,
+                )
+        return count
+
     n_edges = len(grad.edges)
-    if mismatches:
+    failed = mismatches(grad)
+    if failed:
         print(
-            f"gradient verified: FAILED ({mismatches}/{n_edges} edges "
+            f"gradient verified: FAILED ({failed}/{n_edges} edges "
             f"disagree with the per-edge reroot oracle)",
             file=out,
         )
@@ -704,6 +713,34 @@ def _run_gradient(args, tree, model, patterns, out) -> int:
         f"gradient verified: {n_edges}/{n_edges} edges match the "
         "per-edge reroot oracle (exact; session instances: "
         f"{session.instances_created})",
+        file=out,
+    )
+    # A second sweep as HMC takes one: new branch lengths on the same
+    # topology, indices invalidated. It reuses the first sweep's plan and
+    # instance with both passes compiled, and is held to the same exact
+    # check. The lengths are restored afterwards.
+    edges = tree.edges()
+    saved = [edge.length for edge in edges]
+    factors = np.random.default_rng(args.seed).uniform(0.5, 1.5, len(edges))
+    for edge, factor in zip(edges, factors.tolist()):
+        edge.length = edge.length * factor
+    tree.invalidate_indices()
+    try:
+        failed = mismatches(all_branch_derivatives(tree, model, patterns, mode=mode))
+    finally:
+        for edge, length in zip(edges, saved):
+            edge.length = length
+        tree.invalidate_indices()
+    if failed:
+        print(
+            f"gradient warm sweep verified: FAILED ({failed}/{n_edges} edges "
+            "disagree with the per-edge reroot oracle after new lengths)",
+            file=out,
+        )
+        return 1
+    print(
+        f"gradient warm sweep verified: {n_edges}/{n_edges} edges match the "
+        "per-edge reroot oracle after new branch lengths (exact)",
         file=out,
     )
     if args.device_model:
@@ -1399,8 +1436,21 @@ def _report_partitions(args, tree, mode, scaling, out) -> None:
 
 
 def main() -> None:  # pragma: no cover - console entry point
-    """Console entry point."""
-    raise SystemExit(run())
+    """Console entry point.
+
+    A reader that closes standard output early (``... | head -1``) ends
+    the run with exit status 1 and no traceback.
+    """
+    try:
+        status = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull so that flushing what is still buffered
+        # at interpreter exit cannot raise a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        raise SystemExit(1)
+    raise SystemExit(status)
 
 
 if __name__ == "__main__":  # pragma: no cover

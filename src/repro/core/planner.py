@@ -44,6 +44,8 @@ __all__ = [
     "ExecutionPlan",
     "make_plan",
     "create_instance",
+    "load_tips",
+    "load_parameters",
     "execute_plan",
     "GradientPlan",
     "make_gradient_plan",
@@ -178,19 +180,13 @@ def create_instance(
 ) -> BeagleInstance:
     """Create and populate an engine instance for a (tree, model, data) triple.
 
-    Tips are matched to pattern taxa by name; taxa with partial-ambiguity
-    characters are loaded as tip partials, the rest as compact states
-    (exactly the ``setTipStates``/``setTipPartials`` split in BEAGLE).
+    Tips are matched to pattern taxa by name (:func:`load_tips`), and the
+    model and rate parameters are loaded by :func:`load_parameters`.
     """
     rates = rates or single_rate()
     tips = tree.tips()
     if {t.name for t in tips} != set(patterns.taxa):
         raise ValueError("tree tips and pattern taxa must match by name")
-    # Use the tree's canonical (left-to-right) indexing so instance and
-    # plan agree no matter which is created first; data rows are matched
-    # to tip buffers by taxon name.
-    tree.assign_indices()
-
     n = len(tips)
     instance = BeagleInstance(
         tip_count=n,
@@ -202,17 +198,41 @@ def create_instance(
         scale_buffer_count=n if scaling else 0,
         dtype=dtype,
     )
-    for index, tip in enumerate(tips):
+    load_tips(instance, tree, patterns)
+    load_parameters(instance, model, patterns, rates)
+    return instance
+
+
+def load_tips(instance: BeagleInstance, tree: Tree, patterns: PatternData) -> None:
+    """Load every tip's data row into the tip buffer the tree assigns it.
+
+    The tree's canonical (left-to-right) indexing is (re)assigned, so
+    instance and plan agree no matter which is created first; data rows
+    are matched to tip buffers by taxon name. Taxa with partial-ambiguity
+    characters are loaded as tip partials, the rest as compact states
+    (exactly the ``setTipStates``/``setTipPartials`` split in BEAGLE).
+    """
+    tree.assign_indices()
+    for index, tip in enumerate(tree.tips()):
         if tip.name in patterns.partials:
             instance.set_tip_partials(index, patterns.tip_partials(tip.name))
         else:
             instance.set_tip_states(index, patterns.tip_codes(tip.name))
+
+
+def load_parameters(
+    instance: BeagleInstance,
+    model: SubstitutionModel,
+    patterns: PatternData,
+    rates: RateCategories,
+) -> None:
+    """Load pattern weights, frequencies, category rates and weights and
+    the model's eigendecomposition (the per-evaluation parameters)."""
     instance.set_pattern_weights(patterns.weights)
     instance.set_state_frequencies(model.frequencies)
     instance.set_category_rates(rates.rates)
     instance.set_category_weights(rates.probabilities)
     instance.set_eigen_decomposition(0, model.eigen)
-    return instance
 
 
 def execute_plan(
@@ -280,9 +300,15 @@ def _execute_plan_body(
     return instance.calculate_root_log_likelihood(plan.root_buffer, cumulative)
 
 
-@dataclass(frozen=True)
+@dataclass
 class GradientPlan:
     """A post-order plan plus its pre-order upper-partial pass.
+
+    The structure is fixed once built. Only the branch lengths change: a
+    :class:`~repro.inference.derivatives.DerivativeSession` rewrites
+    ``post.branch_lengths`` and :attr:`pulley_length` in place between
+    sweeps on the same topology, so the compiled programs keyed on the
+    plan objects stay valid.
 
     Attributes
     ----------
@@ -422,8 +448,15 @@ def execute_gradient_plan(
         instance.invalidate_upper_partials()
         for destination, source in gplan.seeds:
             instance.seed_upper_partials(destination, source)
-        for op_set in gplan.upper_operation_sets:
-            instance.update_upper_partials_set(op_set)
+        # Bound after the seeds are copied, so the program's start check
+        # covers every slot the upper sets read; the upper sets are keyed
+        # on the gradient plan, the post-order sets on gplan.post.
+        instance.bind_plan(gplan, gplan.upper_operation_sets)
+        try:
+            for op_set in gplan.upper_operation_sets:
+                instance.update_upper_partials_set(op_set)
+        finally:
+            instance.unbind_plan()
     if obs.enabled:
         obs.count("repro_gradient_sweeps_total")
     return log_likelihood

@@ -171,10 +171,10 @@ class TestProgramCache:
     def test_second_execution_compiles(self, monkeypatch):
         plan = make_plan(self.tree)
         first = execute_plan(self.instance, plan)
-        assert self.instance._program is None
+        assert self.instance._programs == []
         one_set = _count_one_set_programs(monkeypatch)
         assert execute_plan(self.instance, plan) == first
-        assert self.instance._program[0] is plan
+        assert self.instance._programs[0][0] is plan
         assert execute_plan(self.instance, plan) == first
         assert one_set == []  # every set ran its compiled step
 
@@ -233,15 +233,16 @@ class TestProgramCache:
         plan = make_plan(tree)
         for _ in range(2):
             full = execute_plan(instance, plan)
-        program = instance._program[2]
+        program = instance._programs[0][2]
         tip = tree.tips()[3]
         tip.length = 0.37
         value = execute_plan(instance, incremental_plan(tree, [tip]))
         assert value == _fresh_value(tree, patterns) != full
-        assert instance._program[0] is plan and instance._program[2] is program
+        entry = instance._programs[0]
+        assert entry[0] is plan and entry[2] is program
         # The full plan carries the branch lengths it was made with.
         assert execute_plan(instance, plan) == full
-        assert instance._program[2] is program
+        assert instance._programs[0][2] is program
 
     def test_unread_buffer_still_rejected_when_compiled(self):
         from repro.core import incremental_plan
@@ -298,7 +299,7 @@ class TestWrappersSeeEveryLaunch:
             execute_plan(resilient, plan)
             assert counter.calls == run * plan.n_launches
             assert injector._launch_counter == run * plan.n_launches
-        assert instance._program[0] is plan
+        assert instance._programs[0][0] is plan
         assert one_set == []  # the wrappers forwarded every compiled step
 
     @pytest.mark.parametrize("seed", [1, 2, 3])

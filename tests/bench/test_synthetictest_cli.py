@@ -234,6 +234,43 @@ class TestGradientFlag:
             "(exact" in text
         )
         assert "session instances: 1" in text
+        assert (
+            "gradient warm sweep verified: 13/13 edges match the per-edge "
+            "reroot oracle after new branch lengths (exact)" in text
+        )
+
+    def test_warm_sweep_restores_the_branch_lengths(self):
+        # The partition report after the gate evaluates the tree afresh.
+        argv = ("--taxa", "12", "--sites", "32", "--reps", "1", "--partitions", "2")
+        code, text = run_cli(*argv, "--gradient")
+        assert code == 0, text
+        assert "gradient warm sweep verified: 21/21" in text
+        _, plain = run_cli(*argv)
+        joint = [line for line in plain.splitlines() if "joint logL" in line]
+        assert joint and joint[0] in text.splitlines()
+
+    def test_closed_stdout_exits_nonzero_without_a_traceback(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.bench.synthetictest",
+                "--taxa", "8", "--sites", "16", "--reps", "1", "--gradient",
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        proc.stdout.close()  # the reader goes away before the first line
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
     def test_gradient_exact_on_wide_upper_sets(self):
         # Balanced 32 taxa: pre-order sets up to 16 wide run through the

@@ -182,9 +182,9 @@ def test_compiled_program_matches_set_by_set_execution(
             tree, MODEL, patterns, dtype=dtype, scaling=scaling
         )
         first = execute_plan(instance, plan)  # uncompiled: one-set programs
-        assert instance._program is None
+        assert instance._programs == []
         second = execute_plan(instance, plan)  # compiles, then runs bound
-        assert instance._program[0] is plan
+        assert instance._programs[0][0] is plan
         third = execute_plan(instance, plan)  # the cached program again
     assert first == second == third
     got = _outputs(instance, plan)
