@@ -15,6 +15,7 @@ from .derivatives import (
     all_branch_derivatives,
     canonical_edges,
     edge_log_likelihood_derivatives,
+    release_gradient_session,
     merged_edge_length,
 )
 from .ancestral import ancestral_state_probabilities, most_probable_states
@@ -63,6 +64,7 @@ __all__ = [
     "all_branch_derivatives",
     "canonical_edges",
     "edge_log_likelihood_derivatives",
+    "release_gradient_session",
     "merged_edge_length",
     "ancestral_state_probabilities",
     "most_probable_states",

@@ -508,7 +508,7 @@ def run_hmc(
         Leapfrog discretisation. ``|ΔH|`` in the result's
         ``energy_errors`` is the tuning diagnostic.
     """
-    from .derivatives import all_branch_derivatives, canonical_edges
+    from .derivatives import DerivativeSession, canonical_edges
 
     if iterations < 1:
         raise ValueError("need at least one iteration")
@@ -517,6 +517,9 @@ def run_hmc(
         raise ValueError("HMC over branch lengths requires at least three tips")
     working = evaluator.with_tree(tree)
     model, patterns, rates = working.model, working.patterns, working.rates
+    # One session for the whole run: the plan and instance are built on
+    # the first sweep and freed when the run returns.
+    session = DerivativeSession(model, patterns, rates)
     rng = np.random.default_rng(seed)
 
     root = tree.root
@@ -538,7 +541,7 @@ def run_hmc(
         """``U(q) = −log posterior`` and ``∇U`` from one gradient sweep."""
         nonlocal gradient_sweeps
         lengths = set_lengths(q)
-        bg = all_branch_derivatives(tree, model, patterns, rates=rates)
+        bg = session.sweep(tree)
         gradient_sweeps += 1
         log_prior = float(
             np.sum(np.log(prior_rate) - prior_rate * lengths + np.clip(q, lo, hi))

@@ -199,7 +199,7 @@ def gradient_optimize_branch_lengths(
         child (second root child pinned to 0) — the same unrooted tree,
         in the canonical parking used by the per-branch Newton optimiser.
     """
-    from .derivatives import all_branch_derivatives, canonical_edges
+    from .derivatives import DerivativeSession, canonical_edges
 
     if method not in ("newton", "lbfgs"):
         raise ValueError(f"unknown method {method!r}")
@@ -215,10 +215,13 @@ def gradient_optimize_branch_lengths(
     skip = root.children[1] if len(root.children) == 2 else None
     edges = canonical_edges(tree)
 
+    # One session for the whole optimisation, freed when it returns.
+    session = DerivativeSession(model, patterns, rates)
+
     def sweep():
         nonlocal gradient_sweeps
         gradient_sweeps += 1
-        return all_branch_derivatives(tree, model, patterns, rates=rates)
+        return session.sweep(tree)
 
     if method == "newton":
         converged = False
