@@ -35,7 +35,7 @@ from .kernels import (
 )
 from .operations import Operation
 from .scaling import ScaleBufferBank
-from .setexec import Program, compile_program, execute_set
+from .setexec import DirtyPath, Program, compile_program, execute_set
 from .workspace import TransitionMatrixCache, Workspace
 
 __all__ = ["BeagleInstance", "InstanceStats"]
@@ -165,7 +165,9 @@ class BeagleInstance:
         # bound to this run.
         self._programs: List[Tuple[object, int, Program]] = []
         self._seen: List[object] = []
-        self._bound: Optional[Program] = None
+        self._bound: Optional[Program | DirtyPath] = None
+        # Dirty-path entries by destination slot (setexec.DirtyPath).
+        self._lowered: Dict[int, tuple] = {}
 
         self.stats = InstanceStats()
         self._flops_per_operation = operation_flops(
@@ -204,7 +206,7 @@ class BeagleInstance:
 
     def set_pattern_weights(self, weights: Sequence[float]) -> None:
         """Per-pattern multiplicities used by the likelihood reductions."""
-        arr = np.asarray(weights, dtype=np.float64)
+        arr = np.array(weights, dtype=np.float64)
         if arr.shape != (self.pattern_count,):
             raise ValueError("weights length must equal pattern count")
         if np.any(arr < 0):
@@ -225,9 +227,11 @@ class BeagleInstance:
 
         Changing the rates also changes the rates version key, so any
         attached :attr:`matrix_cache` entries computed under the old
-        rates can no longer be served (their keys stop matching).
+        rates can no longer be served (their keys stop matching). Like the
+        weight setters, it copies its input: editing the caller's array
+        later changes nothing.
         """
-        arr = np.asarray(rates, dtype=np.float64)
+        arr = np.array(rates, dtype=np.float64)
         if arr.shape != (self.category_count,):
             raise ValueError("rates length must equal category count")
         self._category_rates = arr
@@ -235,7 +239,7 @@ class BeagleInstance:
 
     def set_category_weights(self, weights: Sequence[float]) -> None:
         """Prior probability of each rate category (must sum to 1)."""
-        arr = np.asarray(weights, dtype=np.float64)
+        arr = np.array(weights, dtype=np.float64)
         if arr.shape != (self.category_count,):
             raise ValueError("weights length must equal category count")
         if np.any(arr < 0) or not np.isclose(arr.sum(), 1.0):
@@ -621,6 +625,9 @@ class BeagleInstance:
         path) never pays for it — and kept in a two-entry cache keyed on
         the plan object itself and the tip-data version, so a gradient
         sweep's post-order and pre-order passes stay compiled together.
+        An incremental plan never enters the cache: its narrow sets run
+        from entries lowered once per destination slot and reused by later
+        dirty paths (:class:`~repro.beagle.setexec.DirtyPath`).
         ``plan`` is any object with ``operation_sets``, or any key object
         when ``operation_sets`` is given (a
         :class:`~repro.core.planner.GradientPlan` binds its upper sets
@@ -631,6 +638,9 @@ class BeagleInstance:
         ValueError
             If the program reads a partials buffer that is not computed.
         """
+        if getattr(plan, "incremental", False):
+            self._bound = DirtyPath(self)
+            return
         version = self._tip_version
         entry = next((e for e in self._programs if e[0] is plan), None)
         if entry is None or entry[1] != version:

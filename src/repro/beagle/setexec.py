@@ -29,7 +29,8 @@ width alone:
 
 A set submitted outside a bound program (see
 :meth:`~repro.beagle.instance.BeagleInstance.bind_plan`) runs as a one-set
-program through :func:`execute_set`. Both passes share the executor:
+program through :func:`execute_set`, and a narrow set of a dirty-path
+plan from per-destination entries (:class:`DirtyPath`). Both passes share the executor:
 upper (pre-order) buffers are rows of the same partials store as lower
 buffers, so a pre-order operation is an ordinary
 :class:`~repro.beagle.operations.Operation`.
@@ -61,6 +62,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "ARENA_MIN_OPS",
     "CACHE_BUDGET_BYTES",
+    "DirtyPath",
     "Program",
     "block_ops",
     "compile_program",
@@ -399,6 +401,17 @@ class _ArenaStep:
             block.run(instance, ws)
 
 
+def _check_reads(instance: "BeagleInstance", reads: Sequence[int]) -> None:
+    """Raise ``ValueError`` unless every slot in ``reads`` is computed."""
+    valid = instance._partials_valid
+    for slot in reads:
+        if not valid[slot]:
+            raise ValueError(
+                f"partials buffer {slot + instance.tip_count} "
+                "read before being computed"
+            )
+
+
 class Program:
     """A plan's operation sets lowered for one instance: one step per set.
 
@@ -427,13 +440,7 @@ class Program:
             If a slot the program reads before writing it holds no
             computed partials.
         """
-        valid = instance._partials_valid
-        for slot in self.reads:
-            if not valid[slot]:
-                raise ValueError(
-                    f"partials buffer {slot + instance.tip_count} "
-                    "read before being computed"
-                )
+        _check_reads(instance, self.reads)
         self._cursor = 0
         if instance._workspace is not None:
             # Gathered tip rows reflect the matrices of an earlier run.
@@ -548,3 +555,53 @@ def execute_set(instance: "BeagleInstance", ops: Sequence["Operation"]) -> None:
     program.start(instance)
     for step in program.steps:
         step.run(instance, instance.workspace)
+
+
+class DirtyPath:
+    """What :meth:`~repro.beagle.instance.BeagleInstance.bind_plan` binds
+    for an incremental plan: each narrow set's step comes from entries
+    the instance keeps per destination slot.
+
+    ``instance._lowered`` maps a destination slot to ``(operation, tip
+    version, one-operation step, read slots)``; an entry serves the same
+    operation (identity, then equality) under the same tip version. A set
+    whose operations all have one runs from them after its independence
+    and read checks; any other narrow set is lowered once, as a one-set
+    program, and refills the entries.
+    """
+
+    __slots__ = ("instance",)
+
+    def __init__(self, instance: "BeagleInstance") -> None:
+        self.instance = instance
+
+    def step_for(self, ops: Sequence["Operation"]):
+        """The set's step (``None`` for a wide set: a one-set program)."""
+        if len(ops) >= ARENA_MIN_OPS:
+            return None
+        instance = self.instance
+        table, version = instance._lowered, instance._tip_version
+        entries = [table.get(op.destination - instance.tip_count) for op in ops]
+        if not all(
+            e is not None and e[1] == version and (e[0] is op or e[0] == op)
+            for e, op in zip(entries, ops)
+        ):
+            program = compile_program(instance, [ops])
+            step = program.steps[0]
+            for op, product in zip(ops, step.products):
+                dest, scale = product[0], op.destination_scale
+                scaled = [(dest, scale)] if scale >= 0 else []
+                reads = [index for kind, index, _ in product[1:] if kind == _SLOT]
+                one = _NarrowStep((op,), None, [product], scaled)
+                table[dest] = (op, version, one, reads)
+            program.start(instance)
+            return step
+        if len(ops) == 1:  # independent by itself; a prebuilt step
+            _check_reads(instance, entries[0][3])
+            return entries[0][2]
+        if not operations_independent(ops):
+            raise ValueError("operation set contains internal dependencies")
+        _check_reads(instance, [slot for e in entries for slot in e[3]])
+        steps = [e[2] for e in entries]
+        products = [p for step in steps for p in step.products]
+        return _NarrowStep(ops, None, products, [s for t in steps for s in t.scaled])

@@ -18,7 +18,7 @@ exposes the quantitative link to rerooting:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Mapping, Optional
 
 from ..beagle.operations import Operation
 from ..trees import Tree
@@ -62,14 +62,31 @@ def dirty_nodes(tree: Tree, changed: Iterable[Node]) -> List[Node]:
     return sorted(marked.values(), key=lambda n: -depths[id(n)])
 
 
+def _operation(tree: Tree, node: Node, scaling: bool, known) -> Operation:
+    """``node``'s operation: the known one while it still reads the
+    node's children, else a new one."""
+    index = tree.index_of
+    op = known.get(index(node)) if known else None
+    if op is not None and (op.destination_scale >= 0) == scaling:
+        left, right = node.children
+        if (op.child1, op.child2) == (index(left), index(right)):
+            return op
+    return operation_for_node(tree, node, scaling=scaling)
+
+
 def incremental_operation_sets(
     tree: Tree,
     changed: Iterable[Node],
     *,
     scaling: bool = False,
     verify: bool = False,
+    operations: Optional[Mapping[int, Operation]] = None,
 ) -> List[List[Operation]]:
     """Greedy operation sets recomputing only the dirty ancestors.
+
+    ``operations`` maps destinations to a full plan's operations: a dirty
+    node whose children are unchanged reuses its own, so only the nodes
+    an NNI rewired get new ones.
 
     With ``verify=True`` the sets are statically checked by
     :func:`repro.analysis.verify_operation_sets` before being returned:
@@ -80,7 +97,7 @@ def incremental_operation_sets(
     a hazard.
     """
     ops = [
-        operation_for_node(tree, node, scaling=scaling)
+        _operation(tree, node, scaling, operations)
         for node in dirty_nodes(tree, changed)
     ]
     sets = build_operation_sets(ops)
@@ -108,6 +125,7 @@ def incremental_plan(
     matrices_for: Optional[Iterable[Node]] = None,
     scaling: bool = False,
     verify: bool = False,
+    operations: Optional[Mapping[int, Operation]] = None,
 ) -> ExecutionPlan:
     """A first-class :class:`~repro.core.planner.ExecutionPlan` covering
     only the dirty root-ward path of a set of changed nodes.
@@ -126,11 +144,11 @@ def incremental_plan(
 
     With ``verify=True`` the dirty-path schedule is proven safe by the
     static analyzer under the incremental contract (clean buffers assumed
-    live); see :func:`incremental_operation_sets`.
+    live); see :func:`incremental_operation_sets`, also for ``operations``.
     """
     changed = list(changed)
     sets = incremental_operation_sets(
-        tree, changed, scaling=scaling, verify=verify
+        tree, changed, scaling=scaling, verify=verify, operations=operations
     )
     targets = changed if matrices_for is None else list(matrices_for)
     indices: List[int] = []

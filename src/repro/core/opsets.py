@@ -50,7 +50,8 @@ def build_operation_sets(operations: Sequence[Operation]) -> List[List[Operation
     current: List[Operation] = []
     current_destinations: set[int] = set()
     for op in operations:
-        if any(r in current_destinations for r in op.reads()):
+        # op.reads(), spelled out: this loop runs once per operation.
+        if op.child1 in current_destinations or op.child2 in current_destinations:
             sets.append(current)
             current = []
             current_destinations = set()

@@ -10,11 +10,13 @@ working tree.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Union
+import dataclasses
+from typing import TYPE_CHECKING, Dict, Optional, Union
 
 import numpy as np
 
 from ..beagle.instance import BeagleInstance
+from ..beagle.operations import Operation
 from ..beagle.workspace import TransitionMatrixCache
 from ..core.incremental import incremental_plan
 from ..core.opsets import count_operation_sets
@@ -38,10 +40,11 @@ class _SnapshotArena:
     """Preallocated save/restore storage for dirty buffers.
 
     One proposal snapshots the partials slots its dirty path will
-    overwrite and the transition matrices it will recompute; a rejection
-    copies them straight back. Buffers grow on demand to the deepest
-    dirty path seen and are then reused, so steady-state propose/reject
-    cycles allocate nothing.
+    overwrite, their lowered entries and the transition matrices it will
+    recompute; a rejection copies them straight back, so an NNI's rewired
+    operations do not stay lowered after it is rejected. Buffers grow on
+    demand to the deepest dirty path seen and are then reused, so
+    steady-state propose/reject cycles allocate nothing.
     """
 
     def __init__(self, instance: BeagleInstance) -> None:
@@ -54,6 +57,7 @@ class _SnapshotArena:
         self._matrix_indices = np.empty(0, dtype=np.int64)
         self._n_slots = 0
         self._n_matrices = 0
+        self._entries: list = []
 
     def save(self, slots, matrix_indices) -> None:
         """Copy the named partials slots and matrix buffers aside."""
@@ -80,6 +84,8 @@ class _SnapshotArena:
         )
         self._n_slots = n
         self._n_matrices = m
+        table = inst._lowered
+        self._entries = [(slot, table[slot]) for slot in slots if slot in table]
 
     def restore(self) -> None:
         """Write the saved buffers back into the instance."""
@@ -89,8 +95,14 @@ class _SnapshotArena:
             inst._partials[self._slots[:n]] = self._partials[:n]
         if m:
             inst._padded[self._matrix_indices[:m]] = self._matrices[:m]
+        inst._lowered.update(self._entries)
         self._n_slots = 0
         self._n_matrices = 0
+
+
+def _by_destination(plan: ExecutionPlan) -> Dict[int, Operation]:
+    """A plan's operations keyed by destination buffer."""
+    return {op.destination: op for op_set in plan.operation_sets for op in op_set}
 
 
 class TreeLikelihood:
@@ -194,6 +206,9 @@ class TreeLikelihood:
         self._pending: Optional["Move"] = None
         self._snapshot: Optional[_SnapshotArena] = None
         self._last_incremental_plan: Optional[ExecutionPlan] = None
+        # The current topology's operations by destination, on the warm
+        # instance's index map: dirty-path plans reuse them.
+        self._operations: Optional[Dict[int, Operation]] = None
 
     # ------------------------------------------------------------------
     @property
@@ -297,10 +312,16 @@ class TreeLikelihood:
         listing every edge refreshes every transition matrix — a complete
         evaluation scheduled exactly like a full plan, but without the
         index reassignment :func:`~repro.core.planner.make_plan` performs.
+        It reads no earlier partials, so it is not an incremental plan:
+        the instance compiles it on its second execution.
         """
-        return incremental_plan(
-            self.tree, self.tree.tips(), matrices_for=self.tree.edges()
+        plan = incremental_plan(
+            self.tree,
+            self.tree.tips(),
+            matrices_for=self.tree.edges(),
+            operations=self._operations,
         )
+        return dataclasses.replace(plan, incremental=False)
 
     @property
     def n_launches(self) -> int:
@@ -407,13 +428,19 @@ class TreeLikelihood:
             self._instance = None
             self._plan = None
             self._snapshot = None
+            self._operations = None
             value = execute_plan(self.instance, self.plan)
             self._pending = move
             self._last_incremental_plan = None
             return value
         instance = self.instance
+        if self._operations is None:
+            self._operations = _by_destination(self.plan)
         plan = incremental_plan(
-            self.tree, move.touched, matrices_for=move.changed_edges
+            self.tree,
+            move.touched,
+            matrices_for=move.changed_edges,
+            operations=self._operations,
         )
         if self._snapshot is None:
             self._snapshot = _SnapshotArena(instance)
@@ -450,8 +477,11 @@ class TreeLikelihood:
         else:
             # The cached full plan is rebuilt from the current tree on the
             # next full evaluation (buffer indices are frozen, so the
-            # engine instance itself stays valid).
+            # engine instance itself stays valid); the dirty path's
+            # operations, rewired ones included, now describe the tree.
             self._plan = None
+            if self._operations is not None:
+                self._operations.update(_by_destination(self._last_incremental_plan))
 
     def reject(self) -> None:
         """Undo the pending proposal: restore buffers, then the tree."""
@@ -468,6 +498,7 @@ class TreeLikelihood:
             self._instance = None
             self._plan = None
             self._snapshot = None
+            self._operations = None
         elif self._snapshot is not None:
             self._snapshot.restore()
         move.undo()
@@ -572,6 +603,7 @@ class TreeLikelihood:
         self._pending = None
         self._snapshot = None
         self._last_incremental_plan = None
+        self._operations = None
         self.tree.invalidate_indices()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

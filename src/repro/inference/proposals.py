@@ -80,6 +80,9 @@ def nni_candidates(tree: Tree) -> Tuple[List[Node], bool]:
         children internal) is itself an internal edge. Together they
         number ``n − 3`` for a bifurcating tree of ``n ≥ 4`` tips — the
         internal-edge count of the unrooted topology.
+
+    Each call builds fresh lists; the in-place NNI moves share one result
+    per topology epoch through :meth:`~repro.trees.Tree.derived`.
     """
     regular = internal_edges(tree)
     root = tree.root
@@ -200,7 +203,7 @@ def nni_move(tree: Tree, rng: np.random.Generator) -> Optional[Move]:
     stays valid and only the exchanged subtrees' root-ward paths need
     recomputation. Returns ``None`` when the tree has no internal edge.
     """
-    regular, has_pulley = nni_candidates(tree)
+    regular, has_pulley = tree.derived(nni_candidates)
     total = len(regular) + (1 if has_pulley else 0)
     if total == 0:
         return None
@@ -230,7 +233,7 @@ def nni_move_count(tree: Tree) -> int:
     neighbourhood: two interchanges per regular internal edge plus two
     across the root pulley when that edge is internal.
     """
-    regular, has_pulley = nni_candidates(tree)
+    regular, has_pulley = tree.derived(nni_candidates)
     return 2 * len(regular) + (2 if has_pulley else 0)
 
 
@@ -245,7 +248,7 @@ def nni_move_at(tree: Tree, index: int) -> Move:
     what lets the incremental hill-climb visit the same trees as the
     copy-based one.
     """
-    regular, has_pulley = nni_candidates(tree)
+    regular, has_pulley = tree.derived(nni_candidates)
     n_regular = 2 * len(regular)
     if not 0 <= index < n_regular + (2 if has_pulley else 0):
         raise IndexError(f"NNI move index {index} out of range")

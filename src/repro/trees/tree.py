@@ -10,7 +10,7 @@ library. The root always receives the highest index of its subtree ordering.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .node import Node
 
@@ -47,7 +47,8 @@ class Tree:
     :meth:`invalidate_indices`, on reassigning :attr:`root` and on the
     in-place NNI moves of :mod:`repro.inference.proposals`; after editing
     a live tree through :class:`Node` directly, call
-    :meth:`invalidate_indices`.
+    :meth:`invalidate_indices`. :meth:`derived` caches other values built
+    from the topology the same way.
     """
 
     #: Identifies the current topology; see the class docstring.
@@ -60,6 +61,8 @@ class Tree:
         self._post: List[Node] = []
         self._post_epoch = 0  # no epoch is 0: the first query walks the tree
         self._n_tips = 0
+        # build -> (epoch, value): see derived()
+        self._derived: Dict[Callable, Tuple[int, object]] = {}
         self.root = root
 
     @property
@@ -86,6 +89,15 @@ class Tree:
             self._n_tips = sum(1 for n in self._post if not n.children)
             self._post_epoch = self.topology_epoch
         return self._post
+
+    def derived(self, build: Callable[["Tree"], Any]) -> Any:
+        """``build(self)``, computed once per topology epoch and shared by
+        every caller until the epoch changes (do not mutate it)."""
+        epoch, value = self._derived.get(build, (0, None))
+        if epoch != self.topology_epoch:
+            value = build(self)
+            self._derived[build] = (self.topology_epoch, value)
+        return value
 
     def nodes(self) -> List[Node]:
         """All nodes in post-order."""

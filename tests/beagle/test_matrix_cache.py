@@ -92,6 +92,34 @@ class TestEngineIntegration:
         assert plain.log_likelihood() == cached.log_likelihood()
         assert cached.matrix_cache.hits > 0
 
+    def test_in_place_rate_edit_cannot_split_cached_and_uncached(self):
+        """The instance copies its category rates: editing the caller's
+        array in place moves neither instance, so the cached one cannot
+        keep serving matrices the uncached one no longer computes."""
+        tree, patterns = _case()
+        rates = discrete_gamma(0.5, 4)
+        cached = TreeLikelihood(tree, MODEL, patterns, rates=rates, matrix_cache=True)
+        plain = TreeLikelihood(tree, MODEL, patterns, rates=rates)
+        before = cached.log_likelihood()
+        assert plain.log_likelihood() == before
+        rates.rates[:] = discrete_gamma(2.0, 4).rates
+        assert cached.log_likelihood() == plain.log_likelihood() == before
+
+    def test_setters_copy_their_input(self):
+        tree, patterns = _case()
+        rates = discrete_gamma(0.5, 4)
+        instance = create_instance(tree, MODEL, patterns, rates=rates)
+        plan = make_plan(tree)
+        before = execute_plan(instance, plan)
+        weights = np.array(patterns.weights, dtype=np.float64)
+        category_weights = rates.probabilities.copy()
+        instance.set_pattern_weights(weights)
+        instance.set_category_weights(category_weights)
+        weights *= 3.0
+        category_weights[:] = [0.7, 0.1, 0.1, 0.1]
+        rates.rates[:] = 1.0
+        assert execute_plan(instance, plan) == before
+
     def test_shared_cache_across_derived_evaluators(self):
         """with_tree/rerooted evaluators share one model, hence one eigen
         object, hence cache keys — the shared cache serves all of them."""

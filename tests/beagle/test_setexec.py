@@ -257,6 +257,114 @@ class TestProgramCache:
                 execute_plan(instance, plan)
 
 
+def _count_compiles(monkeypatch):
+    """Record the width of every set ``compile_program`` lowers."""
+    calls = []
+    compile_program = setexec.compile_program
+
+    def spy(instance, operation_sets):
+        calls.append(sum(len(s) for s in operation_sets))
+        return compile_program(instance, operation_sets)
+
+    monkeypatch.setattr(setexec, "compile_program", spy)
+    return calls
+
+
+class TestDirtyPathEntries:
+    """Dirty-path sets run from entries lowered once per destination."""
+
+    def setup_method(self):
+        from repro.inference import TreeLikelihood
+
+        tree = balanced_tree(16, branch_length=0.1)
+        patterns = random_patterns(tree.tip_names(), 16, seed=6)
+        self.ev = TreeLikelihood(tree, MODEL, patterns)
+        self.full = self.ev.log_likelihood()
+        self.instance = self.ev.instance
+
+    def branch(self, edge, factor=1.3):
+        """Propose a new length for one edge and return the logL."""
+        from repro.inference import Move
+
+        node = self.ev.tree.edges()[edge]
+        old = node.length
+        node.length = old * factor
+
+        def undo():
+            node.length = old
+
+        return self.ev.propose(
+            Move("branch", 0.0, touched=[node], changed_edges=[node], undo=undo)
+        )
+
+    def test_a_repeated_dirty_path_is_never_lowered_again(self, monkeypatch):
+        compiles = _count_compiles(monkeypatch)
+        one_set = _count_one_set_programs(monkeypatch)
+        first = self.branch(3)
+        self.ev.reject()
+        lowered = len(compiles)
+        assert lowered == self.ev.last_incremental_plan.n_launches
+        assert self.branch(3) == first
+        self.ev.reject()
+        assert len(compiles) == lowered and one_set == []
+        # One entry per destination, and dirty paths stay out of the cache.
+        assert len(self.instance._lowered) <= self.instance.partials_buffer_count
+        assert self.instance._programs == [] and self.instance._seen != []
+        assert not any(getattr(p, "incremental", False) for p in self.instance._seen)
+
+    def test_a_rejected_nni_leaves_its_old_entries(self, monkeypatch):
+        from repro.inference import nni_move_at
+
+        for edge in range(len(self.ev.tree.edges())):
+            self.branch(edge)
+            self.ev.reject()
+        compiles = _count_compiles(monkeypatch)
+        self.ev.propose(nni_move_at(self.ev.tree, 0))
+        assert compiles  # the rewired operations are lowered
+        self.ev.reject()
+        del compiles[:]
+        for edge in range(len(self.ev.tree.edges())):
+            self.branch(edge)
+            self.ev.reject()
+        assert compiles == []
+        assert self.ev.log_likelihood() == self.full
+
+    def test_tip_data_change_lowers_again(self, monkeypatch):
+        first = self.branch(2)
+        self.ev.reject()
+        compiles = _count_compiles(monkeypatch)
+        codes = self.instance._tip_codes[0].copy()
+        self.instance.set_tip_states(0, codes)
+        assert self.branch(2) == first
+        plan = self.ev.last_incremental_plan
+        assert len(compiles) == plan.n_launches
+        version = self.instance._tip_version
+        tip_count = self.instance.tip_count
+        for op in (op for op_set in plan.operation_sets for op in op_set):
+            assert self.instance._lowered[op.destination - tip_count][1] == version
+        self.ev.reject()
+
+    @pytest.mark.parametrize("proposals", [0, 1, 2, 3, 5])
+    def test_full_plan_compiles_whatever_the_proposals_between(
+        self, proposals, monkeypatch
+    ):
+        from repro.inference import nni_move_at
+
+        one_set = _count_one_set_programs(monkeypatch)
+        for round_ in range(4):
+            for k in range(proposals):
+                if k % 2:
+                    self.ev.propose(nni_move_at(self.ev.tree, k))
+                else:
+                    self.branch(k)
+                self.ev.reject()
+            del one_set[:]
+            assert self.ev.log_likelihood() == self.full
+            if round_ == 0:  # the full plan's second execution
+                assert self.instance._programs[0][0] is self.ev.plan
+                assert one_set == []
+
+
 class _LaunchCounter:
     """Counts launch calls on their way to the engine. The fault injector
     forwards a one-operation set as ``update_partials_serial``."""

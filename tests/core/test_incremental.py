@@ -289,3 +289,39 @@ class TestIncrementalPlan:
         for tip in tree.tips():
             plan = incremental_plan(tree, [tip], verify=True)
             assert plan.n_operations >= 1
+
+    @pytest.mark.parametrize("scaling", [False, True])
+    def test_known_operations_are_reused_until_rewired(self, scaling):
+        from repro.core import incremental_plan, make_plan
+        from repro.inference import nni_move_at
+
+        tree = balanced_tree(16)
+        full = make_plan(tree, scaling=scaling)
+        known = {op.destination: op for s in full.operation_sets for op in s}
+        tip = tree.tips()[5]
+        plan = incremental_plan(tree, [tip], scaling=scaling, operations=known)
+        assert plan.operation_sets == incremental_plan(
+            tree, [tip], scaling=scaling
+        ).operation_sets
+        assert all(
+            known[op.destination] is op for s in plan.operation_sets for op in s
+        )
+        # An NNI rewires two nodes: only their operations are new.
+        move = nni_move_at(tree, 0)
+        plan = incremental_plan(
+            tree, move.touched, scaling=scaling, operations=known
+        )
+        fresh = incremental_plan(tree, move.touched, scaling=scaling)
+        assert plan.operation_sets == fresh.operation_sets
+        new = [
+            op for s in plan.operation_sets for op in s
+            if known[op.destination] is not op
+        ]
+        rewired = {tree.index_of(node.parent) for node in move.touched}
+        assert {op.destination for op in new} == rewired
+        move.undo()
+        # A scaling mismatch never reuses an operation.
+        other = incremental_plan(tree, [tip], scaling=not scaling, operations=known)
+        assert not any(
+            known[op.destination] is op for s in other.operation_sets for op in s
+        )

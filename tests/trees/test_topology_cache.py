@@ -85,6 +85,10 @@ def assert_queries_fresh(tree: Tree, rng: np.random.Generator) -> None:
     assert has_pulley == (
         len(root.children) == 2 and all(not c.is_tip for c in root.children)
     )
+    # The in-place moves' per-epoch copy agrees with the fresh one.
+    shared_regular, shared_pulley = tree.derived(nni_candidates)
+    assert _ids(shared_regular) == _ids(regular) and shared_pulley == has_pulley
+    assert nni_move_count(tree) == 2 * len(regular) + 2 * has_pulley
     # Dirty paths of a random handful of nodes, in the oracle's order.
     picks = rng.choice(len(post), size=min(len(post), 3), replace=False)
     changed = [post[int(i)] for i in picks]
@@ -242,6 +246,31 @@ class TestTopologyEpoch:
         assert len(walks) == 1
         assert tree._postorder() is not cached
         assert tree._postorder() != cached
+
+    def test_nni_moves_share_one_candidate_list_per_epoch(self, monkeypatch):
+        from repro.inference import proposals
+
+        calls = []
+        build = proposals.nni_candidates
+
+        def counting(tree):
+            calls.append(1)
+            return build(tree)
+
+        monkeypatch.setattr(proposals, "nni_candidates", counting)
+        tree = balanced_tree(16)
+        count = nni_move_count(tree)
+        for index in range(count):
+            nni_move_at(tree, index).undo()  # a rejected move restores the epoch
+        assert len(calls) == 1
+        nni_move_at(tree, 0)  # kept: a new epoch builds once more
+        assert nni_move_count(tree) == count
+        nni_move_at(tree, 1).undo()
+        assert len(calls) == 2
+        # The public accessor still hands out lists the caller may edit.
+        regular, _ = build(tree)
+        regular.clear()
+        assert nni_move_count(tree) == count
 
     def test_undo_after_another_edit_takes_a_fresh_epoch(self):
         tree = balanced_tree(16)
