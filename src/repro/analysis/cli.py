@@ -33,7 +33,7 @@ from ..core.planner import ExecutionPlan, make_plan
 from ..trees.newick import parse_newick
 from .audit import audit_plan
 from .mutate import analyze_mutation, seed_mutations
-from .races import check_move_undo, round_robin_streams, verify_races
+from .races import check_move_undo, verify_races
 from .verifier import verify_plan
 
 __all__ = ["build_parser", "run", "main"]

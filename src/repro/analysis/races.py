@@ -54,7 +54,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.planner import ExecutionPlan
     from ..inference.proposals import Move
     from ..trees import Tree
-    from ..trees.node import Node
 
 __all__ = [
     "Footprint",

@@ -14,7 +14,7 @@ paired.
 The sanitizer is **off by default** and adds zero overhead when off —
 nothing wraps the engine unless ``sanitize=`` / ``--sanitize`` asks for
 it. When on, :class:`SanitizedInstance` intercepts the engine's public
-execution surface (``update_partials_set``, ``update_partials_serial``,
+execution surface (``update_partials_set``,
 ``update_transition_matrices``, the scale bank, and the likelihood
 reductions), records footprints, and delegates — results are
 bit-identical with and without the wrapper.
@@ -36,11 +36,11 @@ from typing import (
     FrozenSet,
     Iterator,
     List,
-    Optional,
     Sequence,
     Tuple,
 )
 
+from ..beagle.instance import InstanceWrapper
 from ..beagle.operations import Operation
 from .diagnostics import AnalysisReport, Diagnostic, Severity
 from .races import operation_footprint
@@ -282,7 +282,7 @@ class _SanitizedScale:
         self._inner.accumulate(source_indices, cumulative_index)
 
 
-class SanitizedInstance:
+class SanitizedInstance(InstanceWrapper):
     """A transparent engine wrapper that shadows every buffer access.
 
     Wraps a :class:`~repro.beagle.instance.BeagleInstance` (results are
@@ -293,12 +293,9 @@ class SanitizedInstance:
     """
 
     def __init__(self, inner: Any, detector: RaceDetector) -> None:
-        self._inner = inner
+        super().__init__(inner)
         self._detector = detector
         self._token = detector.token_for(inner)
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._inner, name)
 
     @property
     def detector(self) -> RaceDetector:
@@ -322,11 +319,6 @@ class SanitizedInstance:
         """Record the set's footprints, then launch it on the engine."""
         self._record_operations(operations)
         self._inner.update_partials_set(operations)
-
-    def update_partials_serial(self, operations: Sequence[Operation]) -> None:
-        """Record the operations' footprints, then run them serially."""
-        self._record_operations(operations)
-        self._inner.update_partials_serial(operations)
 
     def update_transition_matrices(
         self,
@@ -388,6 +380,3 @@ class SanitizedInstance:
         """Record the inspection read, then delegate."""
         self._detector.record(self._token, "partials", buffer_index, "read")
         return self._inner.get_partials(buffer_index)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<SanitizedInstance of {self._inner!r}>"

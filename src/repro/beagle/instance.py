@@ -16,7 +16,7 @@ benchmarks can account throughput the way the paper does (§VI-C).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .scaling import ScaleBufferBank
 from .setexec import DirtyPath, Program, compile_program, execute_set
 from .workspace import TransitionMatrixCache, Workspace
 
-__all__ = ["BeagleInstance", "InstanceStats"]
+__all__ = ["BeagleInstance", "InstanceStats", "InstanceWrapper"]
 
 
 @dataclass
@@ -586,22 +586,6 @@ class BeagleInstance:
     # ------------------------------------------------------------------
     # Core execution (beagleUpdatePartials)
     # ------------------------------------------------------------------
-    def update_partials_serial(self, operations: Sequence[Operation]) -> None:
-        """Execute operations one per kernel launch (the baseline mode;
-        the paper's modified BEAGLE with multi-operation launches
-        disabled, §VII-C)."""
-        obs = get_recorder()
-        if obs.enabled:
-            n = len(operations)
-            obs.count("repro_kernel_launches_total", n)
-            obs.count("repro_operations_evaluated_total", n)
-            with obs.span("kernel.serial", category="kernel", operations=n):
-                for op in operations:
-                    self._run_set((op,), self._bound_step((op,)))
-        else:
-            for op in operations:
-                self._run_set((op,), self._bound_step((op,)))
-
     def update_partials_set(self, operations: Sequence[Operation]) -> None:
         """Execute one *independent* operation set as a single launch.
 
@@ -855,3 +839,28 @@ class BeagleInstance:
             f"partials={self.partials_buffer_count} p={self.pattern_count} "
             f"s={self.state_count} c={self.category_count}>"
         )
+
+
+class InstanceWrapper:
+    """Base of the layers stacked around an instance.
+
+    A layer (fault injection, deadline, recovery, sanitizer; composed by
+    :func:`repro.exec.stack.build_stack`) intercepts the one launch
+    method, ``update_partials_set``, and whatever else it must see; every
+    other attribute reads through to :attr:`inner`, so a stack drops into
+    any code that takes a :class:`BeagleInstance`.
+    """
+
+    def __init__(self, inner: Any) -> None:
+        self._inner = inner
+
+    def __getattr__(self, name: str) -> Any:
+        return getattr(self._inner, name)
+
+    @property
+    def inner(self) -> Any:
+        """The wrapped instance (or layer)."""
+        return self._inner
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<{type(self).__name__} around {self._inner!r}>"

@@ -292,12 +292,6 @@ class TransitionMatrixCache:
             "size": len(self._entries),
         }
 
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from the cache."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<TransitionMatrixCache size={len(self)}/{self.capacity} "

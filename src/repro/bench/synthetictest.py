@@ -43,17 +43,17 @@ from ..data import random_patterns
 from ..exec import (
     Deadline,
     DeadlineExceeded,
-    DeadlineGuard,
     ExecutionError,
-    FaultInjector,
+    FaultSchedule,
     FaultSpec,
     LikelihoodPool,
     ResilientInstance,
     RetryPolicy,
 )
+from ..exec.stack import build_stack, run_plan
 from ..gpu import GP100, SimulatedDevice, WorkloadDims
 from ..models import random_gtr
-from ..obs import Recorder, record_pool_stats, set_recorder
+from ..obs import Recorder, get_recorder, record_pool_stats, set_recorder
 from ..trees import tree_height
 from .harness import build_tree
 
@@ -412,6 +412,43 @@ def _worker_fault_specs(args) -> Optional[List[Optional[FaultSpec]]]:
         FaultSpec(rate=rate, seed=args.fault_seed + 7919 * i) if rate > 0 else None
         for i, rate in enumerate(rates[: args.pool])
     ]
+
+
+def _deadline_s(args) -> Optional[float]:
+    """The ``--deadline-ms`` budget in seconds (``None`` when unset)."""
+    return args.deadline_ms / 1e3 if args.deadline_ms is not None else None
+
+
+def _make_pool(args, n_workers: int, *, job_deadlines: bool = True) -> LikelihoodPool:
+    """The supervised pool that ``--pool``, ``--serve`` and ``--shards``
+    runs use, configured from the pool options."""
+    return LikelihoodPool(
+        n_workers,
+        policy=_resilience_policy(args.resilience),
+        worker_fault_specs=_worker_fault_specs(args),
+        deadline_s=_deadline_s(args) if job_deadlines else None,
+        health_check_every=args.pool_health_every,
+        executor="inline" if args.pool_inline else "thread",
+        sanitize=args.sanitize,
+    )
+
+
+def _report_gates(args, pool: LikelihoodPool, ledgers, out) -> int:
+    """Print every ledger imbalance and, under ``--sanitize``, the
+    sanitizer's verdict; returns 1 if any gate fails, else 0.
+
+    ``ledgers`` pairs a label for the error line with a ledger.
+    """
+    status = 0
+    for label, ledger in ledgers:
+        for imbalance in ledger.imbalances():
+            print(f"error: {label} imbalance: {imbalance}", file=out)
+            status = 1
+    if args.sanitize and pool.detector is not None:
+        print(f"sanitizer: {pool.detector.format()}", file=out)
+        if not pool.sanitizer_clean:
+            status = 1
+    return status
 
 
 def run(argv: Optional[List[str]] = None, out=None) -> int:
@@ -850,19 +887,20 @@ def _run_benchmark(args, out) -> int:
     dims = WorkloadDims(args.sites, args.states, args.categories)
     flops_per_eval = (args.taxa - 1) * dims.flops_per_operation
 
+    def make_case():
+        """A fresh engine instance and the plan: one pool job's case."""
+        return create_instance(tree, model, patterns, scaling=scaling), plan
+
     if not args.device_model:
         if args.shards:
             return _run_sharded_cpu(
                 args, tree, model, patterns, loglik, flops_per_eval, out
             )
         if args.serve:
-            return _run_serve_cpu(
-                args, tree, model, patterns, plan, scaling, loglik, out
-            )
+            return _run_serve_cpu(args, patterns, make_case, loglik, out)
         if args.pool:
             return _run_pool_cpu(
-                args, tree, model, patterns, plan, scaling, loglik,
-                flops_per_eval, out,
+                args, make_case, plan, loglik, flops_per_eval, out
             )
         # Measured CPU timing. Rescale factors recomputed every
         # --rescale-frequency reps: other reps run without scaling ops.
@@ -870,13 +908,9 @@ def _run_benchmark(args, out) -> int:
         start = time.perf_counter()
         for rep in range(args.reps):
             use_scaling = scaling and rep % max(args.rescale_frequency, 1) == 0
-            engine = instance
-            if args.deadline_ms is not None:
-                engine = DeadlineGuard(
-                    instance, Deadline(args.deadline_ms / 1e3)
-                )
+            engine = build_stack(instance, deadline=Deadline(_deadline_s(args)))
             try:
-                execute_plan(engine, plan if use_scaling else cheap_plan)
+                run_plan(engine, plan if use_scaling else cheap_plan)
             except DeadlineExceeded as exc:
                 print(
                     f"error: {type(exc).__name__}: {exc} (rep {rep})",
@@ -884,15 +918,11 @@ def _run_benchmark(args, out) -> int:
                 )
                 return 1
         elapsed = time.perf_counter() - start
-        per_eval = elapsed / args.reps
-        print(
-            f"resource: CPU (NumPy engine), reps={args.reps}",
-            file=out,
-        )
-        print(f"time per evaluation: {per_eval * 1e3:.3f} ms", file=out)
-        print(
-            f"effective throughput: {flops_per_eval / per_eval / 1e9:.3f} GFLOPS",
-            file=out,
+        _print_timing(
+            f"CPU (NumPy engine), reps={args.reps}",
+            elapsed / args.reps,
+            flops_per_eval,
+            out,
         )
         if args.full_timing:
             print(f"kernel launches per evaluation: {plan.n_launches}", file=out)
@@ -929,9 +959,20 @@ def _run_benchmark(args, out) -> int:
     return 0
 
 
+def _print_timing(resource: str, per_eval: float, flops: float, out) -> None:
+    """The resource line, then measured time and throughput per evaluation."""
+    print(f"resource: {resource}", file=out)
+    print(f"time per evaluation: {per_eval * 1e3:.3f} ms", file=out)
+    print(f"effective throughput: {flops / per_eval / 1e9:.3f} GFLOPS", file=out)
+
+
+def _executor(args) -> str:
+    """How the pool runs its workers, for the resource line."""
+    return "inline" if args.pool_inline else "threaded"
+
+
 def _run_pool_cpu(
-    args, tree, model, patterns, plan, scaling, reference_loglik,
-    flops_per_eval, out,
+    args, make_case, plan, reference_loglik, flops_per_eval, out
 ) -> int:
     """Dispatch ``--reps`` evaluations across a supervised worker pool.
 
@@ -943,46 +984,24 @@ def _run_pool_cpu(
     must balance. Any miss is a nonzero exit — this is the contract the
     CI soak job gates on.
     """
-
-    def make_case():
-        instance = create_instance(tree, model, patterns, scaling=scaling)
-        return instance, plan
-
-    pool = LikelihoodPool(
-        args.pool,
-        policy=_resilience_policy(args.resilience),
-        worker_fault_specs=_worker_fault_specs(args),
-        deadline_s=(
-            args.deadline_ms / 1e3 if args.deadline_ms is not None else None
-        ),
-        health_check_every=args.pool_health_every,
-        executor="inline" if args.pool_inline else "thread",
-        sanitize=args.sanitize,
-    )
+    pool = _make_pool(args, args.pool)
     start = time.perf_counter()
     for rep in range(args.reps):
         pool.submit_case(make_case, label=f"rep-{rep}")
     outcomes = pool.drain()
     elapsed = time.perf_counter() - start
     stats = pool.stats()
-    from ..obs import get_recorder
-
     if get_recorder().enabled:
         # Ledger identities become gauges (repro_pool_*), including the
         # imbalance count itself — see PoolStats.explain().
         record_pool_stats(stats)
 
-    per_eval = elapsed / args.reps
-    print(
-        f"resource: CPU pool ({args.pool} workers, "
-        f"{'inline' if args.pool_inline else 'threaded'} executor), "
+    _print_timing(
+        f"CPU pool ({args.pool} workers, {_executor(args)} executor), "
         f"reps={args.reps}",
-        file=out,
-    )
-    print(f"time per evaluation: {per_eval * 1e3:.3f} ms", file=out)
-    print(
-        f"effective throughput: {flops_per_eval / per_eval / 1e9:.3f} GFLOPS",
-        file=out,
+        elapsed / args.reps,
+        flops_per_eval,
+        out,
     )
     print(f"pool {stats.format()}", file=out)
     if args.full_timing:
@@ -1007,15 +1026,7 @@ def _run_pool_cpu(
                 file=out,
             )
             status = 1
-    imbalances = stats.imbalances()
-    if imbalances:
-        for imbalance in imbalances:
-            print(f"error: ledger imbalance: {imbalance}", file=out)
-        status = 1
-    if args.sanitize and pool.detector is not None:
-        print(f"sanitizer: {pool.detector.format()}", file=out)
-        if not pool.sanitizer_clean:
-            status = 1
+    status |= _report_gates(args, pool, [("ledger", stats)], out)
     if status == 0:
         print(
             f"pool verified: {stats.completed}/{args.reps} jobs "
@@ -1025,9 +1036,7 @@ def _run_pool_cpu(
     return status
 
 
-def _run_serve_cpu(
-    args, tree, model, patterns, plan, scaling, reference_loglik, out
-) -> int:
+def _run_serve_cpu(args, patterns, make_case, reference_loglik, out) -> int:
     """Replay a seeded multi-tenant trace through the likelihood server.
 
     The overload chaos soak: arrivals (optionally a hot-tenant burst
@@ -1054,18 +1063,8 @@ def _run_serve_cpu(
         steady_trace,
     )
 
-    def make_case():
-        instance = create_instance(tree, model, patterns, scaling=scaling)
-        return instance, plan
-
-    pool = LikelihoodPool(
-        args.pool,
-        policy=_resilience_policy(args.resilience),
-        worker_fault_specs=_worker_fault_specs(args),
-        health_check_every=args.pool_health_every,
-        executor="inline" if args.pool_inline else "thread",
-        sanitize=args.sanitize,
-    )
+    # The server runs its own per-request deadlines (--serve-deadline-ms).
+    pool = _make_pool(args, args.pool, job_deadlines=False)
     server = LikelihoodServer(
         pool,
         admission=AdmissionConfig(
@@ -1115,8 +1114,6 @@ def _run_serve_cpu(
     )
     elapsed = time.perf_counter() - start
     ledger = server.ledger
-    from ..obs import get_recorder
-
     if get_recorder().enabled:
         record_serve_stats(ledger)
         record_pool_stats(pool.stats())
@@ -1124,7 +1121,7 @@ def _run_serve_cpu(
     trace_kind = "burst-storm" if args.serve_storm else "steady"
     print(
         f"resource: CPU serve ({args.pool} workers, "
-        f"{'inline' if args.pool_inline else 'threaded'} executor), "
+        f"{_executor(args)} executor), "
         f"{args.serve} requests / {args.serve_tenants} tenants "
         f"({trace_kind} trace)",
         file=out,
@@ -1165,9 +1162,7 @@ def _run_serve_cpu(
                 file=out,
             )
             status = 1
-    for imbalance in ledger.imbalances():
-        print(f"error: serve ledger imbalance: {imbalance}", file=out)
-        status = 1
+    status |= _report_gates(args, pool, [("serve ledger", ledger)], out)
     if not ledger.drained():
         print(
             f"error: server not drained (queued={ledger.queued}, "
@@ -1227,17 +1222,7 @@ def _run_sharded_cpu(
         else None
     )
     n_workers = args.pool or 2
-    pool = LikelihoodPool(
-        n_workers,
-        policy=_resilience_policy(args.resilience),
-        worker_fault_specs=_worker_fault_specs(args),
-        deadline_s=(
-            args.deadline_ms / 1e3 if args.deadline_ms is not None else None
-        ),
-        health_check_every=args.pool_health_every,
-        executor="inline" if args.pool_inline else "thread",
-        sanitize=args.sanitize,
-    )
+    pool = _make_pool(args, n_workers)
 
     def make_engine(resume: bool, abort_after: Optional[int]):
         return ShardedLikelihood(
@@ -1285,16 +1270,12 @@ def _run_sharded_cpu(
     elapsed = time.perf_counter() - start
     ledger = engine.ledger
 
-    print(
-        f"resource: CPU sharded ({engine.n_shards} shards over "
-        f"{n_workers} workers, "
-        f"{'inline' if args.pool_inline else 'threaded'} executor)",
-        file=out,
-    )
-    print(f"time per evaluation: {elapsed * 1e3:.3f} ms", file=out)
-    print(
-        f"effective throughput: {flops_per_eval / elapsed / 1e9:.3f} GFLOPS",
-        file=out,
+    _print_timing(
+        f"CPU sharded ({engine.n_shards} shards over {n_workers} workers, "
+        f"{_executor(args)} executor)",
+        elapsed,
+        flops_per_eval,
+        out,
     )
     print(
         f"shard throughput: {patterns.n_patterns / elapsed / 1e3:.1f} "
@@ -1323,12 +1304,12 @@ def _run_sharded_cpu(
             file=out,
         )
         status = 1
-    for imbalance in ledger.imbalances():
-        print(f"error: shard ledger imbalance: {imbalance}", file=out)
-        status = 1
-    for imbalance in pool.stats().imbalances():
-        print(f"error: pool ledger imbalance: {imbalance}", file=out)
-        status = 1
+    status |= _report_gates(
+        args,
+        pool,
+        [("shard ledger", ledger), ("pool ledger", pool.stats())],
+        out,
+    )
     if resumed_run and ledger.recomputed_completed != 0:
         print(
             f"error: {ledger.recomputed_completed} checkpointed shard(s) "
@@ -1339,10 +1320,6 @@ def _run_sharded_cpu(
     if resumed_run and args.shard_abort_after is not None and ledger.resumed == 0:
         print("error: resume restored no shards from the checkpoint", file=out)
         status = 1
-    if args.sanitize and pool.detector is not None:
-        print(f"sanitizer: {pool.detector.format()}", file=out)
-        if not pool.sanitizer_clean:
-            status = 1
     if status == 0:
         resumed_note = (
             f", resumed {ledger.resumed} shard(s) without recomputation"
@@ -1365,17 +1342,15 @@ def _run_with_faults(args, instance, plan, reference_loglik, out) -> int:
     expected to the last bit; the check allows rounding slack for the
     degraded/rescued paths, which batch differently).
     """
-    spec = FaultSpec(rate=args.fault_rate, seed=args.fault_seed)
-    engine = FaultInjector(instance, spec)
-    policy = _resilience_policy(args.resilience)
-    resilient = None
-    if policy is not None:
-        engine = resilient = ResilientInstance(engine, policy)
+    engine = build_stack(
+        instance,
+        schedule=FaultSchedule(
+            FaultSpec(rate=args.fault_rate, seed=args.fault_seed)
+        ),
+        policy=_resilience_policy(args.resilience),
+    )
     try:
-        if resilient is not None:
-            fault_loglik = resilient.execute(plan)
-        else:
-            fault_loglik = execute_plan(engine, plan)
+        fault_loglik = run_plan(engine, plan)
     except ExecutionError as exc:
         print(
             f"fault run failed: {type(exc).__name__}: {exc} "
@@ -1389,8 +1364,8 @@ def _run_with_faults(args, instance, plan, reference_loglik, out) -> int:
         f"resilience={args.resilience})",
         file=out,
     )
-    if resilient is not None:
-        print(resilient.fault_stats.format(), file=out)
+    if isinstance(engine, ResilientInstance):
+        print(engine.fault_stats.format(), file=out)
     if not math.isclose(fault_loglik, reference_loglik, rel_tol=1e-9, abs_tol=1e-9):
         print(
             f"error: recovered logL {fault_loglik!r} does not match "

@@ -272,7 +272,9 @@ def _execute_plan_body(
     """Body of :func:`execute_plan`, shared by the traced and plain paths."""
     if not plan.incremental:
         instance.invalidate_partials()
-    if update_matrices:
+    if update_matrices and len(plan.matrix_indices):
+        # A dirty path that only rewires operations (an NNI) updates no
+        # matrix, so it skips the call and its per-call checks.
         instance.update_transition_matrices(
             0, plan.matrix_indices, plan.branch_lengths
         )

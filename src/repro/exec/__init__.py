@@ -2,7 +2,9 @@
 and the supervised likelihood pool.
 
 The paper's speedups only matter if long runs finish. This subpackage
-adds the dynamic-robustness layer around the likelihood engine:
+adds the dynamic-robustness layer around the likelihood engine. Each
+layer wraps the engine's one launch method, ``update_partials_set``, and
+:func:`build_stack` composes them in one fixed order:
 
 * :mod:`repro.exec.errors` — the typed failure hierarchy
   (:class:`ExecutionError` → :class:`DeviceFault` /
@@ -17,6 +19,10 @@ adds the dynamic-robustness layer around the likelihood engine:
 * :mod:`repro.exec.resilient` — :class:`ResilientInstance`, the
   retry/degrade/rescale facade, with :class:`RetryPolicy` and
   :class:`FaultStats`.
+* :mod:`repro.exec.stack` — :func:`build_stack`, the one place the
+  layers are ordered, and :func:`run_plan`.
+* :mod:`repro.exec.ledger` — :class:`Ledger`, whose identities, declared
+  as data, give every closed-form ledger its check and explanation.
 * :mod:`repro.exec.health` — :class:`Deadline` budgets,
   :class:`CircuitBreaker` state machines, and the known-answer
   :class:`Sentinel` health probe.
@@ -53,6 +59,7 @@ from .faults import (
     ShardFaultSpec,
 )
 from .health import CircuitBreaker, Deadline, DeadlineGuard, Sentinel
+from .ledger import Identity, Ledger
 from .pool import JobContext, JobOutcome, LikelihoodPool, PoolStats
 from .resilient import FaultStats, ResilientInstance, RetryPolicy
 from .sharding import (
@@ -65,6 +72,7 @@ from .sharding import (
     deterministic_sum,
     plan_shards,
 )
+from .stack import build_stack, run_plan
 from .supervisor import PoolWorker, Supervisor
 
 __all__ = [
@@ -85,6 +93,10 @@ __all__ = [
     "RetryPolicy",
     "FaultStats",
     "ResilientInstance",
+    "build_stack",
+    "run_plan",
+    "Identity",
+    "Ledger",
     "Deadline",
     "DeadlineGuard",
     "CircuitBreaker",

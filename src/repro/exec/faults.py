@@ -30,18 +30,19 @@ Fault classes
     resilience layer checks magnitudes.
 
 :class:`FaultInjector` wraps a :class:`~repro.beagle.instance.BeagleInstance`
-(anything with its ``update_partials_*`` surface) and applies the schedule
-to each launch attempt; :class:`FaultSchedule` is the seeded stream
+(anything with its ``update_partials_set`` launch method) and applies the
+schedule to each launch attempt; :class:`FaultSchedule` is the seeded stream
 itself, which a pool worker keeps across jobs so its faults persist.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from ..beagle.instance import InstanceWrapper
 from .errors import (
     AllocationError,
     KernelLaunchError,
@@ -87,8 +88,27 @@ SHARD_FAULT_CLASSES: Tuple[str, ...] = (
     "shard_underflow",
 )
 
-#: Fault classes raised before the launch executes (state untouched).
-RAISED_BEFORE_EXECUTION = frozenset({"launch", "transient", "alloc"})
+#: Fault classes raised before the launch executes (state untouched),
+#: with the error each raises and how its message names it.
+_RAISED = {
+    "launch": (KernelLaunchError, "kernel-launch failure"),
+    "transient": (TransientDeviceError, "transient device error"),
+    "alloc": (AllocationError, "device allocation failure"),
+}
+RAISED_BEFORE_EXECUTION = frozenset(_RAISED)
+
+
+def _check_spec(spec, known: Tuple[str, ...], what: str) -> None:
+    """Validate a fault spec's rate, classes and budget."""
+    if not 0.0 <= spec.rate <= 1.0:
+        raise ValueError("fault rate must be within [0, 1]")
+    unknown = set(spec.classes) - set(known)
+    if unknown:
+        raise ValueError(f"unknown {what}: {sorted(unknown)}")
+    if not spec.classes and spec.rate > 0.0:
+        raise ValueError("a positive fault rate needs at least one class")
+    if spec.max_faults is not None and spec.max_faults < 0:
+        raise ValueError("max_faults must be non-negative")
 
 
 def underflow_poison_factor(dtype: np.dtype) -> float:
@@ -130,18 +150,39 @@ class FaultSpec:
     max_faults: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.rate <= 1.0:
-            raise ValueError("fault rate must be within [0, 1]")
-        unknown = set(self.classes) - set(FAULT_CLASSES)
-        if unknown:
-            raise ValueError(f"unknown fault classes: {sorted(unknown)}")
-        if not self.classes and self.rate > 0.0:
-            raise ValueError("a positive fault rate needs at least one class")
-        if self.max_faults is not None and self.max_faults < 0:
-            raise ValueError("max_faults must be non-negative")
+        _check_spec(self, FAULT_CLASSES, "fault classes")
 
 
-class FaultSchedule:
+class _Stream:
+    """A seeded fault stream's decisions and its injected counts, the one
+    place those counts are kept."""
+
+    def __init__(self, spec) -> None:
+        self.spec = spec
+        self.injected = 0
+        self.by_class: Dict[str, int] = {}
+
+    def _spent(self) -> bool:
+        """No fault can come: a zero rate, or the budget is used up."""
+        spec = self.spec
+        return spec.rate <= 0.0 or (
+            spec.max_faults is not None and self.injected >= spec.max_faults
+        )
+
+    def _decide(self, rng: np.random.Generator, allowed: bool = True) -> Optional[str]:
+        """Draw a hit and a class from ``rng`` (always both, so each
+        decision consumes the same stream length) and count a fault."""
+        hit = rng.random() < self.spec.rate
+        which = int(rng.integers(len(self.spec.classes)))
+        if not hit or not allowed:
+            return None
+        fault = self.spec.classes[which]
+        self.injected += 1
+        self.by_class[fault] = self.by_class.get(fault, 0) + 1
+        return fault
+
+
+class FaultSchedule(_Stream):
     """The seeded draw stream: one decision per launch attempt.
 
     Deterministic given ``spec``: attempt ``i`` of any run with the same
@@ -150,33 +191,16 @@ class FaultSchedule:
     """
 
     def __init__(self, spec: FaultSpec) -> None:
-        self.spec = spec
+        super().__init__(spec)
         self._rng = np.random.default_rng(spec.seed)
-        self.attempts = 0
-        self.injected = 0
-        self.by_class: Dict[str, int] = {}
 
     def draw(self, *, batched: bool = True) -> Optional[str]:
         """Fault class for the next launch attempt, or ``None``."""
-        self.attempts += 1
-        if self.spec.rate <= 0.0:
+        if self._spent():
             return None
-        if (
-            self.spec.max_faults is not None
-            and self.injected >= self.spec.max_faults
-        ):
-            return None
-        # Draw both values unconditionally so the stream consumed per
-        # attempt has constant length: decisions for attempt i never
-        # depend on whether attempt i-1 targeted a batched launch.
-        hit = self._rng.random() < self.spec.rate
-        which = int(self._rng.integers(len(self.spec.classes)))
-        if not hit or (self.spec.batched_only and not batched):
-            return None
-        fault = self.spec.classes[which]
-        self.injected += 1
-        self.by_class[fault] = self.by_class.get(fault, 0) + 1
-        return fault
+        # Decisions for attempt i never depend on whether attempt i-1
+        # targeted a batched launch.
+        return self._decide(self._rng, batched or not self.spec.batched_only)
 
 
 @dataclass(frozen=True)
@@ -196,18 +220,10 @@ class ShardFaultSpec:
     max_faults: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.rate <= 1.0:
-            raise ValueError("fault rate must be within [0, 1]")
-        unknown = set(self.classes) - set(SHARD_FAULT_CLASSES)
-        if unknown:
-            raise ValueError(f"unknown shard fault classes: {sorted(unknown)}")
-        if not self.classes and self.rate > 0.0:
-            raise ValueError("a positive fault rate needs at least one class")
-        if self.max_faults is not None and self.max_faults < 0:
-            raise ValueError("max_faults must be non-negative")
+        _check_spec(self, SHARD_FAULT_CLASSES, "shard fault classes")
 
 
-class ShardFaultSchedule:
+class ShardFaultSchedule(_Stream):
     """Seeded per-(shard, attempt) fault decisions.
 
     ``draw(shard_index, attempt)`` is a pure function of the spec and its
@@ -216,55 +232,17 @@ class ShardFaultSchedule:
     replayed run reproduces the exact fault history.
     """
 
-    def __init__(self, spec: ShardFaultSpec) -> None:
-        self.spec = spec
-        self.injected = 0
-        self.by_class: Dict[str, int] = {}
-
     def draw(self, shard_index: int, attempt: int) -> Optional[str]:
         """Fault class for this shard attempt, or ``None``."""
-        if self.spec.rate <= 0.0:
+        if self._spent():
             return None
-        if (
-            self.spec.max_faults is not None
-            and self.injected >= self.spec.max_faults
-        ):
-            return None
-        rng = np.random.default_rng(
-            (self.spec.seed, 0x5AD5, shard_index, attempt)
+        return self._decide(
+            np.random.default_rng((self.spec.seed, 0x5AD5, shard_index, attempt))
         )
-        hit = rng.random() < self.spec.rate
-        which = int(rng.integers(len(self.spec.classes)))
-        if not hit:
-            return None
-        fault = self.spec.classes[which]
-        self.injected += 1
-        self.by_class[fault] = self.by_class.get(fault, 0) + 1
-        return fault
 
 
-@dataclass
-class InjectionLog:
-    """What the injector actually did, for accounting and debugging."""
-
-    injected: int = 0
-    by_class: Dict[str, int] = field(default_factory=dict)
-    poisoned_buffers: int = 0
-
-    def record(self, fault: str) -> None:
-        """Count one injected fault of class ``fault``."""
-        self.injected += 1
-        self.by_class[fault] = self.by_class.get(fault, 0) + 1
-
-
-class FaultInjector:
+class FaultInjector(InstanceWrapper):
     """Wrap an engine instance; inject scheduled faults into its launches.
-
-    Every attribute not intercepted here delegates to the wrapped
-    instance, so a ``FaultInjector`` drops into any code path that takes
-    a :class:`~repro.beagle.instance.BeagleInstance` — including
-    :func:`repro.core.planner.execute_plan` and
-    :class:`~repro.exec.resilient.ResilientInstance`.
 
     Parameters
     ----------
@@ -283,67 +261,32 @@ class FaultInjector:
         *,
         schedule: Optional[FaultSchedule] = None,
     ) -> None:
-        self._inner = inner
+        super().__init__(inner)
         self.schedule = schedule or FaultSchedule(spec or FaultSpec())
-        self.log = InjectionLog()
         self._launch_counter = 0
 
-    # -- delegation ----------------------------------------------------
-    def __getattr__(self, name: str):
-        return getattr(self._inner, name)
-
-    @property
-    def inner(self):
-        """The wrapped instance."""
-        return self._inner
-
-    # -- intercepted launch surface ------------------------------------
     def update_partials_set(self, operations) -> None:
-        """One batched launch attempt, with scheduled fault injection."""
+        """One launch attempt, with scheduled fault injection.
+
+        A launch of more than one operation counts as batched for
+        :attr:`FaultSpec.batched_only`.
+        """
         ops = list(operations)
         if not ops:
             return
-        self._attempt(ops, batched=len(ops) > 1)
-
-    def update_partials_serial(self, operations) -> None:
-        """Per-operation launches: one fault decision per operation."""
-        for op in operations:
-            self._attempt([op], batched=False)
-
-    # -- mechanics -----------------------------------------------------
-    def _attempt(self, ops, *, batched: bool) -> None:
         index = self._launch_counter
         self._launch_counter += 1
-        fault = self.schedule.draw(batched=batched)
-        if fault is not None:
-            self.log.record(fault)
+        fault = self.schedule.draw(batched=len(ops) > 1)
         if fault in RAISED_BEFORE_EXECUTION:
-            self._raise(fault, index, len(ops))
-        if batched:
-            self._inner.update_partials_set(ops)
-        else:
-            self._inner.update_partials_serial(ops)
+            error, what = _RAISED[fault]
+            raise error(
+                f"injected {what} (launch {index})",
+                launch_index=index,
+                n_operations=len(ops),
+            )
+        self._inner.update_partials_set(ops)
         if fault in ("nan", "underflow"):
             self._poison(fault, ops)
-
-    def _raise(self, fault: str, index: int, n_ops: int) -> None:
-        if fault == "launch":
-            raise KernelLaunchError(
-                f"injected kernel-launch failure (launch {index})",
-                launch_index=index,
-                n_operations=n_ops,
-            )
-        if fault == "transient":
-            raise TransientDeviceError(
-                f"injected transient device error (launch {index})",
-                launch_index=index,
-                n_operations=n_ops,
-            )
-        raise AllocationError(
-            f"injected device allocation failure (launch {index})",
-            launch_index=index,
-            n_operations=n_ops,
-        )
 
     def _poison(self, fault: str, ops) -> None:
         """Corrupt one destination buffer of a completed launch."""
@@ -357,17 +300,9 @@ class FaultInjector:
             buffer[0, ...] = np.nan
         else:
             buffer *= underflow_poison_factor(buffer.dtype)
-        self.log.poisoned_buffers += 1
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        s = self.schedule.spec
-        return (
-            f"<FaultInjector rate={s.rate} seed={s.seed} "
-            f"injected={self.log.injected} around {self._inner!r}>"
-        )
 
 
-class BiasInjector:
+class BiasInjector(InstanceWrapper):
     """Silently corrupting engine wrapper: finite, plausible, wrong.
 
     After every successful launch the destination partials are scaled by
@@ -386,38 +321,13 @@ class BiasInjector:
     def __init__(self, inner, factor: float = 1.05) -> None:
         if not factor > 0.0:
             raise ValueError("bias factor must be positive")
-        self._inner = inner
+        super().__init__(inner)
         self.factor = float(factor)
-        self.corrupted_launches = 0
 
-    # -- delegation ----------------------------------------------------
-    def __getattr__(self, name: str):
-        return getattr(self._inner, name)
-
-    @property
-    def inner(self):
-        """The wrapped instance."""
-        return self._inner
-
-    # -- intercepted launch surface ------------------------------------
     def update_partials_set(self, operations) -> None:
-        """Forward a batched launch, then corrupt the destinations."""
+        """Forward a launch, then corrupt its destinations."""
         ops = list(operations)
         self._inner.update_partials_set(ops)
-        self._corrupt(ops)
-
-    def update_partials_serial(self, operations) -> None:
-        """Forward per-operation launches, then corrupt the destinations."""
-        ops = list(operations)
-        self._inner.update_partials_serial(ops)
-        self._corrupt(ops)
-
-    def _corrupt(self, ops) -> None:
         tip_count = self._inner.tip_count
         for op in ops:
             self._inner._partials[op.destination - tip_count] *= self.factor
-        if ops:
-            self.corrupted_launches += 1
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<BiasInjector factor={self.factor} around {self._inner!r}>"

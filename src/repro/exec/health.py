@@ -33,13 +33,13 @@ import math
 import time
 from typing import Callable, List, Optional, Tuple
 
+from ..beagle.instance import InstanceWrapper
 from ..obs import get_recorder
 from .errors import DeadlineExceeded
 
 __all__ = [
     "Deadline",
     "DeadlineGuard",
-    "BreakerOpenError",
     "CircuitBreaker",
     "CLOSED",
     "OPEN",
@@ -105,7 +105,7 @@ class Deadline:
         return f"<Deadline {self.seconds!r}s elapsed={self.elapsed:.3f}s>"
 
 
-class DeadlineGuard:
+class DeadlineGuard(InstanceWrapper):
     """Wrap an engine's launch surface with a deadline check per launch.
 
     Sits *inside* a :class:`~repro.exec.resilient.ResilientInstance` (the
@@ -120,31 +120,13 @@ class DeadlineGuard:
     """
 
     def __init__(self, inner, deadline: Deadline) -> None:
-        self._inner = inner
+        super().__init__(inner)
         self.deadline = deadline
 
-    # -- delegation ----------------------------------------------------
-    def __getattr__(self, name: str):
-        return getattr(self._inner, name)
-
-    @property
-    def inner(self):
-        """The wrapped instance."""
-        return self._inner
-
-    # -- intercepted launch surface ------------------------------------
     def update_partials_set(self, operations) -> None:
-        """Forward one batched launch after checking the deadline."""
+        """Forward one launch after checking the deadline."""
         self.deadline.check("launch")
         self._inner.update_partials_set(operations)
-
-    def update_partials_serial(self, operations) -> None:
-        """Forward per-operation launches after checking the deadline."""
-        self.deadline.check("launch")
-        self._inner.update_partials_serial(operations)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<DeadlineGuard {self.deadline!r} around {self._inner!r}>"
 
 
 #: Circuit-breaker states.
@@ -152,10 +134,6 @@ CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half-open"
 EVICTED = "evicted"
-
-
-class BreakerOpenError(RuntimeError):
-    """A job was offered to a worker whose circuit is not accepting work."""
 
 
 class CircuitBreaker:
@@ -197,8 +175,6 @@ class CircuitBreaker:
         self._state = CLOSED
         self._opened_at = 0.0
         self.consecutive_failures = 0
-        self.failures = 0
-        self.successes = 0
         self.times_opened = 0
         #: Every state change as ``(from, to)`` pairs, in order. The
         #: half-open probe *outcome* (``half-open → closed`` or
@@ -256,7 +232,6 @@ class CircuitBreaker:
         """A job (or probe) succeeded on this worker."""
         if self._state == EVICTED:
             return
-        self.successes += 1
         self.consecutive_failures = 0
         if self._state in (OPEN, HALF_OPEN):
             self._set_state(CLOSED)
@@ -265,7 +240,6 @@ class CircuitBreaker:
         """A job (or probe) failed on this worker."""
         if self._state == EVICTED:
             return
-        self.failures += 1
         self.consecutive_failures += 1
         if self.state == HALF_OPEN:
             # The one post-cooldown probe failed: the device is gone.

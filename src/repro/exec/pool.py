@@ -3,10 +3,10 @@
 :class:`LikelihoodPool` owns N :class:`~repro.exec.supervisor.PoolWorker`
 slots and dispatches *independent* likelihood jobs — bootstrap
 replicates, partitions, candidate trees — through a bounded work queue.
-Each worker wraps its jobs in the full resilient stack
-(``ResilientInstance(DeadlineGuard(FaultInjector(BiasInjector(engine))))``),
-carries a per-worker circuit breaker, and is health-checked against a
-known-answer :class:`~repro.exec.health.Sentinel`.
+Each worker runs its jobs through the resilient stack that
+:func:`~repro.exec.stack.build_stack` composes, carries a per-worker
+circuit breaker, and is health-checked against a known-answer
+:class:`~repro.exec.health.Sentinel`.
 
 Dispatch semantics
 ------------------
@@ -38,16 +38,10 @@ Every job submitted is accounted for in exactly one of ``completed``,
 worker failure order, because recovery recomputes wholesale and rescue
 re-runs land on clean workers.
 
-Ledger identities (checked by :meth:`PoolStats.imbalances`)::
-
-    offered  == completed + shed + surfaced
-    failures == rerouted + surfaced_failures
-    errors   == failures + probe_errors      (worker-stack errors)
-
-The third identity assumes jobs evaluate through their
-:class:`JobContext` (as every built-in wiring does); a job function that
-raises a typed error without touching its worker cannot be attributed to
-a worker stack.
+:class:`PoolStats` declares the ledger identities. The worker-error one
+assumes jobs evaluate through their :class:`JobContext` (as every
+built-in wiring does); a job function that raises a typed error without
+touching its worker cannot be attributed to a worker stack.
 
 Executors
 ---------
@@ -65,7 +59,7 @@ import queue as queue_module
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (
     Any,
     Callable,
@@ -88,6 +82,7 @@ from .errors import (
 )
 from .faults import FaultSpec
 from .health import Deadline, Sentinel
+from .ledger import Identity, Ledger, total
 from .resilient import FaultStats, RetryPolicy
 from .supervisor import MakeCase, PoolWorker, Supervisor
 
@@ -136,11 +131,6 @@ class JobContext:
         """Build a fresh case via ``make_case`` and execute it."""
         return self.worker.execute(make_case, self.deadline)
 
-    def check_deadline(self) -> None:
-        """Cooperative deadline check for job-side work between launches."""
-        if self.deadline is not None:
-            self.deadline.check("job")
-
 
 @dataclass
 class Job:
@@ -183,8 +173,12 @@ class JobOutcome:
 
 
 @dataclass
-class PoolStats:
+class PoolStats(Ledger):
     """Aggregate pool ledger: job accounting plus merged worker faults.
+
+    Its identities are declared in ``IDENTITIES``;
+    :class:`~repro.exec.ledger.Ledger` derives :meth:`imbalances`,
+    :meth:`explain` and the exported gauges.
 
     Attributes
     ----------
@@ -228,64 +222,34 @@ class PoolStats:
     evicted: Tuple[int, ...] = ()
     faults: FaultStats = field(default_factory=FaultStats)
 
-    def imbalances(self) -> List[str]:
-        """Violated ledger identities (empty means the ledger closes)."""
-        problems: List[str] = []
-        if self.offered != self.completed + self.shed + self.surfaced:
-            problems.append(
-                f"offered={self.offered} != completed={self.completed} "
-                f"+ shed={self.shed} + surfaced={self.surfaced}"
-            )
-        if self.failures != self.rerouted + self.surfaced_failures:
-            problems.append(
-                f"failures={self.failures} != rerouted={self.rerouted} "
-                f"+ surfaced_failures={self.surfaced_failures}"
-            )
-        if self.faults.errors != self.failures + self.probe_errors:
-            problems.append(
-                f"worker errors={self.faults.errors} != "
-                f"failures={self.failures} + probe_errors={self.probe_errors}"
-            )
-        return problems
+    IDENTITIES = (
+        Identity(
+            "offered == completed + shed + surfaced",
+            total("offered"),
+            total("completed", "shed", "surfaced"),
+            "every submitted job reaches exactly one terminal outcome",
+        ),
+        Identity(
+            "failures == rerouted + surfaced_failures",
+            total("failures"),
+            total("rerouted", "surfaced_failures"),
+            "every worker failure is rerouted or surfaced, never lost",
+        ),
+        Identity(
+            "worker errors == failures + probe_errors",
+            lambda stats: stats.faults.errors,
+            total("failures", "probe_errors"),
+            "every worker-stack error is attributed to a job or a probe",
+        ),
+    )
 
-    def balances(self) -> bool:
-        """Does every ledger identity close?"""
-        return not self.imbalances()
-
-    def explain(self) -> str:
-        """Account for every ledger identity with its current numbers.
-
-        One line per identity, each marked ``ok`` or ``VIOLATED``, with
-        the invariant it protects spelled out. The observability export
-        (:func:`repro.obs.record_pool_stats`) asserts the same
-        identities as the ``repro_pool_ledger_imbalances`` gauge, so a
-        drifting ledger is visible both here and on a dashboard.
-        """
-        checks = [
-            (
-                "offered == completed + shed + surfaced",
-                self.offered,
-                self.completed + self.shed + self.surfaced,
-                "every submitted job reaches exactly one terminal outcome",
-            ),
-            (
-                "failures == rerouted + surfaced_failures",
-                self.failures,
-                self.rerouted + self.surfaced_failures,
-                "every worker failure is rerouted or surfaced, never lost",
-            ),
-            (
-                "worker errors == failures + probe_errors",
-                self.faults.errors,
-                self.failures + self.probe_errors,
-                "every worker-stack error is attributed to a job or a probe",
-            ),
-        ]
-        lines = []
-        for identity, lhs, rhs, meaning in checks:
-            mark = "ok" if lhs == rhs else "VIOLATED"
-            lines.append(f"[{mark}] {identity} ({lhs} vs {rhs}): {meaning}")
-        return "\n".join(lines)
+    def gauges(self) -> Dict[str, int]:
+        """The counters, then the evicted-worker and worker-error counts."""
+        return {
+            **super().gauges(),
+            "evicted_workers": len(self.evicted),
+            "worker_errors": self.faults.errors,
+        }
 
     def format(self) -> str:
         """One-line summary for logs and ``synthetictest`` output."""
@@ -418,16 +382,9 @@ class LikelihoodPool:
         self._next_index = 0
         self._rr = 0
         self._fatal: Optional[BaseException] = None
-        # Cumulative ledger counters (across drains).
-        self._offered = 0
-        self._rejected = 0
-        self._completed = 0
-        self._shed_expired = 0
-        self._surfaced = 0
-        self._surfaced_failures = 0
-        self._failures = 0
-        self._rerouted = 0
-        self._rescued = 0
+        # Cumulative job accounting (across drains); stats() adds the
+        # supervisor's probe counts and the workers' fault ledgers.
+        self._ledger = PoolStats(workers=n_workers)
 
     # -- submission ----------------------------------------------------
     @property
@@ -445,12 +402,13 @@ class LikelihoodPool:
         """Queue one job; returns its index. Raises
         :class:`~repro.exec.errors.PoolSaturatedError` when the queue is
         full. The job's deadline starts *now* — queue wait counts."""
-        self._offered += 1
+        self._ledger.offered += 1
         if (
             self.max_pending is not None
             and len(self._pending) >= self.max_pending
         ):
-            self._rejected += 1
+            self._ledger.rejected += 1
+            self._ledger.shed += 1
             get_recorder().count("repro_pool_shed_total")
             raise PoolSaturatedError(
                 f"pool queue full ({self.max_pending} pending); "
@@ -485,9 +443,7 @@ class LikelihoodPool:
     ) -> int:
         """Queue a job that evaluates one ``(instance, plan)`` case."""
         return self.submit(
-            lambda ctx: ctx.evaluate(make_case),
-            label=label,
-            deadline_s=deadline_s,
+            self._case_fn(make_case), label=label, deadline_s=deadline_s
         )
 
     # -- draining ------------------------------------------------------
@@ -602,11 +558,7 @@ class LikelihoodPool:
                 self._surface_unplaced(job, outcomes)
                 continue
             status, payload = self._attempt(job, worker)
-            if status == OK:
-                self._complete(job, worker, payload, outcomes)
-            elif status == "fatal":
-                self._surface_fatal(job, outcomes, payload)
-            elif self._after_failure(job, worker, payload, outcomes):
+            if self._settle(job, worker, status, payload, outcomes):
                 pending.append(job)
 
     def _select_inline(self, job: Job) -> Optional[PoolWorker]:
@@ -716,13 +668,7 @@ class LikelihoodPool:
                 continue
             status, payload = self._attempt(job, worker)
             with self._lock:
-                if status == OK:
-                    self._complete(job, worker, payload, outcomes)
-                    state["remaining"] -= 1
-                elif status == "fatal":
-                    self._surface_fatal(job, outcomes, payload)
-                    state["remaining"] -= 1
-                elif self._after_failure(job, worker, payload, outcomes):
+                if self._settle(job, worker, status, payload, outcomes):
                     work.put(job)
                 else:
                     state["remaining"] -= 1
@@ -738,17 +684,7 @@ class LikelihoodPool:
         ``(status, payload)`` pair; ``payload`` is the value or error."""
         job.attempts += 1
         context = JobContext(worker=worker, deadline=job.deadline)
-        obs = get_recorder()
-        if not obs.enabled:
-            try:
-                return OK, job.fn(context)
-            except ExecutionError as exc:
-                job.last_error = exc
-                return "error", exc
-            except Exception as exc:  # noqa: BLE001 - programmer error
-                job.last_error = exc
-                return "fatal", exc
-        with obs.span(
+        with get_recorder().span(
             "pool.job",
             category="pool",
             label=job.label,
@@ -767,6 +703,25 @@ class LikelihoodPool:
                 return "fatal", exc
             span.set_attribute("outcome", OK)
             return OK, value
+
+    def _settle(
+        self,
+        job: Job,
+        worker: PoolWorker,
+        status: str,
+        payload: Any,
+        outcomes: Dict[int, JobOutcome],
+    ) -> bool:
+        """Book an attempt's result; True when the job should be requeued."""
+        if status == OK:
+            self._complete(job, worker, payload, outcomes)
+        elif status == "fatal":
+            self._close(job, outcomes, SURFACED, "fatal", payload)
+            if self._fatal is None:
+                self._fatal = payload
+        else:
+            return self._after_failure(job, worker, payload, outcomes)
+        return False
 
     def _complete(
         self,
@@ -795,18 +750,18 @@ class LikelihoodPool:
     ) -> bool:
         """Failure bookkeeping; True when the job should be requeued."""
         self.supervisor.record_failure(worker)
-        self._failures += 1
+        self._ledger.failures += 1
         job.tried.add(worker.id)
         if isinstance(exc, DeadlineExceeded):
             # The budget is spent; a reroute would start from zero time.
             get_recorder().count("repro_pool_deadline_exceeded_total")
-            self._surface_failure(job, outcomes, exc)
+            self._close(job, outcomes, SURFACED, "failure", exc)
             return False
         if self._eligible(job):
-            self._rerouted += 1
+            self._ledger.rerouted += 1
             get_recorder().count("repro_pool_reroutes_total")
             return True
-        self._surface_failure(job, outcomes, exc)
+        self._close(job, outcomes, SURFACED, "failure", exc)
         return False
 
     def _eligible(self, job: Job) -> List[PoolWorker]:
@@ -826,26 +781,7 @@ class LikelihoodPool:
             budget_s=job.budget_s,
             elapsed_s=job.deadline.elapsed,
         )
-        outcomes[job.index] = JobOutcome(
-            index=job.index,
-            label=job.label,
-            status=SHED,
-            error=error,
-            attempts=job.attempts,
-            cause="expired",
-        )
-
-    def _surface_failure(
-        self, job: Job, outcomes: Dict[int, JobOutcome], exc: ExecutionError
-    ) -> None:
-        outcomes[job.index] = JobOutcome(
-            index=job.index,
-            label=job.label,
-            status=SURFACED,
-            error=exc,
-            attempts=job.attempts,
-            cause="failure",
-        )
+        self._close(job, outcomes, SHED, "expired", error)
 
     def _surface_unplaced(
         self, job: Job, outcomes: Dict[int, JobOutcome]
@@ -853,30 +789,28 @@ class LikelihoodPool:
         detail = (
             f" (last error: {job.last_error})" if job.last_error else ""
         )
-        outcomes[job.index] = JobOutcome(
-            index=job.index,
-            label=job.label,
-            status=SURFACED,
-            error=NoHealthyWorkersError(
-                f"no healthy worker left for {job.label}{detail}"
-            ),
-            attempts=job.attempts,
-            cause="unplaced",
+        error = NoHealthyWorkersError(
+            f"no healthy worker left for {job.label}{detail}"
         )
+        self._close(job, outcomes, SURFACED, "unplaced", error)
 
-    def _surface_fatal(
-        self, job: Job, outcomes: Dict[int, JobOutcome], exc: BaseException
+    @staticmethod
+    def _close(
+        job: Job,
+        outcomes: Dict[int, JobOutcome],
+        status: str,
+        cause: str,
+        error: BaseException,
     ) -> None:
+        """Record ``job``'s terminal outcome other than ok."""
         outcomes[job.index] = JobOutcome(
             index=job.index,
             label=job.label,
-            status=SURFACED,
-            error=exc,
+            status=status,
+            error=error,
             attempts=job.attempts,
-            cause="fatal",
+            cause=cause,
         )
-        if self._fatal is None:
-            self._fatal = exc
 
     # -- final audit ---------------------------------------------------
     def _final_audit(
@@ -932,7 +866,7 @@ class LikelihoodPool:
 
     def _rescue(self, job: Job, outcomes: Dict[int, JobOutcome]) -> None:
         """Re-run a job whose worker turned out to be corrupt."""
-        self._rescued += 1
+        self._ledger.rescued += 1
         get_recorder().count("repro_pool_rescued_total")
         job.tried = set()  # earlier failures were transient; start fresh
         job.last_error = None
@@ -948,13 +882,13 @@ class LikelihoodPool:
     def _tally(self, outcomes: List[JobOutcome]) -> None:
         for outcome in outcomes:
             if outcome.status == OK:
-                self._completed += 1
+                self._ledger.completed += 1
             elif outcome.status == SHED:
-                self._shed_expired += 1
+                self._ledger.shed += 1
             else:
-                self._surfaced += 1
+                self._ledger.surfaced += 1
                 if outcome.cause == "failure":
-                    self._surfaced_failures += 1
+                    self._ledger.surfaced_failures += 1
 
     @property
     def sanitizer_clean(self) -> bool:
@@ -975,23 +909,14 @@ class LikelihoodPool:
         """Snapshot of the aggregate ledger (see :class:`PoolStats`)."""
         faults = FaultStats()
         for worker in self.workers:
-            worker.sync_injected()
             faults.merge(worker.stats)
-        faults.rerouted = self._rerouted
-        faults.shed = self._rejected + self._shed_expired
-        faults.surfaced = self._surfaced
-        faults.rescued += self._rescued
-        return PoolStats(
-            workers=len(self.workers),
-            offered=self._offered,
-            rejected=self._rejected,
-            completed=self._completed,
-            shed=self._rejected + self._shed_expired,
-            surfaced=self._surfaced,
-            surfaced_failures=self._surfaced_failures,
-            failures=self._failures,
-            rerouted=self._rerouted,
-            rescued=self._rescued,
+        ledger = self._ledger
+        faults.rerouted = ledger.rerouted
+        faults.shed = ledger.shed
+        faults.surfaced = ledger.surfaced
+        faults.rescued += ledger.rescued
+        return replace(
+            ledger,
             probes=self.supervisor.probes,
             probe_failures=self.supervisor.probe_failures,
             probe_errors=self.supervisor.probe_errors,

@@ -34,11 +34,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..beagle.instance import InstanceWrapper
 from ..beagle.operations import Operation
 from ..beagle.setexec import block_ops
 from ..obs import get_recorder
@@ -50,7 +51,7 @@ from .errors import (
     NumericalError,
     TransientDeviceError,
 )
-from .faults import FaultInjector
+from .faults import FaultInjector, FaultSchedule
 
 __all__ = ["seeded_jitter", "RetryPolicy", "FaultStats", "ResilientInstance"]
 
@@ -205,45 +206,33 @@ class FaultStats:
     injected_by_class: Dict[str, int] = field(default_factory=dict)
     detected_by_class: Dict[str, int] = field(default_factory=dict)
 
-    def note(self, exc: ExecutionError) -> None:
+    def note(self, label: str) -> None:
         """Record one detected fault under its class label."""
         self.detected += 1
-        label = _class_label(exc)
         self.detected_by_class[label] = self.detected_by_class.get(label, 0) + 1
 
     def merge(self, other: "FaultStats") -> None:
         """Fold another ledger into this one (pool aggregation)."""
-        self.injected += other.injected
-        self.detected += other.detected
-        self.retried += other.retried
-        self.degraded += other.degraded
-        self.rescued += other.rescued
-        self.errors += other.errors
-        self.rerouted += other.rerouted
-        self.shed += other.shed
-        self.surfaced += other.surfaced
-        for label, count in other.injected_by_class.items():
-            self.injected_by_class[label] = (
-                self.injected_by_class.get(label, 0) + count
-            )
-        for label, count in other.detected_by_class.items():
-            self.detected_by_class[label] = (
-                self.detected_by_class.get(label, 0) + count
-            )
+        for f in fields(self):
+            mine = getattr(self, f.name)
+            if isinstance(mine, dict):
+                for label, count in getattr(other, f.name).items():
+                    mine[label] = mine.get(label, 0) + count
+            else:
+                setattr(self, f.name, mine + getattr(other, f.name))
 
     def reset(self) -> None:
         """Zero every counter."""
-        self.injected = 0
-        self.detected = 0
-        self.retried = 0
-        self.degraded = 0
-        self.rescued = 0
-        self.errors = 0
-        self.rerouted = 0
-        self.shed = 0
-        self.surfaced = 0
-        self.injected_by_class = {}
-        self.detected_by_class = {}
+        fresh = FaultStats()
+        for f in fields(self):
+            setattr(self, f.name, getattr(fresh, f.name))
+
+    def count_injected(self, schedule: Optional[FaultSchedule]) -> None:
+        """Take ``injected`` from the fault stream that drew the faults,
+        the one place injected faults are counted."""
+        if schedule is not None:
+            self.injected = schedule.injected
+            self.injected_by_class = dict(schedule.by_class)
 
     def format(self) -> str:
         """One-line summary for logs and the ``synthetictest`` output."""
@@ -260,18 +249,19 @@ class FaultStats:
         return line
 
 
+#: Detected-fault labels by error type, most specific first.
+_LABELS = (
+    (KernelLaunchError, "launch"),
+    (TransientDeviceError, "transient"),
+    (DeviceFault, "device"),
+    (AllocationError, "alloc"),
+)
+
+
 def _class_label(exc: ExecutionError) -> str:
-    if isinstance(exc, KernelLaunchError):
-        return "launch"
-    if isinstance(exc, TransientDeviceError):
-        return "transient"
-    if isinstance(exc, DeviceFault):
-        return "device"
-    if isinstance(exc, AllocationError):
-        return "alloc"
     if isinstance(exc, NumericalError):
         return exc.kind
-    return "other"
+    return next((label for t, label in _LABELS if isinstance(exc, t)), "other")
 
 
 def _default_threshold(dtype: np.dtype) -> float:
@@ -280,7 +270,7 @@ def _default_threshold(dtype: np.dtype) -> float:
     return 1e-220
 
 
-class ResilientInstance:
+class ResilientInstance(InstanceWrapper):
     """Retry/degrade/rescue wrapper around an engine instance.
 
     Parameters
@@ -316,7 +306,7 @@ class ResilientInstance:
         stats: Optional[FaultStats] = None,
         backoff_key: int = 0,
     ) -> None:
-        self._inner = inner
+        super().__init__(inner)
         self.policy = policy or RetryPolicy()
         self._sleep = sleep or time.sleep
         self._stats = stats if stats is not None else FaultStats()
@@ -331,28 +321,12 @@ class ResilientInstance:
             else _default_threshold(inner.dtype)
         )
 
-    # -- delegation ----------------------------------------------------
-    def __getattr__(self, name: str):
-        return getattr(self._inner, name)
-
-    @property
-    def inner(self):
-        """The wrapped instance (injector or bare engine)."""
-        return self._inner
-
     @property
     def fault_stats(self) -> FaultStats:
-        """Resilience counters, with injector counts synchronised in."""
-        injector = self._injector()
-        if injector is not None:
-            self._stats.injected = injector.log.injected
-            self._stats.injected_by_class = dict(injector.log.by_class)
-        return self._stats
-
-    def _injector(self) -> Optional[FaultInjector]:
+        """Resilience counters, with a wrapped injector's counts taken in."""
         if isinstance(self._inner, FaultInjector):
-            return self._inner
-        return None
+            self._stats.count_injected(self._inner.schedule)
+        return self._stats
 
     # -- launch surface ------------------------------------------------
     def update_partials_set(self, operations) -> None:
@@ -361,50 +335,42 @@ class ResilientInstance:
         if not ops:
             return
         try:
-            self._launch(ops, batched=True)
-        except ExecutionError:
-            if not self._in_execute:
-                self._stats.errors += 1
-            raise
-
-    def update_partials_serial(self, operations) -> None:
-        """Per-operation launches, each with its own retry budget."""
-        try:
-            for op in operations:
-                self._launch([op], batched=False)
+            self._launch(ops)
         except ExecutionError:
             if not self._in_execute:
                 self._stats.errors += 1
             raise
 
     # -- recovery pipeline ---------------------------------------------
-    def _launch(self, ops: List[Operation], *, batched: bool) -> None:
+    def _launch(self, ops: List[Operation]) -> None:
         try:
-            self._launch_with_retries(ops, batched=batched)
+            self._launch_with_retries(ops)
         except ExecutionError as exc:
             if not exc.retryable:
                 # A spent deadline (or other terminal condition) cannot
                 # be cured by degradation — propagate immediately.
                 raise
-            if not (batched and self.policy.degrade and len(ops) > 1):
+            if not (self.policy.degrade and len(ops) > 1):
                 raise
-            # Graceful degradation: the batched path keeps faulting, so
+            # Graceful degradation: the batched launch keeps faulting, so
             # run the set one operation per launch (§VII-C's baseline
             # mode), each with a fresh retry budget.
             self._stats.degraded += 1
             get_recorder().count("repro_degraded_sets_total")
             for op in ops:
-                self._launch([op], batched=False)
+                self._launch_with_retries([op])
 
-    def _launch_with_retries(self, ops: List[Operation], *, batched: bool) -> None:
+    def _launch_with_retries(self, ops: List[Operation]) -> None:
         failures = 0
         underflows = 0
         while True:
             try:
-                self._attempt(ops, batched=batched)
+                self._inner.update_partials_set(ops)
+                if self.policy.verify:
+                    self._verify_destinations(ops)
                 return
             except (DeviceFault, AllocationError, NumericalError) as exc:
-                self._stats.note(exc)
+                self._stats.note(_class_label(exc))
                 failures += 1
                 if isinstance(exc, NumericalError) and exc.kind == "underflow":
                     underflows += 1
@@ -422,14 +388,6 @@ class ResilientInstance:
                 )
                 if delay > 0.0:
                     self._sleep(delay)
-
-    def _attempt(self, ops: List[Operation], *, batched: bool) -> None:
-        if batched:
-            self._inner.update_partials_set(ops)
-        else:
-            self._inner.update_partials_serial(ops)
-        if self.policy.verify:
-            self._verify_destinations(ops)
 
     def _verify_destinations(self, ops: List[Operation]) -> None:
         """Detect NaN/Inf poisoning and underflow in fresh destinations."""
@@ -487,41 +445,29 @@ class ResilientInstance:
     def _execute_guarded(self, plan, update_matrices: bool) -> float:
         from ..core.planner import execute_plan
 
-        try:
-            ll = execute_plan(self, plan, update_matrices=update_matrices)
-        except NumericalError as exc:
-            if not self._escalatable(exc, plan):
+        for attempt in range(2):
+            try:
+                ll = execute_plan(self, plan, update_matrices=update_matrices)
+            except NumericalError as exc:
+                if not self._escalatable(exc, plan):
+                    self._stats.errors += 1
+                    raise
+                return self._rescue(plan, update_matrices)
+            except ExecutionError:
+                # Retry/degradation exhausted on a device fault: it
+                # surfaces to the caller, counted exactly once.
                 self._stats.errors += 1
                 raise
-            return self._rescue(plan, update_matrices)
-        except ExecutionError:
-            # Retry/degradation exhausted on a device fault: it surfaces
-            # to the caller, counted exactly once.
-            self._stats.errors += 1
-            raise
-        if not self._suspicious(ll, plan):
-            return ll
-        # Root-level detection (covers verify=False and silent poisoning
-        # of the root buffer): one clean recomputation first — injected
-        # corruption clears, genuine underflow recurs.
-        self._stats.detected += 1
-        self._stats.detected_by_class["underflow"] = (
-            self._stats.detected_by_class.get("underflow", 0) + 1
-        )
-        self._stats.retried += 1
-        get_recorder().count("repro_retry_attempts_total")
-        try:
-            ll = execute_plan(self, plan, update_matrices=update_matrices)
-        except NumericalError as exc:
-            if not self._escalatable(exc, plan):
-                self._stats.errors += 1
-                raise
-            return self._rescue(plan, update_matrices)
-        except ExecutionError:
-            self._stats.errors += 1
-            raise
-        if not self._suspicious(ll, plan):
-            return ll
+            if not self._suspicious(ll, plan):
+                return ll
+            if attempt == 0:
+                # Root-level detection (covers verify=False and silent
+                # poisoning of the root buffer): one clean recomputation
+                # first — injected corruption clears, genuine underflow
+                # recurs.
+                self._stats.note("underflow")
+                self._stats.retried += 1
+                get_recorder().count("repro_retry_attempts_total")
         if plan.scaling or not self.policy.rescale:
             self._stats.errors += 1
             raise NumericalError(
@@ -570,10 +516,3 @@ class ResilientInstance:
         get_recorder().count("repro_rescues_total")
         self._escalations[id(plan)] = (plan, scaled)
         return ll
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<ResilientInstance retries={self.policy.max_retries} "
-            f"degrade={self.policy.degrade} rescale={self.policy.rescale} "
-            f"around {self._inner!r}>"
-        )

@@ -54,7 +54,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -66,6 +66,7 @@ from ..trees.newick import write_newick
 from .checkpoint import NEWICK_PRECISION, ShardCheckpoint
 from .errors import DeadlineExceeded, ExecutionError
 from .faults import ShardFaultSchedule, ShardFaultSpec
+from .ledger import Identity, Ledger, total
 from .pool import JobContext, JobOutcome, LikelihoodPool
 
 __all__ = [
@@ -264,15 +265,10 @@ class ShardResult:
 
 
 @dataclass
-class ShardLedger:
+class ShardLedger(Ledger):
     """Shard-level accounting: every submission reaches one bucket.
 
-    Identities (checked by :meth:`imbalances`)::
-
-        resumed + computed          == total_shards      (on success)
-        submissions                 == ok + failed + shed
-        ok                          == wins + wasted + faulted + invalidated
-
+    Its identities (``IDENTITIES``) close on a successful run.
     ``recomputed_completed`` counts shards re-executed despite a
     checkpoint already holding their result — it must stay zero, and the
     ``shard-soak`` CI gate fails the run if it does not.
@@ -296,33 +292,26 @@ class ShardLedger:
     injected: Dict[str, int] = field(default_factory=dict)
     recomputed_completed: int = 0
 
-    def record_injection(self, fault: str) -> None:
-        """Count one injected shard-scoped fault."""
-        self.injected[fault] = self.injected.get(fault, 0) + 1
-
-    def imbalances(self) -> List[str]:
-        """Violated ledger identities (empty means the ledger closes)."""
-        problems: List[str] = []
-        if self.resumed + self.computed != self.total_shards:
-            problems.append(
-                f"resumed={self.resumed} + computed={self.computed} "
-                f"!= total_shards={self.total_shards}"
-            )
-        if self.submissions != self.ok + self.failed + self.shed:
-            problems.append(
-                f"submissions={self.submissions} != ok={self.ok} "
-                f"+ failed={self.failed} + shed={self.shed}"
-            )
-        if self.ok != self.wins + self.wasted + self.faulted + self.invalidated:
-            problems.append(
-                f"ok={self.ok} != wins={self.wins} + wasted={self.wasted} "
-                f"+ faulted={self.faulted} + invalidated={self.invalidated}"
-            )
-        return problems
-
-    def balances(self) -> bool:
-        """Does every identity close?"""
-        return not self.imbalances()
+    IDENTITIES = (
+        Identity(
+            "resumed + computed == total_shards",
+            total("resumed", "computed"),
+            total("total_shards"),
+            "every shard is restored from the checkpoint or computed",
+        ),
+        Identity(
+            "submissions == ok + failed + shed",
+            total("submissions"),
+            total("ok", "failed", "shed"),
+            "every shard submission reaches exactly one pool outcome",
+        ),
+        Identity(
+            "ok == wins + wasted + faulted + invalidated",
+            total("ok"),
+            total("wins", "wasted", "faulted", "invalidated"),
+            "every completed attempt is used, superseded, faulted or invalidated",
+        ),
+    )
 
     def format(self) -> str:
         """One-line summary for logs and ``synthetictest`` output."""
@@ -552,6 +541,9 @@ class ShardedLikelihood:
         schedule = (
             ShardFaultSchedule(self.fault_spec) if self.fault_spec else None
         )
+        if schedule is not None:
+            # The ledger reads the stream's counts; they are kept there only.
+            ledger.injected = schedule.by_class
         completed: Dict[int, np.ndarray] = {}
         if self.resume and self.checkpoint_path is not None:
             completed = self._load_resume()
@@ -659,7 +651,7 @@ class ShardedLikelihood:
                         self.straggler_growth ** min(attempt, 8)
                     )
                 job_index = self.pool.submit(
-                    self._job_fn(shard, attempt, scaled, schedule, ledger),
+                    self._job_fn(shard, attempt, scaled, schedule),
                     label=f"shard-{si}/{len(self.shards)}#{attempt}",
                     **kwargs,
                 )
@@ -676,7 +668,6 @@ class ShardedLikelihood:
         attempt: int,
         scaled: bool,
         schedule: Optional[ShardFaultSchedule],
-        ledger: ShardLedger,
     ) -> Callable[[JobContext], ShardResult]:
         tree, model, rates, dtype = (
             self.tree,
@@ -689,8 +680,6 @@ class ShardedLikelihood:
             fault = (
                 schedule.draw(shard.index, attempt) if schedule else None
             )
-            if fault is not None:
-                ledger.record_injection(fault)
             if fault == "shard_lost":
                 # The worker "dies" before producing anything; the shard
                 # layer retries. Returned (not raised) so the pool's own

@@ -2,16 +2,11 @@
 
 A :class:`PoolWorker` is one logical likelihood engine slot: it owns a
 persistent seeded fault stream (so chaos runs replay), an optional
-silent-corruption wrapper, a per-worker :class:`~repro.exec.resilient.FaultStats`
-ledger, a :class:`~repro.exec.health.CircuitBreaker`, and the recipe for
-building the resilient engine stack around each job's instance::
-
-    ResilientInstance( DeadlineGuard( FaultInjector( BiasInjector( engine ))))
-         recovery          budget          chaos          corruption
-
-The ordering matters: the deadline guard sits *inside* the resilient
-facade so every retry re-checks the budget, and the injectors sit inside
-the guard so injected faults are subject to both recovery and deadline.
+silent-corruption factor, an optional shared race detector, a per-worker
+:class:`~repro.exec.resilient.FaultStats` ledger and a
+:class:`~repro.exec.health.CircuitBreaker`. Each job's instance runs
+through the stack :func:`~repro.exec.stack.build_stack` composes from
+those parts, in the one order that module documents.
 
 The :class:`Supervisor` decides, per dispatch, whether a worker may take
 a job — running the sentinel health check when one is due (periodic
@@ -25,10 +20,10 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
-from ..core.planner import execute_plan
-from .faults import BiasInjector, FaultInjector, FaultSchedule, FaultSpec
-from .health import CircuitBreaker, Deadline, DeadlineGuard, Sentinel
-from .resilient import FaultStats, ResilientInstance, RetryPolicy
+from .faults import FaultSchedule, FaultSpec
+from .health import CircuitBreaker, Deadline, Sentinel
+from .resilient import FaultStats, RetryPolicy
+from .stack import build_stack, run_plan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..analysis.sanitizer import RaceDetector
@@ -64,11 +59,8 @@ class PoolWorker:
         Backoff sleeper forwarded to the resilient facade.
     detector:
         Optional shared shadow-state race detector
-        (:class:`~repro.analysis.sanitizer.RaceDetector`). When set,
-        every instance this worker executes is wrapped in a
-        :class:`~repro.analysis.sanitizer.SanitizedInstance` —
-        *innermost* in the stack, so the fault and recovery layers above
-        still drive the recorded engine.
+        (:class:`~repro.analysis.sanitizer.RaceDetector`); when set, the
+        stack records every buffer access of this worker's engines.
     """
 
     def __init__(
@@ -110,22 +102,19 @@ class PoolWorker:
 
     # ------------------------------------------------------------------
     def build_stack(self, instance, deadline: Optional[Deadline] = None):
-        """Compose this worker's engine stack around a fresh instance."""
-        if self.bias is not None:
-            instance = BiasInjector(instance, self.bias)
-        if self.schedule is not None:
-            instance = FaultInjector(instance, schedule=self.schedule)
-        if deadline is not None and deadline.seconds is not None:
-            instance = DeadlineGuard(instance, deadline)
-        if self.policy is not None:
-            instance = ResilientInstance(
-                instance,
-                self.policy,
-                sleep=self._sleep,
-                stats=self.stats,
-                backoff_key=self.id,
-            )
-        return instance
+        """This worker's engine stack around a fresh instance (see
+        :func:`~repro.exec.stack.build_stack`)."""
+        return build_stack(
+            instance,
+            detector=self.detector,
+            bias=self.bias,
+            schedule=self.schedule,
+            deadline=deadline,
+            policy=self.policy,
+            stats=self.stats,
+            sleep=self._sleep,
+            backoff_key=self.id,
+        )
 
     def execute(
         self, make_case: MakeCase, deadline: Optional[Deadline] = None
@@ -138,15 +127,8 @@ class PoolWorker:
         self, instance, plan, deadline: Optional[Deadline] = None
     ) -> float:
         """Run one evaluation through this worker's full engine stack."""
-        if self.detector is not None:
-            from ..analysis.sanitizer import SanitizedInstance
-
-            instance = SanitizedInstance(instance, self.detector)
-        stack = self.build_stack(instance, deadline)
         try:
-            if isinstance(stack, ResilientInstance):
-                return stack.execute(plan)
-            return execute_plan(stack, plan)
+            return run_plan(self.build_stack(instance, deadline), plan)
         except Exception:
             if self.policy is None:
                 # No resilient facade to count the escape — keep the
@@ -154,13 +136,7 @@ class PoolWorker:
                 self.stats.errors += 1
             raise
         finally:
-            self.sync_injected()
-
-    def sync_injected(self) -> None:
-        """Mirror the persistent fault stream's counts into the ledger."""
-        if self.schedule is not None:
-            self.stats.injected = self.schedule.injected
-            self.stats.injected_by_class = dict(self.schedule.by_class)
+            self.stats.count_injected(self.schedule)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -24,8 +24,9 @@ from ..core.planner import ExecutionPlan, create_instance, execute_plan, make_pl
 from ..core.reroot_opt import optimal_reroot_exhaustive, optimal_reroot_fast
 from ..data.alignment import Alignment
 from ..data.patterns import PatternData, compress
-from ..exec.faults import FaultInjector, FaultSpec
+from ..exec.faults import FaultSchedule, FaultSpec
 from ..exec.resilient import FaultStats, ResilientInstance, RetryPolicy
+from ..exec.stack import build_stack, run_plan
 from ..models.ratematrix import SubstitutionModel
 from ..models.siterates import RateCategories
 from ..trees import Tree
@@ -220,21 +221,16 @@ class TreeLikelihood:
         the full ``BeagleInstance`` surface by delegation.
         """
         if self._instance is None:
-            instance = create_instance(
-                self.tree,
-                self.model,
-                self.patterns,
-                rates=self.rates,
-                scaling=self.scaling,
-                dtype=self._dtype,
-            )
+            instance = self.bare_instance()
             if self.matrix_cache is not None:
                 instance.matrix_cache = self.matrix_cache
-            if self.faults is not None:
-                instance = FaultInjector(instance, self.faults)
-            if self.resilience is not None:
-                instance = ResilientInstance(instance, self.resilience)
-            self._instance = instance
+            self._instance = build_stack(
+                instance,
+                schedule=(
+                    FaultSchedule(self.faults) if self.faults is not None else None
+                ),
+                policy=self.resilience,
+            )
         return self._instance
 
     def bare_instance(self) -> BeagleInstance:
@@ -356,11 +352,9 @@ class TreeLikelihood:
             raise RuntimeError(
                 "a proposal is pending; accept() or reject() it first"
             )
-        instance = self.instance
-        if isinstance(instance, ResilientInstance):
-            return instance.execute(self.plan)
-        value = execute_plan(instance, self.plan)
-        self._incremental_ready = True
+        value = run_plan(self.instance, self.plan)
+        if self.resilience is None:
+            self._incremental_ready = True
         return value
 
     # ------------------------------------------------------------------

@@ -364,36 +364,26 @@ def record_pool_stats(stats, registry: Optional[MetricsRegistry] = None) -> None
     Every ledger field becomes a ``repro_pool_*`` gauge, and —
     crucially — the number of violated ledger identities is exported as
     ``repro_pool_ledger_imbalances``: an imbalance stops being a silent
-    internal invariant and becomes an alertable metric. The identities
-    themselves are documented by ``PoolStats.explain()``.
+    internal invariant and becomes an alertable metric. The gauges and
+    identities are the ones the ledger declares
+    (:class:`~repro.exec.ledger.Ledger`).
     """
     registry = registry if registry is not None else get_recorder().metrics
-    fields = {
-        "workers": stats.workers,
-        "offered": stats.offered,
-        "rejected": stats.rejected,
-        "completed": stats.completed,
-        "shed": stats.shed,
-        "surfaced": stats.surfaced,
-        "surfaced_failures": stats.surfaced_failures,
-        "failures": stats.failures,
-        "rerouted": stats.rerouted,
-        "rescued": stats.rescued,
-        "probes": stats.probes,
-        "probe_failures": stats.probe_failures,
-        "probe_errors": stats.probe_errors,
-        "evicted_workers": len(stats.evicted),
-        "worker_errors": stats.faults.errors,
-    }
-    for field, value in fields.items():
+    _record_ledger(stats, "repro_pool", registry)
+
+
+def _record_ledger(ledger, prefix: str, registry: MetricsRegistry) -> None:
+    """One ``<prefix>_<field>`` gauge per counter of ``ledger.gauges()``,
+    and the violated-identity count as ``<prefix>_ledger_imbalances``."""
+    name = type(ledger).__name__
+    for field, value in ledger.gauges().items():
         registry.gauge(
-            f"repro_pool_{field}",
-            f"PoolStats.{field} at the last export",
+            f"{prefix}_{field}", f"{name}.{field} at the last export"
         ).set(value)
     registry.gauge(
-        "repro_pool_ledger_imbalances",
-        "Violated PoolStats ledger identities (0 = ledger closes)",
-    ).set(len(stats.imbalances()))
+        f"{prefix}_ledger_imbalances",
+        f"Violated {name} identities (0 = ledger closes)",
+    ).set(len(ledger.imbalances()))
 
 
 def record_serve_stats(ledger, registry: Optional[MetricsRegistry] = None) -> None:
@@ -406,28 +396,7 @@ def record_serve_stats(ledger, registry: Optional[MetricsRegistry] = None) -> No
     alertable signal, not a silent invariant.
     """
     registry = registry if registry is not None else get_recorder().metrics
-    fields = {
-        "offered": ledger.offered,
-        "rejected": ledger.rejected,
-        "admitted": ledger.admitted,
-        "served": ledger.served,
-        "shed": ledger.shed,
-        "failed": ledger.failed,
-        "queued": ledger.queued,
-        "in_flight": ledger.in_flight,
-        "retried": ledger.retried,
-        "late": ledger.late,
-        "coalesced_launches": ledger.coalesced_launches,
-        "coalesced_requests": ledger.coalesced_requests,
-        "verified": ledger.verified,
-        "verify_failures": ledger.verify_failures,
-        "tenants": len(ledger.tenants),
-    }
-    for field, value in fields.items():
-        registry.gauge(
-            f"repro_serve_{field}",
-            f"ServeLedger.{field} at the last export",
-        ).set(value)
+    _record_ledger(ledger, "repro_serve", registry)
     for reason, count in sorted(ledger.rejected_by_reason.items()):
         registry.gauge(
             "repro_serve_rejected_by_reason",
@@ -440,7 +409,3 @@ def record_serve_stats(ledger, registry: Optional[MetricsRegistry] = None) -> No
             "Server sheds, by typed cause",
             labels={"cause": cause},
         ).set(count)
-    registry.gauge(
-        "repro_serve_ledger_imbalances",
-        "Violated ServeLedger identities (0 = ledger closes)",
-    ).set(len(ledger.imbalances()))

@@ -5,18 +5,14 @@ lands in exactly one terminal bucket — ``served``, ``shed``, ``failed``
 — or is still ``queued``/``in_flight``; submissions refused by admission
 control are ``rejected`` before they are ever queued. The
 :class:`ServeLedger` keeps those counts globally *and* per tenant, and
-its :meth:`ServeLedger.imbalances` checks the identities that make
-"no silent drops" a checkable property instead of a hope (the same
-discipline as :class:`~repro.exec.pool.PoolStats` and the shard ledger
-of PR 7)::
+declares the identities that make "no silent drops" a checkable property
+instead of a hope, as data on a :class:`~repro.exec.ledger.Ledger` (the
+same primitive as :class:`~repro.exec.pool.PoolStats` and the shard
+ledger): each row's submissions are admitted or rejected and each
+admitted request is in exactly one bucket, every rejection and shed has
+a typed reason, and every total is the sum of its tenant rows.
 
-    offered  == admitted + rejected
-    admitted == served + shed + failed + queued + in_flight
-    rejected == sum(rejected_by_reason)
-    shed     == sum(shed_by_cause)
-    <total>  == sum over tenants, for every bucket
-
-After a full drain ``queued == in_flight == 0``, so the second identity
+After a full drain ``queued == in_flight == 0``, so the admitted identity
 collapses to the closed form ``admitted == served + shed + failed``.
 ``retried``, ``late``, ``coalesced_*`` and ``verified`` are informative
 counters outside the identities (a retry is not a terminal outcome; a
@@ -26,7 +22,9 @@ late or verified request is still served).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, Iterable, Tuple
+
+from ..exec.ledger import Identity, Ledger, Side, total
 
 __all__ = ["TenantLedger", "ServeLedger"]
 
@@ -39,6 +37,12 @@ FAILED = "failed"
 SHED_EXPIRED = "expired"  # deadline ran out while queued
 SHED_BROWNOUT = "brownout"  # deadline-ascending overload shed
 
+#: Counters kept both in total and per tenant.
+TENANT_BUCKETS = (
+    "offered", "rejected", "admitted", "served", "shed",
+    "failed", "queued", "in_flight", "retried", "late",
+)
+
 #: Rejection reasons (admission control).
 REJECT_QUEUE_FULL = "queue-full"
 REJECT_TENANT_QUOTA = "tenant-quota"
@@ -47,7 +51,7 @@ REJECT_BROWNOUT = "brownout-clamp"
 
 
 @dataclass
-class TenantLedger:
+class TenantLedger(Ledger):
     """One tenant's slice of the server's accounting."""
 
     tenant: str
@@ -62,30 +66,31 @@ class TenantLedger:
     retried: int = 0
     late: int = 0
 
-    def imbalances(self) -> List[str]:
-        """Violated per-tenant identities (empty means the row closes)."""
-        problems: List[str] = []
-        if self.offered != self.admitted + self.rejected:
-            problems.append(
-                f"tenant {self.tenant}: offered={self.offered} != "
-                f"admitted={self.admitted} + rejected={self.rejected}"
-            )
-        accounted = (
-            self.served + self.shed + self.failed
-            + self.queued + self.in_flight
-        )
-        if self.admitted != accounted:
-            problems.append(
-                f"tenant {self.tenant}: admitted={self.admitted} != "
-                f"served={self.served} + shed={self.shed} + "
-                f"failed={self.failed} + queued={self.queued} + "
-                f"in_flight={self.in_flight}"
-            )
-        return problems
+    IDENTITIES = (
+        Identity(
+            "offered == admitted + rejected",
+            total("offered"),
+            total("admitted", "rejected"),
+            "every submission is admitted or refused with a reason",
+        ),
+        Identity(
+            "admitted == served + shed + failed + queued + in_flight",
+            total("admitted"),
+            total("served", "shed", "failed", "queued", "in_flight"),
+            "every admitted request is somewhere, exactly once",
+        ),
+    )
+
+
+def _over_tenants(bucket: str) -> Side:
+    """An identity side summing ``bucket`` over the tenant rows."""
+    return lambda ledger: sum(
+        getattr(row, bucket) for row in ledger.tenants.values()
+    )
 
 
 @dataclass
-class ServeLedger:
+class ServeLedger(Ledger):
     """Aggregate server ledger plus per-tenant rows.
 
     Attributes
@@ -133,6 +138,29 @@ class ServeLedger:
     rejected_by_reason: Dict[str, int] = field(default_factory=dict)
     shed_by_cause: Dict[str, int] = field(default_factory=dict)
     tenants: Dict[str, TenantLedger] = field(default_factory=dict)
+
+    IDENTITIES = TenantLedger.IDENTITIES + (
+        Identity(
+            "rejected == sum(rejected_by_reason)",
+            total("rejected"),
+            lambda ledger: sum(ledger.rejected_by_reason.values()),
+            "every rejection carries a typed reason",
+        ),
+        Identity(
+            "shed == sum(shed_by_cause)",
+            total("shed"),
+            lambda ledger: sum(ledger.shed_by_cause.values()),
+            "every shed request carries a typed cause",
+        ),
+    ) + tuple(
+        Identity(
+            f"{bucket} == sum over tenants",
+            total(bucket),
+            _over_tenants(bucket),
+            "the total is the sum of the tenant rows",
+        )
+        for bucket in TENANT_BUCKETS
+    )
 
     # -- recording ------------------------------------------------------
     def tenant(self, name: str) -> TenantLedger:
@@ -209,90 +237,17 @@ class ServeLedger:
         self.tenant(tenant).retried += 1
 
     # -- identities -----------------------------------------------------
-    def imbalances(self) -> List[str]:
-        """Violated ledger identities (empty means the ledger closes)."""
-        problems: List[str] = []
-        if self.offered != self.admitted + self.rejected:
-            problems.append(
-                f"offered={self.offered} != admitted={self.admitted} "
-                f"+ rejected={self.rejected}"
-            )
-        accounted = (
-            self.served + self.shed + self.failed
-            + self.queued + self.in_flight
-        )
-        if self.admitted != accounted:
-            problems.append(
-                f"admitted={self.admitted} != served={self.served} "
-                f"+ shed={self.shed} + failed={self.failed} "
-                f"+ queued={self.queued} + in_flight={self.in_flight}"
-            )
-        if self.rejected != sum(self.rejected_by_reason.values()):
-            problems.append(
-                f"rejected={self.rejected} != "
-                f"sum(by reason)={sum(self.rejected_by_reason.values())}"
-            )
-        if self.shed != sum(self.shed_by_cause.values()):
-            problems.append(
-                f"shed={self.shed} != "
-                f"sum(by cause)={sum(self.shed_by_cause.values())}"
-            )
-        for bucket in (
-            "offered", "rejected", "admitted", "served", "shed",
-            "failed", "queued", "in_flight", "retried", "late",
-        ):
-            total = getattr(self, bucket)
-            by_tenant = sum(getattr(r, bucket) for r in self.tenants.values())
-            if total != by_tenant:
-                problems.append(
-                    f"{bucket}={total} != sum over tenants={by_tenant}"
-                )
-        for row in self.tenants.values():
-            problems.extend(row.imbalances())
-        return problems
-
-    def balances(self) -> bool:
-        """Does every ledger identity close?"""
-        return not self.imbalances()
+    def rows(self) -> Iterable[Tuple[str, TenantLedger]]:
+        """The per-tenant rows, whose identities must close as well."""
+        return [(f"tenant {name}", row) for name, row in self.tenants.items()]
 
     def drained(self) -> bool:
         """No request left queued or in flight?"""
         return self.queued == 0 and self.in_flight == 0
 
-    def explain(self) -> str:
-        """Account for every ledger identity with its current numbers."""
-        checks = [
-            (
-                "offered == admitted + rejected",
-                self.offered,
-                self.admitted + self.rejected,
-                "every submission is admitted or refused with a reason",
-            ),
-            (
-                "admitted == served + shed + failed + queued + in_flight",
-                self.admitted,
-                self.served + self.shed + self.failed
-                + self.queued + self.in_flight,
-                "every admitted request is somewhere, exactly once",
-            ),
-            (
-                "rejected == sum(rejected_by_reason)",
-                self.rejected,
-                sum(self.rejected_by_reason.values()),
-                "every rejection carries a typed reason",
-            ),
-            (
-                "shed == sum(shed_by_cause)",
-                self.shed,
-                sum(self.shed_by_cause.values()),
-                "every shed request carries a typed cause",
-            ),
-        ]
-        lines = []
-        for identity, lhs, rhs, meaning in checks:
-            mark = "ok" if lhs == rhs else "VIOLATED"
-            lines.append(f"[{mark}] {identity} ({lhs} vs {rhs}): {meaning}")
-        return "\n".join(lines)
+    def gauges(self) -> Dict[str, int]:
+        """The aggregate counters, then the number of tenants."""
+        return {**super().gauges(), "tenants": len(self.tenants)}
 
     def format(self) -> str:
         """One-line summary for logs and ``synthetictest`` output."""

@@ -48,17 +48,6 @@ class RequestDims:
     category_count: int = 1
     precision: str = "double"
 
-    @classmethod
-    def of_evaluator(cls, evaluator: Any) -> "RequestDims":
-        """Dims of a :class:`~repro.inference.likelihood.TreeLikelihood`."""
-        rates = getattr(evaluator, "rates", None)
-        return cls(
-            state_count=evaluator.model.n_states,
-            pattern_count=evaluator.patterns.n_patterns,
-            category_count=len(rates.rates) if rates is not None else 1,
-            precision=evaluator.precision,
-        )
-
 
 @dataclass
 class LikelihoodRequest:

@@ -138,10 +138,6 @@ class LikelihoodServer:
         self._next_index = 0
 
     # -- submission ----------------------------------------------------
-    def set_tenant_weight(self, tenant: str, weight: float) -> None:
-        """Set a tenant's fair-share weight (default 1.0)."""
-        self.scheduler.set_weight(tenant, weight)
-
     @property
     def pending(self) -> int:
         """Requests queued and not yet dispatched."""

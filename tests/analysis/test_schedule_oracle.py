@@ -37,7 +37,7 @@ def _run_ordered(plan, orders, n_sets=None):
     sets = plan.operation_sets if n_sets is None else plan.operation_sets[:n_sets]
     for op_set, order in zip(sets, orders):
         for j in order:
-            instance.update_partials_serial([op_set[j]])
+            instance.update_partials_set([op_set[j]])
     return instance
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.beagle import BeagleInstance, Operation
-from repro.models import HKY85, JC69, discrete_gamma
+from repro.models import HKY85, JC69
 
 
 def make_instance(**overrides):
@@ -129,7 +129,7 @@ class TestExecution:
     def test_single_operation(self):
         inst = make_instance()
         op = self.setup_cherry(inst)
-        inst.update_partials_serial([op])
+        inst.update_partials_set([op])
         result = inst.get_partials(4)
         model = JC69()
         expected = np.outer(
@@ -140,7 +140,7 @@ class TestExecution:
     def test_stats_counting(self):
         inst = make_instance()
         op = self.setup_cherry(inst)
-        inst.update_partials_serial([op])
+        inst.update_partials_set([op])
         assert inst.stats.kernel_launches == 1
         assert inst.stats.operations == 1
         assert inst.stats.flops == inst.flops_per_operation
@@ -169,19 +169,19 @@ class TestExecution:
         inst = make_instance()
         self.setup_cherry(inst)
         with pytest.raises(ValueError):
-            inst.update_partials_serial([Operation(5, 4, 0, 1, 1)])
+            inst.update_partials_set([Operation(5, 4, 0, 1, 1)])
 
     def test_missing_tip_data(self):
         inst = make_instance()
         inst.set_eigen_decomposition(0, JC69().eigen)
         inst.update_transition_matrices(0, [0, 1], [0.1, 0.1])
         with pytest.raises(ValueError):
-            inst.update_partials_serial([Operation(4, 0, 0, 1, 1)])
+            inst.update_partials_set([Operation(4, 0, 0, 1, 1)])
 
     def test_invalidate_partials(self):
         inst = make_instance()
         op = self.setup_cherry(inst)
-        inst.update_partials_serial([op])
+        inst.update_partials_set([op])
         inst.invalidate_partials()
         with pytest.raises(ValueError):
             inst.get_partials(4)
@@ -190,7 +190,7 @@ class TestExecution:
         inst = make_instance()
         op = self.setup_cherry(inst)
         scaled_op = Operation(4, 0, 0, 1, 1, destination_scale=0)
-        inst.update_partials_serial([scaled_op])
+        inst.update_partials_set([scaled_op])
         logs = inst.scale.read(0)
         assert logs.shape == (8,)
         assert np.all(logs <= 0)  # partials are probabilities < 1
@@ -207,7 +207,7 @@ class TestRootLikelihood:
         inst.set_tip_states(1, [1])
         inst.set_eigen_decomposition(0, model.eigen)
         inst.update_transition_matrices(0, [0, 1], [0.15, 0.25])
-        inst.update_partials_serial([Operation(4, 0, 0, 1, 1)])
+        inst.update_partials_set([Operation(4, 0, 0, 1, 1)])
         ll = inst.calculate_root_log_likelihood(4)
         P1 = model.transition_matrix(0.15)
         P2 = model.transition_matrix(0.25)
@@ -227,7 +227,7 @@ class TestRootLikelihood:
         inst.set_tip_states(1, [1, 1])
         inst.set_eigen_decomposition(0, model.eigen)
         inst.update_transition_matrices(0, [0, 1], [0.1, 0.1])
-        inst.update_partials_serial([Operation(4, 0, 0, 1, 1)])
+        inst.update_partials_set([Operation(4, 0, 0, 1, 1)])
         base = inst.calculate_root_log_likelihood(4)
         inst.set_pattern_weights([3.0, 5.0])
         weighted = inst.calculate_root_log_likelihood(4)
@@ -246,9 +246,8 @@ class TestRootLikelihood:
         # Tree ((0,1)4,2)5 with branch matrices 0,1 below 4; 4's own
         # branch matrix 2; tip 2's matrix 3.
         inst.update_transition_matrices(0, [0, 1, 2, 3], [0.1, 0.2, 0.15, 0.3])
-        inst.update_partials_serial(
-            [Operation(4, 0, 0, 1, 1), Operation(5, 4, 2, 2, 3)]
-        )
+        inst.update_partials_set([Operation(4, 0, 0, 1, 1)])
+        inst.update_partials_set([Operation(5, 4, 2, 2, 3)])
         root_ll = inst.calculate_root_log_likelihood(5)
         # Edge view: partials at 4, child 2 across combined matrix of
         # t = 0.15 + 0.3 (JC-style merge works for reversible models).
@@ -267,7 +266,7 @@ class TestGammaCategories:
         inst.set_tip_states(1, [1])
         inst.set_eigen_decomposition(0, model.eigen)
         inst.update_transition_matrices(0, [0, 1], [0.2, 0.2])
-        inst.update_partials_serial([Operation(4, 0, 0, 1, 1)])
+        inst.update_partials_set([Operation(4, 0, 0, 1, 1)])
         ll = inst.calculate_root_log_likelihood(4)
         site = 0.0
         for rate in (0.5, 1.5):

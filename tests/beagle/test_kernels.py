@@ -16,7 +16,7 @@ from repro.beagle import (
     operation_flops,
     root_site_likelihoods,
 )
-from repro.models import HKY85, JC69
+from repro.models import HKY85
 
 
 def update_partials(

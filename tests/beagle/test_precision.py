@@ -13,7 +13,7 @@ import pytest
 from repro.core import create_instance, execute_plan, make_plan
 from repro.data import random_patterns
 from repro.inference import TreeLikelihood
-from repro.models import HKY85, JC69
+from repro.models import HKY85
 from repro.trees import balanced_tree, pectinate_tree
 
 

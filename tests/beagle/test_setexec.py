@@ -366,8 +366,7 @@ class TestDirtyPathEntries:
 
 
 class _LaunchCounter:
-    """Counts launch calls on their way to the engine. The fault injector
-    forwards a one-operation set as ``update_partials_serial``."""
+    """Counts launch calls on their way to the engine."""
 
     def __init__(self, inner):
         self._inner = inner
@@ -379,10 +378,6 @@ class _LaunchCounter:
     def update_partials_set(self, operations):
         self.calls += 1
         self._inner.update_partials_set(operations)
-
-    def update_partials_serial(self, operations):
-        self.calls += len(operations)
-        self._inner.update_partials_serial(operations)
 
 
 class TestWrappersSeeEveryLaunch:
@@ -420,7 +415,7 @@ class TestWrappersSeeEveryLaunch:
         resilient, injector, counter = self.stack(instance, 0.3, seed)
         for _ in range(3):
             assert execute_plan(resilient, plan) == expected
-        assert injector.log.injected > 0
+        assert injector.schedule.injected > 0
         # Faults raised before execution never reach the inner wrappers;
         # every set still reached them at least once per run.
         assert counter.calls >= 3 * plan.n_launches

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.bench import kernel_scaling, profile_callable, profile_likelihood
 from repro.models import JC69
 from repro.trees import balanced_tree

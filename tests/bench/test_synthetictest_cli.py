@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import io
 
-import pytest
-
 from repro.bench.synthetictest import build_parser, run
 
 
@@ -160,6 +158,32 @@ class TestExtensions:
             line = [l for l in text.splitlines() if "time per evaluation" in l][0]
             return float(line.split(":")[1].split("us")[0])
         assert eval_us(stream) >= eval_us(multi)
+
+
+class TestReplayableChaos:
+    def test_inline_pool_soak_replays_its_fault_stream(self):
+        """The inline pool soak's fault history, pinned draw for draw.
+
+        The inline executor dispatches deterministically, so every count
+        on the ``pool`` line follows from the seeded fault streams alone.
+        A change to the number or order of fault draws per launch (or to
+        how a faulting set degrades) changes this line.
+        """
+        code, text = run_cli(
+            "--taxa", "32", "--sites", "64", "--reps", "24", "--seed", "4",
+            "--pool", "4", "--pool-inline", "--pool-health-every", "5",
+            "--worker-fault-rates", "0.25,0.25,0.25,1.0",
+            "--fault-seed", "4", "--resilience", "full",
+        )
+        assert code == 0
+        pool_line = [l for l in text.splitlines() if l.startswith("pool pool:")]
+        assert pool_line == [
+            "pool pool: workers=4 evicted=[] offered=24 completed=24 shed=0 "
+            "surfaced=0 rerouted=3 rescued=0 probes=6 probe_failures=0 | "
+            "faults: injected=57 detected=57 retried=51 degraded=3 rescued=0 "
+            "errors=3 rerouted=3 shed=0 surfaced=0"
+        ]
+        assert "pool verified: 24/24" in text
 
 
 class TestShardedRuns:

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.data import AMINO_ACID, DNA, Alignment
+from repro.data import AMINO_ACID, Alignment
 
 
 @pytest.fixture

@@ -6,7 +6,6 @@ import pytest
 
 from repro.data import (
     AMINO_ACID,
-    Alignment,
     format_nexus_alignment,
     format_nexus_trees,
     parse_nexus_alignment,

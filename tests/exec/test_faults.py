@@ -113,8 +113,8 @@ class TestFaultInjector:
         with pytest.raises(exc_type) as info:
             execute_plan(injector, plan)
         assert info.value.launch_index == 0
-        assert injector.log.injected == 1
-        assert injector.log.by_class == {cls: 1}
+        assert injector.schedule.injected == 1
+        assert injector.schedule.by_class == {cls: 1}
 
     def test_nan_poisoning_corrupts_silently(self):
         instance, plan = make_case()
@@ -123,7 +123,7 @@ class TestFaultInjector:
         )
         ll = execute_plan(injector, plan)
         assert np.isnan(ll)
-        assert injector.log.poisoned_buffers == 1
+        assert injector.schedule.by_class == {"nan": 1}
 
     def test_underflow_poisoning_shrinks_partials(self):
         instance, plan = make_case()
@@ -146,7 +146,7 @@ class TestFaultInjector:
         clean = execute_plan(instance, plan)
         injector = FaultInjector(instance, FaultSpec())
         assert execute_plan(injector, plan) == clean
-        assert injector.log.injected == 0
+        assert injector.schedule.injected == 0
 
     def test_delegation(self):
         instance, plan = make_case()

@@ -13,7 +13,6 @@ from repro.core import (
     count_operation_sets,
     make_plan,
     optimal_reroot_fast,
-    speedup_balanced,
     tree_theoretical_speedup,
 )
 from repro.gpu import (

@@ -241,6 +241,35 @@ class TestProposalProtocol:
         ev.reject()
         assert ev.log_likelihood() == _fresh_ll(ev)
 
+    def test_nni_proposal_updates_no_transition_matrix(self, monkeypatch):
+        """An NNI dirty path changes no branch length, so its plan holds
+        no matrix and execute_plan skips the matrix update altogether; a
+        branch-length proposal still makes exactly one call."""
+        from repro.beagle.instance import BeagleInstance
+
+        calls = []
+        update = BeagleInstance.update_transition_matrices
+
+        def counted(self, eigen_index, matrix_indices, branch_lengths):
+            calls.append(len(matrix_indices))
+            return update(self, eigen_index, matrix_indices, branch_lengths)
+
+        monkeypatch.setattr(BeagleInstance, "update_transition_matrices", counted)
+        ev = _evaluator(21, matrix_cache=False)
+        ev.log_likelihood()
+        for index in range(nni_move_count(ev.tree)):
+            del calls[:]
+            value = ev.propose(nni_move_at(ev.tree, index))
+            assert ev.last_incremental_plan.matrix_indices == []
+            assert calls == []
+            assert value == _fresh_ll(ev)
+            ev.reject()
+        del calls[:]
+        value = ev.propose(branch_length_move(ev.tree, np.random.default_rng(5)))
+        assert calls == [1]
+        assert value == _fresh_ll(ev)
+        ev.reject()
+
     def test_invalidate_clears_proposal_state(self):
         ev = _evaluator(10)
         ev.log_likelihood()

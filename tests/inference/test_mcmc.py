@@ -6,13 +6,7 @@ import numpy as np
 import pytest
 
 from repro.data import simulate_alignment
-from repro.inference import (
-    TreeLikelihood,
-    internal_edges,
-    multiply_branch,
-    random_nni,
-    run_mcmc,
-)
+from repro.inference import TreeLikelihood, multiply_branch, random_nni, run_mcmc
 from repro.models import JC69
 from repro.trees import (
     balanced_tree,

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.data import simulate_alignment
 from repro.inference import TreeLikelihood, run_mcmc
 from repro.models import JC69

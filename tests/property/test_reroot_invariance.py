@@ -10,7 +10,6 @@ positions, and both optimal-rerooting algorithms.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,15 +23,7 @@ from repro.core import (
     optimal_reroot_fast,
 )
 from repro.data import compress, simulate_alignment
-from repro.models import (
-    GTR,
-    GY94,
-    HKY85,
-    JC69,
-    Poisson,
-    discrete_gamma,
-    synthetic_empirical,
-)
+from repro.models import GTR, GY94, HKY85, JC69, discrete_gamma, synthetic_empirical
 from repro.trees import reroot_on_edge, unrooted_edges
 from tests.strategies import tree_strategy
 

@@ -11,7 +11,7 @@ from repro.beagle import BeagleInstance, Operation, pruning_log_likelihood
 from repro.core import create_instance, execute_plan, make_plan
 from repro.data import Alignment, compress, random_patterns, simulate_alignment
 from repro.models import HKY85, JC69, build_reversible_q, decompose_reversible
-from repro.trees import balanced_tree, parse_newick, pectinate_tree
+from repro.trees import balanced_tree, parse_newick
 from tests.strategies import tree_strategy
 
 
@@ -122,7 +122,7 @@ class TestEngineMisuse:
         inst.set_tip_states(1, [1] * 4)
         inst.set_eigen_decomposition(0, JC69().eigen)
         inst.update_transition_matrices(0, [0, 1], [0.1, 0.1])
-        inst.update_partials_serial([Operation(2, 0, 0, 1, 1)])
+        inst.update_partials_set([Operation(2, 0, 0, 1, 1)])
         inst.invalidate_partials()
         with pytest.raises(ValueError):
             inst.calculate_root_log_likelihood(2)
@@ -134,7 +134,7 @@ class TestEngineMisuse:
         inst.set_eigen_decomposition(0, JC69().eigen)
         inst.update_transition_matrices(0, [0, 1], [0.1, 0.1])
         with pytest.raises(IndexError):
-            inst.update_partials_serial([Operation(9, 0, 0, 1, 1)])
+            inst.update_partials_set([Operation(9, 0, 0, 1, 1)])
 
     def test_set_with_out_of_range_destination(self):
         inst = self.make_instance()

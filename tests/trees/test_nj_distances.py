@@ -7,7 +7,6 @@ import collections
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.data import Alignment, simulate_alignment
 from repro.models import JC69

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given
 
-from repro.trees import Node, Tree, balanced_tree, parse_newick, pectinate_tree
+from repro.trees import balanced_tree, parse_newick, pectinate_tree
 from tests.strategies import tree_strategy
 
 
