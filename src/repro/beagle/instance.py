@@ -31,6 +31,7 @@ from .kernels import (
     dense_tip_partials,
     edge_site_likelihoods,
     operation_flops,
+    reduce_sites,
     root_site_likelihoods,
 )
 from .operations import Operation
@@ -738,10 +739,10 @@ class BeagleInstance:
         """Per-pattern log site likelihoods at the root buffer.
 
         ``log Σ_c w_c Σ_z π_z L_root[c,p,z] (+ scale_p)`` for every
-        pattern ``p``, *without* the weight contraction — the surface the
-        sharded engine (:mod:`repro.exec.sharding`) reduces through its
-        deterministic summation tree. Always ``float64``, regardless of
-        the instance dtype (log scalers stay double, as in BEAGLE).
+        pattern ``p``, *without* the weight contraction — what a shard
+        job (:mod:`repro.exec.sharding`) returns for splicing. Always
+        ``float64``, regardless of the instance dtype (log scalers stay
+        double, as in BEAGLE).
         """
         partials, _ = self._child_arrays(root_buffer)
         if partials is None:
@@ -771,7 +772,7 @@ class BeagleInstance:
             logs = self.site_log_likelihoods(
                 root_buffer, cumulative_scale_index
             )
-            return float(np.dot(self._weights, logs))
+            return reduce_sites(self._weights, logs)
 
     def calculate_edge_log_likelihood(
         self,
@@ -798,7 +799,7 @@ class BeagleInstance:
             logs = np.log(site)
         if cumulative_scale_index >= 0:
             logs = logs + self.scale.read(cumulative_scale_index)
-        return float(np.dot(self._weights, logs))
+        return reduce_sites(self._weights, logs)
 
     # ------------------------------------------------------------------
     def memory_footprint(self) -> dict:

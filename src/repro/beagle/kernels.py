@@ -28,6 +28,7 @@ __all__ = [
     "root_site_likelihoods",
     "edge_site_likelihoods",
     "operation_flops",
+    "reduce_sites",
 ]
 
 
@@ -127,6 +128,18 @@ def edge_site_likelihoods(
     joint = parent_partials * child_contribution_
     by_category = joint @ frequencies
     return category_weights @ by_category
+
+
+def reduce_sites(weights: np.ndarray, values: np.ndarray) -> float:
+    """The one reduction of per-pattern values: ``Σ_p w_p · v_p``.
+
+    Every route that turns site values into a likelihood total (root and
+    edge log-likelihoods, the gradient's per-edge rows, the sharded
+    splice) calls this on one 1-D vector. Per-pattern arithmetic does not
+    depend on the other patterns in an instance, so equal site vectors
+    reduce to equal bits whichever route produced them.
+    """
+    return float(np.dot(weights, values))
 
 
 def operation_flops(n_patterns: int, n_states: int, n_categories: int = 1) -> int:

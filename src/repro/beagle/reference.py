@@ -24,6 +24,7 @@ from ..data.patterns import PatternData
 from ..models.ratematrix import SubstitutionModel
 from ..models.siterates import RateCategories, single_rate
 from ..trees import Tree
+from .kernels import reduce_sites
 
 __all__ = ["brute_force_log_likelihood", "pruning_log_likelihood"]
 
@@ -72,7 +73,7 @@ def brute_force_log_likelihood(
         site_likelihood += weight * total
 
     with np.errstate(divide="ignore"):
-        return float(np.dot(patterns.weights, np.log(site_likelihood)))
+        return reduce_sites(patterns.weights, np.log(site_likelihood))
 
 
 def pruning_log_likelihood(
@@ -112,7 +113,7 @@ def pruning_log_likelihood(
             site_likelihood += weight * (partials[id(tree.root)] @ pi)
 
         with np.errstate(divide="ignore"):
-            return float(np.dot(patterns.weights, np.log(site_likelihood)))
+            return reduce_sites(patterns.weights, np.log(site_likelihood))
 
     # Rescaled path: per-pattern log site likelihoods per category,
     # combined with logaddexp so no intermediate ever leaves log space.
@@ -144,4 +145,4 @@ def pruning_log_likelihood(
                 np.log(weight) + np.log(partials[id(root)] @ pi) + log_scale[id(root)]
             )
     log_site = np.logaddexp.reduce(np.stack(log_site_by_category), axis=0)
-    return float(np.dot(patterns.weights, log_site))
+    return reduce_sites(patterns.weights, log_site)

@@ -69,7 +69,6 @@ from .sharding import (
     ShardedLikelihood,
     ShardFailure,
     ShardLedger,
-    deterministic_sum,
     plan_shards,
 )
 from .stack import build_stack, run_plan
@@ -119,6 +118,5 @@ __all__ = [
     "ShardAborted",
     "ShardFailure",
     "ShardedLikelihood",
-    "deterministic_sum",
     "plan_shards",
 ]

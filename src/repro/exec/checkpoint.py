@@ -47,7 +47,8 @@ PathLike = Union[str, Path]
 CHECKPOINT_VERSION = 1
 
 #: Format version of shard checkpoints (independent of the MCMC format).
-SHARD_CHECKPOINT_VERSION = 1
+#: Version 2 stores unweighted site logs; version 1 stored weighted terms.
+SHARD_CHECKPOINT_VERSION = 2
 
 #: Significant digits that round-trip any float64 through decimal text.
 NEWICK_PRECISION = 17
@@ -204,11 +205,11 @@ class ShardCheckpoint:
     A sharded likelihood evaluation (:class:`repro.exec.sharding.
     ShardedLikelihood`) saves one of these after every completed round so
     a crashed run resumes without recomputing finished shards. The
-    ``completed`` map stores each finished shard's per-pattern weighted
-    log-likelihood terms keyed by the shard index (as a string — JSON
-    object keys are strings); ``float64`` values round-trip exactly
-    through JSON's shortest-form decimal repr, so a resumed evaluation
-    reduces to a bit-identical total.
+    ``site_logs`` map stores each finished shard's unweighted per-pattern
+    log-likelihoods keyed by the shard index (as a string — JSON object
+    keys are strings); ``float64`` values round-trip exactly through
+    JSON's shortest-form decimal repr, so a resumed evaluation reduces
+    to a bit-identical total.
 
     ``fingerprint`` hashes the inputs (tree, patterns, model); resuming
     against different inputs fails loudly instead of silently splicing
@@ -218,7 +219,7 @@ class ShardCheckpoint:
     n_patterns: int
     n_shards: int
     fingerprint: str
-    completed: Dict[str, List[float]] = field(default_factory=dict)
+    site_logs: Dict[str, List[float]] = field(default_factory=dict)
     version: int = SHARD_CHECKPOINT_VERSION
 
     # ------------------------------------------------------------------
@@ -228,7 +229,7 @@ class ShardCheckpoint:
         with obs.span(
             "shard.checkpoint.save",
             category="checkpoint",
-            completed=len(self.completed),
+            completed=len(self.site_logs),
         ):
             atomic_write_json(path, asdict(self))
         obs.count("repro_shard_checkpoint_writes_total")

@@ -1,28 +1,27 @@
-"""Fault-tolerant site-pattern sharding with a bit-stable reduction.
+"""Fault-tolerant site-pattern sharding with the engine's own reduction.
 
 The log-likelihood is a weighted sum over site patterns, so the pattern
 axis is embarrassingly parallel: :class:`ShardedLikelihood` partitions
 the pattern matrix into contiguous, weight-balanced shards, evaluates
 each shard on its own (small) engine instance through the existing
 :class:`~repro.exec.pool.LikelihoodPool` — reusing admission control,
-deadlines, circuit breakers and the no-silent-drop ledger — and combines
-the per-pattern results through a **deterministic reduction tree**.
+deadlines, circuit breakers and the no-silent-drop ledger — and reduces
+the spliced per-pattern results exactly as the unsharded engine does.
 
-Bit-stability contract
-----------------------
-Each shard returns its per-pattern *weighted log terms*
-(``weights[p] · log L_p``, elementwise). Per-pattern arithmetic in the
-engine is independent of the other patterns in the instance, so for
-shards at least :data:`MIN_SHARD_WIDTH` patterns wide the terms are
-bit-identical to the corresponding slice of a full-matrix evaluation
-(narrower instances can take different BLAS kernel paths —
-:func:`plan_shards` therefore enforces the width floor). The combiner
-concatenates shard terms in canonical pattern order and reduces them
-with :func:`deterministic_sum` — a fixed-shape adjacent-pairs binary
-tree whose shape depends only on the pattern count. The total is
-therefore bit-identical no matter the shard count, the completion
-order, degraded-fleet routing, retries, speculation, or a checkpoint
-resume.
+Bit-identity contract
+---------------------
+Each shard returns its unweighted site log-likelihoods
+(:meth:`~repro.beagle.instance.BeagleInstance.site_log_likelihoods`).
+Per-pattern arithmetic in the engine is independent of the other
+patterns in the instance, so for shards at least
+:data:`MIN_SHARD_WIDTH` patterns wide they are bit-identical to the
+corresponding slice of a full-matrix evaluation (narrower instances can
+take different BLAS kernel paths — :func:`plan_shards` therefore
+enforces the width floor). The combiner splices them in pattern order
+and reduces with :func:`~repro.beagle.kernels.reduce_sites`, the
+engine's reduction, so the total is bit-identical to the unsharded
+engine's logL no matter the shard count, the completion order,
+degraded-fleet routing, retries, speculation, or a checkpoint resume.
 
 Robustness
 ----------
@@ -34,11 +33,12 @@ Robustness
   ``speculate=True`` every pending shard is submitted twice and the
   first valid result wins; the loser is reconciled in the ledger (and
   disagreeing duplicates invalidate each other — neither is trusted).
-* **Per-shard rescaling escalation** — a shard whose terms underflow to
-  ``-inf`` is re-evaluated alone with scaling enabled; the scaled terms
-  are merged *only into the non-finite slots*, so healthy patterns keep
-  their original bits and one underflowing shard cannot poison the run.
-* **Checkpointing** — completed shard terms are persisted atomically
+* **Per-shard rescaling escalation** — a shard whose site logs underflow
+  to ``-inf`` is re-evaluated alone with scaling enabled; the scaled
+  values are merged *only into the non-finite slots*, so healthy patterns
+  keep their original bits and one underflowing shard cannot poison the
+  run.
+* **Checkpointing** — completed shard site logs are persisted atomically
   (:class:`~repro.exec.checkpoint.ShardCheckpoint`) after every round; a
   resumed run recomputes nothing that already finished (the
   ``recomputed_completed`` ledger counter stays zero, and the gate in
@@ -58,6 +58,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..beagle.kernels import reduce_sites
 from ..core.planner import ExecutionPlan, create_instance, make_plan
 from ..data.patterns import PatternData, slice_patterns
 from ..obs import get_recorder
@@ -77,9 +78,7 @@ __all__ = [
     "ShardFailure",
     "ShardResult",
     "ShardedLikelihood",
-    "deterministic_sum",
     "plan_shards",
-    "reference_terms",
 ]
 
 #: Narrow pattern blocks can route through different BLAS kernels than a
@@ -169,25 +168,6 @@ def plan_shards(
     return [Shard(i, bounds[i], bounds[i + 1]) for i in range(k)]
 
 
-def deterministic_sum(values: np.ndarray) -> float:
-    """Fixed-shape pairwise summation: adjacent pairs, bottom up.
-
-    The reduction tree's shape depends only on ``len(values)`` — odd
-    levels are padded with ``0.0`` — so the floating-point expression is
-    identical however the inputs were produced, and (as a pairwise sum)
-    its rounding error grows as ``O(log n)`` instead of the naive
-    ``O(n)``.
-    """
-    a = np.ascontiguousarray(values, dtype=np.float64)
-    if a.size == 0:
-        return 0.0
-    while a.size > 1:
-        if a.size % 2:
-            a = np.concatenate([a, [0.0]])
-        a = a[0::2] + a[1::2]
-    return float(a[0])
-
-
 def problem_fingerprint(
     tree: Tree, model, patterns: PatternData, rates=None
 ) -> str:
@@ -214,51 +194,19 @@ def problem_fingerprint(
     return h.hexdigest()
 
 
-def reference_terms(
-    tree: Tree,
-    model,
-    patterns: PatternData,
-    *,
-    rates=None,
-    mode: str = "concurrent",
-    dtype=np.float64,
-) -> np.ndarray:
-    """Per-pattern weighted log terms from one full-matrix instance.
-
-    The single-instance oracle the sharded engine must match bit-for-bit
-    (reduce with :func:`deterministic_sum` for the total).
-    """
-    instance = create_instance(
-        tree,
-        model,
-        patterns,
-        rates=rates,
-        scaling=False,
-        dtype=dtype,
-    )
-    plan = make_plan(tree, mode, scaling=False)
-    instance.invalidate_partials()
-    instance.update_transition_matrices(
-        0, plan.matrix_indices, plan.branch_lengths
-    )
-    for op_set in plan.operation_sets:
-        instance.update_partials_set(op_set)
-    logs = instance.site_log_likelihoods(plan.root_buffer)
-    return patterns.weights * logs
-
-
 @dataclass
 class ShardResult:
     """What one shard job hands back through the pool.
 
-    ``terms`` is ``None`` when an injected fault consumed the attempt;
+    ``site_logs`` (unweighted, one per pattern of the shard) is ``None``
+    when an injected fault consumed the attempt;
     ``fault`` records the injected class (if any); ``escalated`` is True
     when the worker's resilient facade enabled scaling mid-run.
     """
 
     shard_index: int
     attempt: int
-    terms: Optional[np.ndarray] = None
+    site_logs: Optional[np.ndarray] = None
     fault: Optional[str] = None
     scaled: bool = False
     escalated: bool = False
@@ -360,7 +308,7 @@ class ShardedLikelihood:
         size it for a full round, not one evaluation. Retried shards get
         ``straggler_growth``× more budget per round.
     checkpoint_path:
-        Where to persist completed shard terms (atomic JSON) after every
+        Where to persist completed shard site logs (atomic JSON) after every
         round; ``resume=True`` loads it and skips finished shards.
     abort_after:
         Stop (with :class:`ShardAborted`) once this many shards have
@@ -371,7 +319,7 @@ class ShardedLikelihood:
     order_seed:
         Permute each round's submission order (deterministically per
         seed); the result is bit-identical regardless — that is the
-        point of the reduction contract.
+        point of the bit-identity contract.
     """
 
     def __init__(
@@ -431,7 +379,7 @@ class ShardedLikelihood:
         self._plan = make_plan(tree, mode, scaling=False)
         self._plan_scaled: Optional[ExecutionPlan] = None
         self.fingerprint = problem_fingerprint(tree, model, patterns, rates)
-        self._terms: Optional[np.ndarray] = None
+        self._site_logs: Optional[np.ndarray] = None
 
     # -- evaluator protocol -------------------------------------------
     @property
@@ -485,35 +433,23 @@ class ShardedLikelihood:
 
     # -- the reduction -------------------------------------------------
     def log_likelihood(self) -> float:
-        """Evaluate all shards and reduce deterministically."""
-        terms = self.evaluate()
+        """Evaluate all shards and reduce the spliced site logs the
+        engine's way (:func:`~repro.beagle.kernels.reduce_sites`)."""
+        site_logs = self.evaluate()
         obs = get_recorder()
         with obs.span(
-            "shard.reduce", category="shard", patterns=terms.size
+            "shard.reduce", category="shard", patterns=site_logs.size
         ):
-            return deterministic_sum(terms)
-
-    def reference_log_likelihood(self) -> float:
-        """The single-instance oracle under the same reduction."""
-        return deterministic_sum(
-            reference_terms(
-                self.tree,
-                self.model,
-                self.patterns,
-                rates=self.rates,
-                mode=self.mode,
-                dtype=self.dtype,
-            )
-        )
+            return reduce_sites(self.patterns.weights, site_logs)
 
     @property
-    def terms(self) -> Optional[np.ndarray]:
-        """Per-pattern weighted terms of the last :meth:`evaluate`."""
-        return self._terms
+    def site_logs(self) -> Optional[np.ndarray]:
+        """Spliced per-pattern site logs of the last :meth:`evaluate`."""
+        return self._site_logs
 
     # -- evaluation ----------------------------------------------------
     def evaluate(self) -> np.ndarray:
-        """Run every shard to completion; returns the full terms vector.
+        """Run every shard to completion; returns the spliced site logs.
 
         Raises
         ------
@@ -530,10 +466,10 @@ class ShardedLikelihood:
             shards=self.n_shards,
             patterns=self.patterns.n_patterns,
         ):
-            terms = self._evaluate_body()
+            site_logs = self._evaluate_body()
         obs.count("repro_shard_evaluations_total")
-        self._terms = terms
-        return terms
+        self._site_logs = site_logs
+        return site_logs
 
     def _evaluate_body(self) -> np.ndarray:
         obs = get_recorder()
@@ -603,10 +539,10 @@ class ShardedLikelihood:
                 )
             round_no += 1
         ledger.computed = len(completed) - ledger.resumed
-        terms = np.empty(self.patterns.n_patterns, dtype=np.float64)
+        site_logs = np.empty(self.patterns.n_patterns, dtype=np.float64)
         for shard in self.shards:
-            terms[shard.start : shard.stop] = completed[shard.index]
-        return terms
+            site_logs[shard.start : shard.stop] = completed[shard.index]
+        return site_logs
 
     # -- rounds --------------------------------------------------------
     def _round_order(self, pending: List[int], round_no: int) -> List[int]:
@@ -701,8 +637,8 @@ class ShardedLikelihood:
                 sub = slice_patterns(self.patterns, shard.start, shard.stop)
             # Injected underflow is a *detection* simulation: the attempt
             # still runs unscaled, and the shard layer escalates it —
-            # merging scaled terms only into non-finite slots keeps
-            # healthy patterns bit-identical to the oracle.
+            # merging scaled values only into non-finite slots keeps
+            # healthy patterns bit-identical to the unsharded engine.
             run_scaled = scaled
             instance = create_instance(
                 tree,
@@ -715,12 +651,10 @@ class ShardedLikelihood:
             plan = self._shard_plan(run_scaled)
             ctx.execute(instance, plan)
             cum = instance.scale.count - 1 if instance.scale.count else -1
-            logs = instance.site_log_likelihoods(plan.root_buffer, cum)
-            terms = sub.weights * logs
             return ShardResult(
                 shard.index,
                 attempt,
-                terms=terms,
+                site_logs=instance.site_log_likelihoods(plan.root_buffer, cum),
                 fault=fault,
                 scaled=run_scaled,
                 escalated=bool(instance.scale.count) and not run_scaled,
@@ -753,7 +687,7 @@ class ShardedLikelihood:
             if outcome.status == "ok":
                 ledger.ok += 1
                 res: ShardResult = outcome.value
-                if res.terms is None:
+                if res.site_logs is None:
                     ledger.faulted += 1
                     if res.fault == "shard_stall":
                         ledger.stragglers_cancelled += 1
@@ -773,7 +707,8 @@ class ShardedLikelihood:
         for si, candidates in valids.items():
             first = candidates[0]
             agree = all(
-                np.array_equal(c.terms, first.terms) for c in candidates[1:]
+                np.array_equal(c.site_logs, first.site_logs)
+                for c in candidates[1:]
             )
             if not agree:
                 # Divergent duplicates: trust neither, retry the shard.
@@ -791,29 +726,29 @@ class ShardedLikelihood:
                     "repro_shard_speculative_wasted_total",
                     len(candidates) - 1,
                 )
-            terms = first.terms
+            site_logs = first.site_logs
             if si in provisional:
-                # Escalated re-run: scaled terms fill only the slots the
+                # Escalated re-run: scaled values fill only the slots the
                 # unscaled attempt could not represent, so healthy
                 # patterns keep their original bits.
                 prov = provisional.pop(si)
-                terms = np.where(np.isfinite(prov), prov, terms)
+                site_logs = np.where(np.isfinite(prov), prov, site_logs)
                 ledger.escalations += 1
                 obs.count("repro_shard_escalations_total")
             elif first.fault == "shard_underflow" or not np.all(
-                np.isfinite(terms)
+                np.isfinite(site_logs)
             ):
                 if not first.scaled:
-                    # Needs escalation: keep the unscaled terms and
+                    # Needs escalation: keep the unscaled values and
                     # re-run with scaling next round.
-                    provisional[si] = terms
+                    provisional[si] = site_logs
                     continue
                 # Already scaled and still non-finite: genuine zero-
                 # likelihood patterns; accept (log L = -inf is exact).
             if first.escalated:
                 ledger.escalations += 1
                 obs.count("repro_shard_escalations_total")
-            completed[si] = np.asarray(terms, dtype=np.float64)
+            completed[si] = np.asarray(site_logs, dtype=np.float64)
             still_pending[si] = False
         return sorted(si for si, p in still_pending.items() if p)
 
@@ -823,9 +758,9 @@ class ShardedLikelihood:
             n_patterns=self.patterns.n_patterns,
             n_shards=len(self.shards),
             fingerprint=self.fingerprint,
-            completed={
-                str(si): [float(v) for v in terms]
-                for si, terms in sorted(completed.items())
+            site_logs={
+                str(si): [float(v) for v in logs]
+                for si, logs in sorted(completed.items())
             },
         ).save(self.checkpoint_path)
 
@@ -842,8 +777,8 @@ class ShardedLikelihood:
             fingerprint=self.fingerprint,
         )
         return {
-            int(si): np.asarray(terms, dtype=np.float64)
-            for si, terms in checkpoint.completed.items()
+            int(si): np.asarray(logs, dtype=np.float64)
+            for si, logs in checkpoint.site_logs.items()
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -102,11 +102,9 @@ def bootstrap_log_likelihoods(
     resampling-estimated-log-likelihood bootstrap. With ``shards > 0``
     each replicate's evaluation is sharded over its site patterns
     through a :class:`~repro.exec.sharding.ShardedLikelihood` (sharing
-    ``pool`` across replicates), and because the shard layer's
-    deterministic reduction is bit-stable, the returned values are
-    bit-identical regardless of shard count, completion order, or
-    mid-run faults (they agree with the unsharded evaluation to
-    float-summation reassociation).
+    ``pool`` across replicates); the returned values are bit-identical
+    to the unsharded evaluation regardless of shard count, completion
+    order, or mid-run faults.
     """
     from ..data.patterns import compress
     from .likelihood import TreeLikelihood

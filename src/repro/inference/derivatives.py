@@ -57,6 +57,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..beagle.instance import BeagleInstance
+from ..beagle.kernels import reduce_sites
 from ..beagle.setexec import block_ops
 from ..core.planner import (
     GradientPlan,
@@ -313,7 +314,7 @@ def _recombine_edges(
     lengths. Per category, one :func:`transition_matrices` call and one
     :func:`transition_derivatives` call per order cover all ``k`` scaled
     lengths, followed by one stacked matmul per order. Each branch is
-    reduced over its own row with ``np.dot(weights, row)``, so a branch's
+    reduced over its own row with :func:`reduce_sites`, so a branch's
     bits do not depend on the batch it rides in. The one recombination
     of both the per-edge oracle (a batch of one) and the sweep.
     """
@@ -341,9 +342,9 @@ def _recombine_edges(
     curvature = ratio2 - ratio1**2
     return [
         EdgeDerivatives(
-            log_likelihood=float(np.dot(weights, logs[i])),
-            first=float(np.dot(weights, ratio1[i])),
-            second=float(np.dot(weights, curvature[i])),
+            log_likelihood=reduce_sites(weights, logs[i]),
+            first=reduce_sites(weights, ratio1[i]),
+            second=reduce_sites(weights, curvature[i]),
         )
         for i in range(k)
     ]

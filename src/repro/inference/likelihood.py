@@ -539,8 +539,8 @@ class TreeLikelihood:
         keyword arguments (``pool``, ``retries``, ``speculate``,
         ``checkpoint_path``, ``fault_spec``, ...) pass through. The
         sharded total is bit-identical to this evaluator's
-        ``log_likelihood()`` for the unscaled double-precision case —
-        the deterministic reduction contract DESIGN.md documents.
+        ``log_likelihood()`` (DESIGN.md §6.5) unless a shard underflowed
+        and was escalated to rescaling.
 
         Not available for evaluators with manual ``scaling`` (a sharded
         run starts unscaled and escalates underflowing shards on its

@@ -168,13 +168,9 @@ def run_mcmc(
         (see :meth:`TreeLikelihood.sharded`): every likelihood
         evaluation partitions its site patterns into this many shards,
         fans them out through a :class:`~repro.exec.pool.LikelihoodPool`
-        and recombines them through the deterministic reduction tree.
-        The chain is bit-identical across shard counts, pool sizes,
-        completion orders, faults and resume — any sharded
-        configuration walks the same chain. It matches the *unsharded*
-        run to float-summation reassociation (~1e-13 relative: the
-        unsharded engine reduces site terms with BLAS ``dot``, the
-        shard layer with the fixed pairwise tree). ``shards`` is not
+        and reduces the spliced site logs the engine's way. The chain is
+        bit-identical to the unsharded run and across shard counts, pool
+        sizes, completion orders, faults and resume. ``shards`` is not
         part of the checkpoint config, so a run may be checkpointed and
         resumed under a different shard count without a config
         mismatch. Incompatible with ``incremental``.

@@ -75,12 +75,10 @@ class PartitionedLikelihood:
         When > 0, shard *within* each partition: every partition's
         site patterns are split into this many shards, evaluated
         through a :class:`~repro.exec.sharding.ShardedLikelihood`
-        (sharing ``pool`` when one is configured) and recombined by the
-        deterministic reduction tree, so per-partition values — and the
-        dataset-order sum — are bit-identical across shard counts,
-        pool sizes, completion orders and faults (and agree with the
-        unsharded path to summation reassociation — BLAS ``dot`` there,
-        the fixed pairwise tree here). The two concurrency axes
+        (sharing ``pool`` when one is configured), so per-partition
+        values — and the dataset-order sum — are bit-identical to the
+        unsharded path across shard counts, pool sizes, completion
+        orders and faults. The two concurrency axes
         compose: partitions in dataset order, shards inside each.
         Incompatible with ``scaling`` (a sharded partition escalates
         its own underflowing shards).

@@ -35,7 +35,6 @@ from .coalesce import (
     CoalescedBatch,
     CoalescePolicy,
     CompatKey,
-    pattern_bucket,
 )
 from .fairness import DeficitRoundRobin, FairnessConfig
 from .ledger import (
@@ -63,7 +62,6 @@ __all__ = [
     "CoalescedBatch",
     "CoalescePolicy",
     "CompatKey",
-    "pattern_bucket",
     "DeficitRoundRobin",
     "FairnessConfig",
     "ServeLedger",

@@ -8,14 +8,8 @@ the same depth with mutually independent operation sets, and a device
 This module implements that policy layer:
 
 * :class:`CompatKey` — requests may share launches when their engine
-  dimensions agree: precision, state count, rate categories, and a
-  pattern-count bucket.
-* **Pad vs. split** (:class:`CoalescePolicy`) — ``"split"`` groups only
-  requests with *identical* pattern counts (lanes stay dense; bit-exact
-  arena sharing applies to the whole batch). ``"pad"`` buckets pattern
-  counts up to the next power of two, coalescing more aggressively at
-  the price of padded lanes: a fused launch runs every member at the
-  bucket width.
+  dimensions agree: precision, state count, rate categories and pattern
+  count.
 * :class:`CoalescedBatch` — one pool job serving N requests. Members
   execute sequentially through the worker's full resilient stack (each
   against its own buffers, so every served value is **bit-identical to
@@ -44,27 +38,7 @@ __all__ = [
     "CoalescePolicy",
     "CoalescedBatch",
     "BatchAssembler",
-    "pattern_bucket",
 ]
-
-
-def pattern_bucket(pattern_count: int, mode: str) -> int:
-    """The pattern-count bucket a request coalesces within.
-
-    ``"split"`` — the exact count (only identical widths share).
-    ``"pad"`` — the next power of two at or above the count (wider
-    sharing, padded lanes).
-    """
-    if pattern_count < 1:
-        raise ValueError("pattern_count must be positive")
-    if mode == "split":
-        return pattern_count
-    if mode == "pad":
-        bucket = 1
-        while bucket < pattern_count:
-            bucket *= 2
-        return bucket
-    raise ValueError(f"unknown coalesce mode {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -74,16 +48,16 @@ class CompatKey:
     precision: str
     state_count: int
     category_count: int
-    pattern_bucket: int
+    pattern_count: int
 
     @classmethod
-    def of(cls, dims: RequestDims, mode: str) -> "CompatKey":
-        """The key of one request's dims under a pad/split mode."""
+    def of(cls, dims: RequestDims) -> "CompatKey":
+        """The key of one request's dims."""
         return cls(
             precision=dims.precision,
             state_count=dims.state_count,
             category_count=dims.category_count,
-            pattern_bucket=pattern_bucket(dims.pattern_count, mode),
+            pattern_count=dims.pattern_count,
         )
 
 
@@ -93,9 +67,6 @@ class CoalescePolicy:
 
     Parameters
     ----------
-    mode:
-        ``"split"`` (default, lanes dense, exact pattern-count match) or
-        ``"pad"`` (power-of-two pattern buckets, wider batches).
     max_width:
         Requests per coalesced batch before the assembler starts a new
         one. The brownout controller grows this multiplicatively under
@@ -105,13 +76,10 @@ class CoalescePolicy:
         uncoalesced baseline the bench compares against).
     """
 
-    mode: str = "split"
     max_width: int = 8
     enabled: bool = True
 
     def __post_init__(self) -> None:
-        if self.mode not in ("split", "pad"):
-            raise ValueError(f"unknown coalesce mode {self.mode!r}")
         if self.max_width < 1:
             raise ValueError("max_width must be positive")
 
@@ -226,7 +194,7 @@ class BatchAssembler:
         """The request's compatibility key (None = never coalesce)."""
         if request.dims is None:
             return None
-        return CompatKey.of(request.dims, self.policy.mode)
+        return CompatKey.of(request.dims)
 
     def assemble(
         self,

@@ -245,6 +245,18 @@ class TestShardedRuns:
             assert message in text
 
 
+class TestServeFlags:
+    def test_deadline_ms_with_serve_is_refused(self):
+        # The server runs per-request deadlines of its own; a pool job
+        # budget would be silently ignored, so the flag is refused.
+        code, text = run_cli(
+            "--pool", "3", "--pool-inline", "--serve", "16",
+            "--serve-tenants", "2", "--deadline-ms", "0.001",
+        )
+        assert code == 2
+        assert "use --serve-deadline-ms" in text
+
+
 class TestGradientFlag:
     def test_gradient_verifies_against_oracle(self):
         code, text = run_cli(

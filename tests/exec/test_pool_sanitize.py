@@ -108,6 +108,22 @@ class TestSanitizerClean:
             assert pool.sanitizer_clean, pool.detector.format()
 
 
+def _racing_execute(ctx, shared, plan):
+    """Run ``plan`` on an engine another thread drives at the same time.
+
+    When the other thread's ``invalidate_partials`` lands between this
+    thread's sets, the engine refuses to read the wiped buffer; that is
+    the deliberate race doing its damage, not a failure of the test, so
+    the job returns ``None`` and the sanitizer's report is what counts.
+    """
+    try:
+        return ctx.execute(shared, plan)
+    except ValueError as exc:
+        if "read before being computed" not in str(exc):
+            raise
+        return None
+
+
 class TestSanitizerCatchesRaces:
     def test_shared_instance_across_threads_is_caught(self, case):
         make_case, _ = case
@@ -119,7 +135,7 @@ class TestSanitizerCatchesRaces:
 
         def racy(ctx):
             barrier.wait()
-            return ctx.execute(shared, plan)
+            return _racing_execute(ctx, shared, plan)
 
         pool = LikelihoodPool(
             2, sanitize=True, executor="thread", audit=False
@@ -144,7 +160,7 @@ class TestSanitizerCatchesRaces:
 
         def racy(ctx):
             barrier.wait()
-            return ctx.execute(shared, plan)
+            return _racing_execute(ctx, shared, plan)
 
         pool = LikelihoodPool(
             2, sanitize=True, executor="thread", audit=False

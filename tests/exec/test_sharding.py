@@ -1,33 +1,36 @@
 """Unit tests for site-pattern sharding (repro.exec.sharding).
 
 The property suite (tests/property/test_shard_determinism.py) fuzzes the
-bit-stability contract; these tests pin down the mechanics — shard
-planning, the reduction tree, ledger identities, checkpoint/resume, the
-crash drill, fault escalation and speculation accounting.
+bit-identity contract; these tests pin down the mechanics — shard
+planning, ledger identities, checkpoint/resume, the crash drill, fault
+escalation and speculation accounting — and that a sharded total is the
+unsharded engine's logL, bit for bit.
 """
 
 from __future__ import annotations
 
-import math
+import json
 
 import numpy as np
 import pytest
 
+from repro.core import create_instance, execute_plan, make_plan
 from repro.data import random_patterns
 from repro.exec import (
+    CheckpointError,
     LikelihoodPool,
     ShardAborted,
     ShardFailure,
     ShardFaultSpec,
     ShardLedger,
     ShardedLikelihood,
-    deterministic_sum,
     plan_shards,
 )
-from repro.exec.sharding import MIN_SHARD_WIDTH, reference_terms
+from repro.exec.sharding import MIN_SHARD_WIDTH
 from repro.gpu import GP100, WorkloadDims, time_set_sizes
+from repro.inference import TreeLikelihood
 from repro.models import random_gtr
-from repro.trees import yule_tree
+from repro.trees import random_attachment_tree, yule_tree
 
 
 def _problem(taxa=6, sites=96, seed=3):
@@ -36,6 +39,11 @@ def _problem(taxa=6, sites=96, seed=3):
     model = random_gtr(rng)
     patterns = random_patterns(tree.tip_names(), sites, rng=rng)
     return tree, model, patterns
+
+
+def _unsharded(tree, model, patterns):
+    """The oracle: the unsharded engine's logL."""
+    return TreeLikelihood(tree, model, patterns).log_likelihood()
 
 
 class TestPlanShards:
@@ -83,26 +91,6 @@ class TestPlanShards:
             plan_shards(10, 2, weights=np.ones(3))
 
 
-class TestDeterministicSum:
-    def test_matches_fsum_closely(self):
-        rng = np.random.default_rng(7)
-        values = rng.normal(size=1001) * 10.0 ** rng.integers(-6, 6, 1001)
-        assert deterministic_sum(values) == pytest.approx(
-            math.fsum(values), rel=1e-12
-        )
-
-    def test_shape_depends_only_on_length(self):
-        # Concatenation order of equal-length halves changes the bits of
-        # a naive left-to-right sum far more often than the pairwise
-        # tree; what we actually guarantee is repeatability.
-        values = np.random.default_rng(1).normal(size=37)
-        assert deterministic_sum(values) == deterministic_sum(values.copy())
-
-    def test_empty_and_singleton(self):
-        assert deterministic_sum(np.array([])) == 0.0
-        assert deterministic_sum(np.array([2.5])) == 2.5
-
-
 class TestShardLedger:
     def test_balanced_ledger_closes(self):
         ledger = ShardLedger(
@@ -123,18 +111,19 @@ class TestShardedLikelihood:
         tree, model, patterns = _problem()
         engine = ShardedLikelihood(tree, model, patterns, n_shards=4)
         value = engine.log_likelihood()
-        assert value == engine.reference_log_likelihood()
-        assert value == deterministic_sum(
-            reference_terms(tree, model, patterns)
-        )
+        assert value == _unsharded(tree, model, patterns)
         assert engine.ledger.balances()
 
     def test_terms_cover_every_pattern(self):
+        # The spliced site logs are the full instance's, slot for slot.
         tree, model, patterns = _problem()
         engine = ShardedLikelihood(tree, model, patterns, n_shards=3)
         engine.evaluate()
+        instance = create_instance(tree, model, patterns)
+        plan = make_plan(tree, "concurrent")
+        execute_plan(instance, plan)
         np.testing.assert_array_equal(
-            engine.terms, reference_terms(tree, model, patterns)
+            engine.site_logs, instance.site_log_likelihoods(plan.root_buffer)
         )
 
     def test_speculation_accounting(self):
@@ -143,7 +132,7 @@ class TestShardedLikelihood:
             tree, model, patterns, n_shards=4, speculate=True
         )
         value = engine.log_likelihood()
-        assert value == engine.reference_log_likelihood()
+        assert value == _unsharded(tree, model, patterns)
         ledger = engine.ledger
         assert ledger.balances(), ledger.imbalances()
         # Every shard was submitted twice; the losing copies are
@@ -164,7 +153,7 @@ class TestShardedLikelihood:
             ),
         )
         value = engine.log_likelihood()
-        assert value == engine.reference_log_likelihood()
+        assert value == _unsharded(tree, model, patterns)
         assert engine.ledger.escalations == 2
         assert engine.ledger.balances()
 
@@ -236,7 +225,7 @@ class TestCheckpointResume:
             resume=True,
         )
         value = resumed.log_likelihood()
-        assert value == resumed.reference_log_likelihood()
+        assert value == _unsharded(tree, model, patterns)
         assert resumed.ledger.resumed == 2
         assert resumed.ledger.computed == resumed.n_shards - 2
         assert resumed.ledger.recomputed_completed == 0
@@ -254,7 +243,7 @@ class TestCheckpointResume:
             checkpoint_path=tmp_path / "none.json",
             resume=True,
         )
-        assert engine.log_likelihood() == engine.reference_log_likelihood()
+        assert engine.log_likelihood() == _unsharded(tree, model, patterns)
         assert engine.ledger.resumed == 0
 
     def test_resume_refuses_a_different_problem(self, tmp_path):
@@ -280,3 +269,41 @@ class TestCheckpointResume:
             pass
         else:
             assert stale.ledger.resumed == 0
+
+    def test_version_1_checkpoint_is_refused(self, tmp_path):
+        # Version 1 stored weighted terms; splicing them as site logs
+        # would weight every pattern twice, so the file is refused.
+        tree, model, patterns = _problem(sites=128)
+        path = tmp_path / "shards.json"
+        drill = ShardedLikelihood(
+            tree, model, patterns, n_shards=4,
+            checkpoint_path=path, abort_after=2,
+        )
+        with pytest.raises(ShardAborted):
+            drill.evaluate()
+        payload = json.loads(path.read_text())
+        payload["version"] = 1
+        payload["completed"] = payload.pop("site_logs")
+        path.write_text(json.dumps(payload))
+        resumed = ShardedLikelihood(
+            tree, model, patterns, n_shards=4,
+            checkpoint_path=path, resume=True,
+        )
+        with pytest.raises(CheckpointError, match="format version 1"):
+            resumed.evaluate()
+
+
+class TestUnshardedBits:
+    """A sharded total is the unsharded engine's logL, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_sharded_adapter_matches_log_likelihood(self, seed):
+        rng = np.random.default_rng(seed)
+        tree = random_attachment_tree(24, rng, random_lengths=True)
+        model = random_gtr(rng)
+        patterns = random_patterns(tree.tip_names(), 1000, rng=rng)
+        evaluator = TreeLikelihood(tree, model, patterns)
+        pool = LikelihoodPool(2, executor="inline", deadline_s=None)
+        sharded = evaluator.sharded(n_shards=4, pool=pool)
+        assert sharded.n_shards == 4
+        assert sharded.log_likelihood() == evaluator.log_likelihood()

@@ -9,6 +9,7 @@ from repro.data import Alignment, simulate_alignment
 from repro.inference import (
     bootstrap_alignments,
     bootstrap_consensus,
+    bootstrap_log_likelihoods,
     bootstrap_support,
     bootstrap_trees,
 )
@@ -18,6 +19,7 @@ from repro.trees import (
     distance_matrix,
     neighbor_joining,
     parse_newick,
+    random_attachment_tree,
     robinson_foulds,
     same_unrooted_topology,
     yule_tree,
@@ -226,3 +228,14 @@ class TestPoolContextOptIn:
             aln, builder, 2, seed=7, pool=pool, pass_context=False
         )
         assert len(trees) == 2
+
+
+class TestShardedBootstrap:
+    def test_sharded_values_match_unsharded(self):
+        tree = random_attachment_tree(16, 5, random_lengths=True)
+        aln = simulate_alignment(tree, JC69(), 1500, seed=7)
+        plain = bootstrap_log_likelihoods(aln, tree, JC69(), 4, seed=1)
+        sharded = bootstrap_log_likelihoods(
+            aln, tree, JC69(), 4, seed=1, shards=3
+        )
+        assert sharded == plain

@@ -70,6 +70,22 @@ class TestLikelihood:
             plain.log_likelihood(), abs=1e-9
         )
 
+    def test_sharded_partitions_match_unsharded(self):
+        tree = random_attachment_tree(16, 9, random_lengths=True)
+        aln = simulate_alignment(tree, JC69(), 1500, seed=72)
+        models = [JC69(), HKY85(2.0, [0.3, 0.2, 0.2, 0.3]), GTR([1, 2, 1, 1, 2, 1])]
+        dataset = partition_by_ranges(
+            aln, [(0, 500), (500, 1000), (1000, 1500)], models,
+            rates=[discrete_gamma(a, 2) for a in (0.5, 1.0, 2.0)],
+        )
+        plain = PartitionedLikelihood(tree, dataset)
+        sharded = PartitionedLikelihood(tree, dataset, shards=2)
+        assert (
+            sharded.partition_log_likelihoods()
+            == plain.partition_log_likelihoods()
+        )
+        assert sharded.log_likelihood() == plain.log_likelihood()
+
 
 class TestLaunchAccounting:
     def test_counts(self, setup):

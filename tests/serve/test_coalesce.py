@@ -12,7 +12,6 @@ from repro.serve import (
     CoalescePolicy,
     CompatKey,
     RequestDims,
-    pattern_bucket,
 )
 from repro.serve.request import LikelihoodRequest
 
@@ -25,42 +24,20 @@ def request(index, tenant="t", dims=None, set_sizes=(), make_case=None):
     )
 
 
-class TestPatternBucket:
-    def test_split_is_exact(self):
-        assert pattern_bucket(24, "split") == 24
-
-    def test_pad_rounds_to_power_of_two(self):
-        assert pattern_bucket(24, "pad") == 32
-        assert pattern_bucket(32, "pad") == 32
-        assert pattern_bucket(33, "pad") == 64
-        assert pattern_bucket(1, "pad") == 1
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            pattern_bucket(0, "split")
-        with pytest.raises(ValueError):
-            pattern_bucket(8, "truncate")
-
-
 class TestCompatKey:
     def test_split_separates_different_pattern_counts(self):
-        a = CompatKey.of(RequestDims(4, 24), "split")
-        b = CompatKey.of(RequestDims(4, 30), "split")
+        a = CompatKey.of(RequestDims(4, 24))
+        b = CompatKey.of(RequestDims(4, 30))
         assert a != b
 
-    def test_pad_merges_same_bucket(self):
-        a = CompatKey.of(RequestDims(4, 24), "pad")
-        b = CompatKey.of(RequestDims(4, 30), "pad")
-        assert a == b
-
     def test_state_count_always_separates(self):
-        a = CompatKey.of(RequestDims(4, 24), "pad")
-        b = CompatKey.of(RequestDims(20, 24), "pad")
+        a = CompatKey.of(RequestDims(4, 24))
+        b = CompatKey.of(RequestDims(20, 24))
         assert a != b
 
     def test_precision_always_separates(self):
-        a = CompatKey.of(RequestDims(4, 24, precision="double"), "pad")
-        b = CompatKey.of(RequestDims(4, 24, precision="single"), "pad")
+        a = CompatKey.of(RequestDims(4, 24, precision="double"))
+        b = CompatKey.of(RequestDims(4, 24, precision="single"))
         assert a != b
 
 
@@ -78,14 +55,14 @@ class TestAssembler:
         assert [m.index for m in batches[0].members] == [0, 1, 2, 3, 4]
 
     def test_incompatible_requests_never_share(self):
-        assembler = BatchAssembler(CoalescePolicy(max_width=8, mode="split"))
+        assembler = BatchAssembler(CoalescePolicy(max_width=8))
         picks = [
             request(0, dims=RequestDims(4, 24)),
             request(1, dims=RequestDims(4, 30)),
             request(2, dims=RequestDims(4, 24)),
         ]
         batches = assembler.assemble(picks)
-        widths = {b.key.pattern_bucket: b.width for b in batches}
+        widths = {b.key.pattern_count: b.width for b in batches}
         assert widths == {24: 2, 30: 1}
 
     def test_dimless_request_is_singleton(self):
