@@ -20,9 +20,11 @@ of Brent's likelihood evaluations per branch.
 
 Two evaluation strategies share one recombination routine. It takes a
 batch of ``k`` branches — stacked ``(k, C, P, S)`` half-tree partials
-and ``(k,)`` lengths — and per category makes one eigen call per
-derivative order and one stacked matmul per order, then reduces each
-branch over its own row:
+and ``(k,)`` lengths — and works in the model's eigenbasis: with
+``P(t) = E · diag(e^{λt}) · E⁻¹``, every ``L``, ``L'`` and ``L''`` of a
+category is the projection ``(U @ (π ∘ E)) ∘ (V @ E⁻ᵀ)`` contracted with
+``[e^{rλt}, rλ·e^{rλt}, (rλ)²·e^{rλt}]``, so no ``P``, ``QP`` or
+``Q²P`` is formed. It then reduces each branch over its own row:
 
 * :func:`edge_log_likelihood_derivatives` — the per-edge oracle: one
   rerooted post-order evaluation per branch, O(n) partial updates each.
@@ -69,7 +71,6 @@ from ..core.planner import (
     make_plan,
 )
 from ..data.patterns import PatternData
-from ..models.eigen import transition_derivatives, transition_matrices
 from ..models.ratematrix import SubstitutionModel
 from ..models.siterates import RateCategories, single_rate
 from ..obs import get_recorder
@@ -311,34 +312,46 @@ def _recombine_edges(
     """``(logL, d/dt, d²/dt²)`` of ``k`` branches from their half-tree partials.
 
     ``U`` and ``V`` are ``(k, C, P, S)`` stacks, ``t`` the ``(k,)`` branch
-    lengths. Per category, one :func:`transition_matrices` call and one
-    :func:`transition_derivatives` call per order cover all ``k`` scaled
-    lengths, followed by one stacked matmul per order. Each branch is
+    lengths. With ``P(t) = E · diag(e^{λt}) · E⁻¹``, a pattern's
+    likelihood and both derivatives in a category of rate ``r`` are one
+    contraction in eigen space: the projection
+    ``ab = (U_c @ (π ∘ E)) ∘ (V_c @ E⁻ᵀ)`` times the basis
+    ``[e^{rλt}, rλ·e^{rλt}, (rλ)²·e^{rλt}]``. No transition matrix or
+    derivative is formed. The likelihood column splits ``e^{rλt}`` into
+    ``1 + expm1(rλt)`` and takes the ``1`` term, ``Σ_s ab_s``, as the
+    equal ``Σ_a π_a U_a V_a``, which does not cancel when the two halves
+    favour different states across a short branch. So each category is
+    two projections onto ``2S`` columns (``ab`` beside ``π ∘ U ∘ V``) and
+    one stacked matmul with a ``(k, 2S, 3)`` basis, added into
+    ``(k, P, 3)`` site triples with the category weight. Each branch is
     reduced over its own row with :func:`reduce_sites`, so a branch's
     bits do not depend on the batch it rides in. The one recombination
     of both the per-edge oracle (a batch of one) and the sweep.
     """
+    if np.any(t < 0):
+        raise ValueError("branch lengths must be non-negative")
     eigen = model.eigen
     pi = model.frequencies
-    k, n_patterns = U.shape[0], U.shape[2]
+    S = eigen.n_states
+    left = np.concatenate((pi[:, None] * eigen.vectors, np.diag(pi)), axis=1)
+    right = np.concatenate((eigen.inverse_vectors.T, np.eye(S)), axis=1)
+    basis = np.zeros((len(t), 2 * S, 3))
+    basis[:, S:, 0] = 1.0
 
-    site_L = np.zeros((k, n_patterns))
-    site_d1 = np.zeros((k, n_patterns))
-    site_d2 = np.zeros((k, n_patterns))
+    site = np.zeros((U.shape[0], U.shape[2], 3))
     for c, (rate, cat_weight) in enumerate(zip(rates.rates, rates.probabilities)):
-        scaled_t = rate * t
-        P = transition_matrices(eigen, scaled_t)
-        dP = transition_derivatives(eigen, scaled_t, order=1) * rate
-        d2P = transition_derivatives(eigen, scaled_t, order=2) * rate**2
-        Uc, Vc = U[:, c], V[:, c]
-        for matrix, accumulator in ((P, site_L), (dP, site_d1), (d2P, site_d2)):
-            joint = Uc * (Vc @ matrix.transpose(0, 2, 1))
-            accumulator += cat_weight * (joint @ pi)
+        rl = rate * eigen.values
+        rlt = np.outer(t, rl)
+        decay = np.exp(rlt)
+        basis[:, :S, 0] = np.expm1(rlt)
+        basis[:, :S, 1] = rl * decay
+        basis[:, :S, 2] = rl * rl * decay
+        site += cat_weight * (((U[:, c] @ left) * (V[:, c] @ right)) @ basis)
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.log(site_L)
-        ratio1 = site_d1 / site_L
-        ratio2 = site_d2 / site_L
+        logs = np.log(site[:, :, 0])
+        ratio1 = site[:, :, 1] / site[:, :, 0]
+        ratio2 = site[:, :, 2] / site[:, :, 0]
     curvature = ratio2 - ratio1**2
     return [
         EdgeDerivatives(
@@ -346,7 +359,7 @@ def _recombine_edges(
             first=reduce_sites(weights, ratio1[i]),
             second=reduce_sites(weights, curvature[i]),
         )
-        for i in range(k)
+        for i in range(len(t))
     ]
 
 

@@ -25,7 +25,6 @@ __all__ = [
     "EigenDecomposition",
     "decompose_reversible",
     "transition_matrices",
-    "transition_derivatives",
 ]
 
 
@@ -122,24 +121,3 @@ def transition_matrices(
     np.clip(P, 0.0, None, out=P)
     return P
 
-
-def transition_derivatives(
-    eigen: EigenDecomposition, times: Sequence[float], order: int = 1
-) -> np.ndarray:
-    """Batched derivatives ``d^k P(t) / dt^k = U · diag(λ^k e^{λt}) · U⁻¹``.
-
-    Used by derivative-based branch-length optimisation (BEAGLE's
-    ``calculateEdgeLogLikelihoods`` with derivative buffers). ``order`` 1
-    gives ``Q·P(t)``, order 2 gives ``Q²·P(t)``.
-    """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    t = np.asarray(times, dtype=np.float64)
-    if t.ndim != 1:
-        raise ValueError("times must be one-dimensional")
-    if np.any(t < 0):
-        raise ValueError("branch lengths must be non-negative")
-    factor = eigen.values**order
-    scaled_exp = factor[None, :] * np.exp(np.outer(t, eigen.values))
-    scaled = eigen.vectors[None, :, :] * scaled_exp[:, None, :]
-    return scaled @ eigen.inverse_vectors

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,35 +14,11 @@ from repro.inference import (
     optimize_branch_lengths,
 )
 from repro.models import HKY85, JC69, discrete_gamma
-from repro.models.eigen import transition_derivatives, transition_matrices
 from repro.trees import balanced_tree, yule_tree
 from tests.strategies import tree_strategy
 
 
 MODEL = HKY85(2.0, [0.3, 0.2, 0.2, 0.3])
-
-
-class TestTransitionDerivatives:
-    def test_first_equals_qp(self):
-        eigen = MODEL.eigen
-        for t in (0.01, 0.3, 2.0):
-            dP = transition_derivatives(eigen, [t])[0]
-            P = transition_matrices(eigen, [t])[0]
-            assert np.allclose(dP, MODEL.rate_matrix @ P, atol=1e-12)
-
-    def test_second_equals_qqp(self):
-        eigen = MODEL.eigen
-        Q = MODEL.rate_matrix
-        t = 0.4
-        d2P = transition_derivatives(eigen, [t], order=2)[0]
-        P = transition_matrices(eigen, [t])[0]
-        assert np.allclose(d2P, Q @ Q @ P, atol=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            transition_derivatives(MODEL.eigen, [0.1], order=0)
-        with pytest.raises(ValueError):
-            transition_derivatives(MODEL.eigen, [-0.1])
 
 
 def finite_difference(tree, model, patterns, edge, rates=None, h=1e-5):
