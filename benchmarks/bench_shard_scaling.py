@@ -52,10 +52,12 @@ def setup_problem():
     return tree, model, patterns
 
 
-def direct(tree, model, patterns):
-    """The oracle: one unsharded engine evaluation."""
+def direct(tree, model, patterns, plan):
+    """The oracle: one unsharded engine evaluation of a plan built once,
+    as the sharded engine builds its plan once (so both paths run the
+    plan's program from their second call)."""
     instance = create_instance(tree, model, patterns)
-    return execute_plan(instance, make_plan(tree, "concurrent"))
+    return execute_plan(instance, plan)
 
 
 def best_of(fns, repeats=REPEATS):
@@ -83,8 +85,9 @@ def test_sharding_machinery_overhead_under_five_percent(results_dir):
         tree, model, patterns, n_shards=1,
         pool=LikelihoodPool(1, executor="inline", policy=None, deadline_s=None),
     )
+    plan = make_plan(tree, "concurrent")
     (t_direct, reference), (t_sharded, value) = best_of(
-        [lambda: direct(tree, model, patterns), one_shard.log_likelihood]
+        [lambda: direct(tree, model, patterns, plan), one_shard.log_likelihood]
     )
     assert value == reference
 
@@ -133,7 +136,7 @@ def test_sharding_machinery_overhead_under_five_percent(results_dir):
 
 def test_throughput_vs_shard_and_worker_count(results_dir):
     tree, model, patterns = setup_problem()
-    reference = direct(tree, model, patterns)
+    reference = direct(tree, model, patterns, make_plan(tree, "concurrent"))
 
     rows = []
     for n_shards, n_workers in [(1, 1), (2, 2), (4, 2), (4, 4), (8, 4)]:

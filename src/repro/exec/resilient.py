@@ -40,6 +40,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..beagle.instance import InstanceWrapper
+from ..beagle.kernels import pattern_maxima
 from ..beagle.operations import Operation
 from ..beagle.setexec import block_ops
 from ..obs import get_recorder
@@ -400,7 +401,7 @@ class ResilientInstance(InstanceWrapper):
         # per-pattern maximum (the gather copies at most ``chunk`` rows).
         for start in range(0, len(destinations), chunk):
             part = destinations[start : start + chunk]
-            maxima = inner._partials[part - inner.tip_count].max(axis=(1, 3))
+            maxima = pattern_maxima(inner._partials[part - inner.tip_count])
             finite = np.isfinite(maxima).all(axis=1)
             low = maxima.min(axis=1) < self._underflow_threshold
             poisoned += part[~finite].tolist()
@@ -491,7 +492,7 @@ class ResilientInstance(InstanceWrapper):
         if plan.scaling:
             return False
         slot = plan.root_buffer - self._inner.tip_count
-        per_pattern_max = self._inner._partials[slot].max(axis=(0, 2))
+        per_pattern_max = pattern_maxima(self._inner._partials[slot])
         return float(per_pattern_max.min()) < self._underflow_threshold
 
     def _rescue(self, plan, update_matrices: bool) -> float:

@@ -26,6 +26,12 @@ __all__ = [
 ]
 
 
+def sums_to_one(values: np.ndarray) -> bool:
+    """``np.isclose(values.sum(), 1.0)`` at its default tolerances
+    (``atol + rtol·|1|``) as a scalar test, false for NaN and inf."""
+    return bool(abs(values.sum() - 1.0) <= 1e-08 + 1e-05)
+
+
 @dataclass(frozen=True)
 class RateCategories:
     """A finite mixture of site-rate classes.
@@ -48,7 +54,7 @@ class RateCategories:
             raise ValueError("rates and probabilities must be 1-D and equal length")
         if np.any(rates < 0):
             raise ValueError("rates must be non-negative")
-        if np.any(probs < 0) or not np.isclose(probs.sum(), 1.0):
+        if np.any(probs < 0) or not sums_to_one(probs):
             raise ValueError("probabilities must be non-negative and sum to 1")
         object.__setattr__(self, "rates", rates)
         object.__setattr__(self, "probabilities", probs)

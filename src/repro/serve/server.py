@@ -336,11 +336,13 @@ class LikelihoodServer:
                     self._in_flight[member.tenant] = (
                         self._in_flight.get(member.tenant, 0) + 1
                     )
+            # One detail string per batch: the log keeps it for every
+            # member, so a string per member costs memory per request.
+            detail = f"width={batch.width}"
             for member in batch.members:
                 member.attempts += 1
                 self.schedule_log.append(
-                    ("dispatch", member.index, member.tenant,
-                     f"width={batch.width}")
+                    ("dispatch", member.index, member.tenant, detail)
                 )
             if batch.coalesced:
                 self.ledger.coalesced_requests += batch.width
@@ -410,8 +412,9 @@ class LikelihoodServer:
     ) -> None:
         if job_outcome.ok:
             values = job_outcome.value
+            detail = f"width={batch.width}"
             for member, value in zip(batch.members, values):
-                self._finish_served(member, value, batch.width, outcomes)
+                self._finish_served(member, value, batch.width, detail, outcomes)
             return
         if job_outcome.status == "shed":
             # The pool shed the whole job (budget spent while queued);
@@ -439,6 +442,7 @@ class LikelihoodServer:
         member: LikelihoodRequest,
         value: float,
         width: int,
+        detail: str,
         outcomes: List[RequestOutcome],
     ) -> None:
         late = member.expired
@@ -454,7 +458,7 @@ class LikelihoodServer:
             get_recorder().count("repro_serve_late_total")
         self.schedule_log.append(
             ("serve", member.index, member.tenant,
-             f"width={width}" + (" late" if late else ""))
+             detail + " late" if late else detail)
         )
         outcomes.append(
             RequestOutcome(

@@ -16,6 +16,7 @@ from repro.beagle import (
     operation_flops,
     root_site_likelihoods,
 )
+from repro.beagle.kernels import pattern_maxima
 from repro.models import HKY85
 
 
@@ -187,3 +188,40 @@ class TestFlops:
 
     def test_scales_linearly_in_patterns(self):
         assert operation_flops(1000, 4) == 10 * operation_flops(100, 4)
+
+
+class TestPatternMaxima:
+    """The per-pattern maximum equals NumPy's axis reduction exactly, on
+    either side of the state count where it switches to the slice loop."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("categories", [1, 4])
+    @pytest.mark.parametrize("states", [2, 4, 5, 8, 9, 20, 61])
+    def test_equals_the_axis_reduction(self, states, categories, dtype):
+        rng = np.random.default_rng(100 * states + categories)
+        rows = rng.random((7, categories, 16, states)).astype(dtype)
+        rows[0] = 0.0
+        rows[1] *= np.finfo(dtype).tiny / 8  # subnormal
+        rows[2, :, 3, -1] = np.nan
+        rows[2, -1, 5, 0] = np.nan
+        rows[2, 0, 6, states // 2] = np.nan
+        rows[3, :, 7, states // 2] = np.inf
+        rows[3, 0, 8] = -np.inf
+        rows[3, -1, 9, 0] = np.inf
+        rows[3, -1, 9, -1] = np.nan
+        rows[4] = -rows[4]
+        rows[4, :, 10] = -0.0
+        rows[5, :, 11] = np.nan
+        rows[6, 0, :, 0] = np.finfo(dtype).max
+        before = rows.copy()
+
+        got = pattern_maxima(rows)
+        expected = rows.max(axis=(-3, -1))
+        assert got.dtype == expected.dtype and got.shape == (7, 16)
+        assert np.array_equal(got, expected, equal_nan=True)
+        assert np.array_equal(rows, before, equal_nan=True)
+        # One (C, P, S) row into a buffer, as the rescaler calls it.
+        out = np.empty(16, dtype=dtype)
+        for row in rows:
+            assert pattern_maxima(row, out=out) is out
+            assert np.array_equal(out, row.max(axis=(0, 2)), equal_nan=True)

@@ -218,8 +218,8 @@ class TestSessionSweeps:
         assert built == {"plans": 1, "instances": 1, "one_set": 0}
         session = derivatives._idle._session
         gplan = session._topology.plan
-        keys = [entry[0] for entry in session._instance._programs]
-        assert keys[0] is gplan and keys[1] is gplan.post
+        assert gplan.programs.get(session._instance) is not None
+        assert gplan.post.programs.get(session._instance) is not None
 
     def test_new_topology_with_the_same_tip_order_is_rebuilt(self):
         # ((a,b),(c,d)) -> (((a,b),c),d): same tips, names and node count

@@ -27,6 +27,20 @@ class TestRateCategories:
         assert rc.n_categories == 1
         assert rc.rates[0] == 1.0
 
+    def test_sum_check_is_np_isclose(self):
+        """The scalar distribution check accepts exactly what
+        ``np.isclose(sum, 1.0)`` accepts, the tolerance edges, NaN and
+        inf included."""
+        from repro.models.siterates import sums_to_one
+
+        edge = 1e-08 + 1e-05
+        for total in (
+            1.0, 1.0 + edge, 1.0 - edge, 1.0 + 1.001 * edge, 1.0 - 1.001 * edge,
+            np.nextafter(1.0 + edge, 2.0), 0.0, 2.0, np.nan, np.inf, -np.inf,
+        ):
+            values = np.array([total])
+            assert sums_to_one(values) == bool(np.isclose(total, 1.0)), total
+
 
 class TestDiscreteGamma:
     def test_yang_1994_reference_values(self):
