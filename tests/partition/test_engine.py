@@ -2,15 +2,23 @@
 
 from __future__ import annotations
 
+import dataclasses
+
+import numpy as np
 import pytest
 
-from repro.beagle import pruning_log_likelihood
+from repro.beagle import pruning_log_likelihood, setexec
 from repro.core import count_operation_sets
-from repro.data import simulate_alignment
+from repro.data import random_patterns, simulate_alignment
 from repro.gpu import GP100, SMALL_GPU
 from repro.inference import TreeLikelihood
 from repro.models import GTR, HKY85, JC69, discrete_gamma
-from repro.partition import PartitionedLikelihood, partition_by_ranges
+from repro.partition import (
+    DataPartition,
+    PartitionedDataset,
+    PartitionedLikelihood,
+    partition_by_ranges,
+)
 from repro.trees import pectinate_tree, random_attachment_tree
 
 
@@ -85,6 +93,44 @@ class TestLikelihood:
             == plain.partition_log_likelihoods()
         )
         assert sharded.log_likelihood() == plain.log_likelihood()
+
+
+    def test_partitions_of_two_tip_kinds_stay_compiled(self, monkeypatch):
+        """Two partitions of one shape share the plan, one with an explicit-
+        partials tip: after the plan's second execution each runs its own
+        program, and no later evaluation lowers anything."""
+        tree = random_attachment_tree(10, 5, random_lengths=True)
+        plain = random_patterns(tree.tip_names(), 24, seed=1)
+        ambiguous = dataclasses.replace(
+            random_patterns(tree.tip_names(), 24, seed=2),
+            partials={
+                tree.tip_names()[0]: np.random.default_rng(3).uniform(
+                    0.05, 1.0, size=(24, 4)
+                )
+            },
+        )
+        model = HKY85(2.0, [0.3, 0.2, 0.2, 0.3])
+        dataset = PartitionedDataset(
+            [
+                DataPartition("plain", plain, model),
+                DataPartition("ambiguous", ambiguous, model),
+            ]
+        )
+        pl = PartitionedLikelihood(tree, dataset)
+        first = pl.partition_log_likelihoods()
+        assert pl.partition_log_likelihoods() == first  # lowers both
+        assert len(pl.plan.programs.by_key) == 2
+        compiles = []
+        compile_program = setexec.compile_program
+
+        def spy(instance, operation_sets):
+            compiles.append(instance)
+            return compile_program(instance, operation_sets)
+
+        monkeypatch.setattr(setexec, "compile_program", spy)
+        for _ in range(3):
+            assert pl.partition_log_likelihoods() == first
+        assert compiles == []
 
 
 class TestLaunchAccounting:

@@ -106,13 +106,13 @@ def test_proposals_match_fresh_and_unlowered_evaluations(
         lowered = instance._lowered
         assert len(lowered) <= instance.partials_buffer_count
         assert all(0 <= slot < instance.partials_buffer_count for slot in lowered)
-        version = instance._tip_version
+        kinds = instance._tip_kinds
         for op_set in ev.last_incremental_plan.operation_sets:
             if len(op_set) >= ARENA_MIN_OPS:
                 continue
             for op in op_set:
                 entry = lowered[op.destination - instance.tip_count]
-                assert entry[0] == op and entry[1] == version
+                assert entry[0] == op and entry[1] == kinds
         if accept:
             ev.accept()
             twin.accept()
