@@ -12,7 +12,8 @@ the arrays themselves. The plan holds its programs
 (:class:`PlanPrograms`), and a program holds no state of any instance or
 run, so every instance with the same layout and tip kinds runs the
 program lowered once, a fresh instance per served request included.
-Each set's step kind is chosen from its width alone:
+Each set's step kind is chosen from its width and from the bytes of one
+partials row of the instance (:func:`arena_fits`):
 
 * **narrow steps** for sets narrower than :data:`ARENA_MIN_OPS`: each
   operation is ``matmul(P[slot], M[m]ᵀ, out=)`` per internal child, one
@@ -25,25 +26,33 @@ Each set's step kind is chosen from its width alone:
   program takes each tip's rows in its step. A pectinate tree's sets
   hold one or two operations, so there is no batch axis for the arena
   to amortise its gathers and scatters over.
-* **arena steps** otherwise: the set is cut along the batch axis into
-  blocks of :func:`block_ops` operations whose child classification is
-  fixed at lowering, and each block runs through the instance's
+* **arena steps** for wider sets: the set is cut along the batch axis
+  into blocks of :func:`block_ops` operations whose child classification
+  is fixed at lowering, and each block runs through the instance's
   :class:`~repro.beagle.workspace.Workspace` — gathers, batched matmuls,
   the contribution product, rescaling and the scatter.
+* **per-operation steps for large rows**: when :func:`arena_fits` is
+  false (rows over :data:`ARENA_MAX_ROW_BYTES`, 12 KiB), every set,
+  whatever its width, is a narrow step with no hoisted tip chunk: each
+  matmul and tip gather writes straight into the destination or the
+  workspace's one-row scratch. A copy then costs as much as the
+  arithmetic it feeds, and there is no per-call cost left for a batch
+  to spread, so the arena's gathers and scatters are pure overhead; the
+  workspace arena and its gathered tip rows are never allocated.
 
 A set submitted outside a bound program (see
 :meth:`~repro.beagle.instance.BeagleInstance.bind_plan`) runs as a one-set
-program through :func:`execute_set`, and a narrow set of a dirty-path
-plan from per-destination entries (:class:`DirtyPath`). Both passes share the executor:
-upper (pre-order) buffers are rows of the same partials store as lower
-buffers, so a pre-order operation is an ordinary
-:class:`~repro.beagle.operations.Operation`.
+program through :func:`execute_set`, and a set of a dirty-path plan that
+lowers to a narrow step from per-destination entries (:class:`DirtyPath`).
+Both passes share the executor: upper (pre-order) buffers are rows of
+the same partials store as lower buffers, so a pre-order operation is
+an ordinary :class:`~repro.beagle.operations.Operation`.
 
 Bit-identity across step kinds is structural: the batched ``matmul`` over
 ``(n, C, P, S)`` stacks is a loop of independent 2-D products, the tip-
 code path is an exact gather, and the rescale is the same max/divide/log
 sequence, so any partition of a set computes the same bits.
-``tests/property/test_set_executor.py`` asserts it for both step kinds,
+``tests/property/test_set_executor.py`` asserts it for every step kind,
 for arena blocks of any size and for whole bound programs.
 """
 
@@ -65,53 +74,79 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .workspace import Workspace
 
 __all__ = [
+    "ARENA_MAX_ROW_BYTES",
     "ARENA_MIN_OPS",
     "CACHE_BUDGET_BYTES",
     "DirtyPath",
     "PlanPrograms",
     "Program",
     "ProgramRun",
+    "arena_fits",
     "block_ops",
     "compile_program",
     "execute_set",
 ]
 
 #: Sets with fewer operations than this run as narrow steps; wider sets
-#: run through the arena. Measured with ``benchmarks/bench_set_executor.py``
-#: (2-vCPU Xeon, NumPy 2.4, f64, 4 states, 1 category, one internal and
-#: one tip child per operation, two sets compiled into one program), µs
-#: per set, narrow / arena:
+#: run through the arena (rows up to :data:`ARENA_MAX_ROW_BYTES`).
+#: Measured with ``benchmarks/bench_set_executor.py`` (2-vCPU Xeon, NumPy
+#: 2.4, f64, 4 states, 1 category, one internal and one tip child per
+#: operation, two sets compiled into one program, the two kinds
+#: alternating), µs per set, narrow / arena:
 #:
 #: =====  ==========================  ===================
 #: width  eval-narrow (128 patterns)  serve (64 patterns)
 #: =====  ==========================  ===================
-#: 1      12 / 31                     12 / 31
-#: 2      18 / 33                     17 / 32
-#: 4      30 / 38                     26 / 34
-#: 5      38 / 41                     31 / 36
-#: 6      44 / 42                     37 / 37
-#: 8      50 / 42                     48 / 38
-#: 16     103 / 63                    90 / 48
+#: 1      16 / 33                     9 / 24
+#: 2      21 / 36                     14 / 28
+#: 4      33 / 39                     23 / 27
+#: 5      38 / 41                     26 / 31
+#: 6      44 / 43                     40 / 38
+#: 8      57 / 47                     42 / 35
+#: 16     119 / 52                    76 / 40
 #: =====  ==========================  ===================
 #:
-#: Least-squares lines: narrow 7 µs + 5.8 µs/op (128) and 8 µs + 4.3 µs/op
-#: (64); arena 30 µs + 1.9 µs/op and 30 µs + 0.8 µs/op. The arena's fixed
+#: Least-squares lines: narrow 2 µs + 6.6 µs/op (128) and 6 µs + 4.3 µs/op
+#: (64); arena 31 µs + 1.9 µs/op and 25 µs + 1.3 µs/op. The arena's fixed
 #: cost is its gathers and scatter; a narrow step has none, and its tip
-#: children cost one shared gather. The lines cross at 5.8 and 6.3, and
-#: width 6 is the first the arena wins or ties at both shapes.
+#: children cost one shared gather. The lines cross at 6.0 and 6.1, and
+#: width 6 is the first the arena wins at both shapes.
 ARENA_MIN_OPS = 6
 
 #: Working-set target of one arena block and of one narrow-step tip
 #: chunk. A block's hot rows span three ``(2B, C, P, S)`` arrays
-#: (contributions, scratch, gathered). At the eval-wide shape (1024
-#: patterns × 4 categories, a 128 KiB row) 768 KiB gives B = 4; the same
-#: sweep measured, µs per set for widths 16 / 64: B = 2: 1343 / 6078,
-#: B = 4: 1407 / 6422, B = 8: 1634 / 7039, one block per set: 1595 / 7056.
-#: B ≤ 4 keeps the block in the 2 MiB per-core L2 and is ~1.1x faster than
-#: B ≥ 8; B = 4 halves the per-block fixed cost of B = 2 within 5% of its
-#: speed. At the eval-narrow and serve shapes the budget gives B = 32 and
-#: 64, so every set of width ≤ 16 there runs as one block.
+#: (contributions, scratch, gathered), so under :data:`ARENA_MAX_ROW_BYTES`
+#: the budget gives blocks of 10 to 64 operations (B = 16 at 8 KiB rows,
+#: 32 at eval-narrow's 4 KiB, 64 at serve's 2 KiB), which keeps a block
+#: inside the 2 MiB per-core L2; the row sweep of
+#: ``benchmarks/bench_set_executor.py`` times the arena with them.
 CACHE_BUDGET_BYTES = 768 * 1024
+
+#: The largest ``(C, P, S)`` partials row, in bytes, whose sets still run
+#: as arena steps and hoisted tip chunks (:func:`arena_fits`). Above it a
+#: copy costs as much as the arithmetic it feeds and no per-call cost is
+#: left for a batch to spread. Row sweep of
+#: ``benchmarks/bench_set_executor.py`` (same host; 4 categories, 4
+#: states, two compiled sets), arena / per-operation time per set:
+#:
+#: =========  =====  =====  =====  =====  =====  =====  =====  =====
+#: dtype, k   4 KiB  8      12     16     24     32     64     128
+#: =========  =====  =====  =====  =====  =====  =====  =====  =====
+#: f64, 8     0.74   0.78   0.88   1.05   1.48   1.65   2.22   2.86
+#: f64, 32    0.36   0.63   0.94   1.11   1.57   1.66   1.56   2.17
+#: f64, 128   0.44   0.69   0.89   1.13   1.29   1.59   1.46   1.81
+#: f32, 8     0.97   0.86   0.92   1.01   1.44   1.54   1.87   2.34
+#: f32, 32    0.42   0.69   0.98   0.99   1.46   1.38   1.48   1.66
+#: f32, 128   0.52   0.89   1.13   1.20   1.34   1.45   1.57   1.97
+#: =========  =====  =====  =====  =====  =====  =====  =====  =====
+#:
+#: The arena wins at 8 KiB, where mcmc's and gradient's rows are, and in
+#: 5 of 6 cells at 12 KiB; per-operation steps win or tie in every cell
+#: from 16 KiB (by up to 20%) and by 29–57% at 24 KiB. The rule the
+#: budget would give — arena while it holds more than the minimum block,
+#: rows under 26 KiB — keeps 16–24 KiB rows in the arena, so the cut is
+#: its own constant. Only eval-wide (128 KiB rows) is above it.
+ARENA_MAX_ROW_BYTES = 12 * 1024
 
 _MIN_BLOCK = 4
 _MAX_BLOCK = 64
@@ -142,6 +177,14 @@ def block_ops(instance: "BeagleInstance") -> int:
     """
     block = CACHE_BUDGET_BYTES // (6 * _row_bytes(instance))
     return int(min(max(block, _MIN_BLOCK), _MAX_BLOCK))
+
+
+def arena_fits(instance: "BeagleInstance") -> bool:
+    """Whether this instance's sets may run as arena steps and hoisted
+    tip chunks: whether one partials row is at most
+    :data:`ARENA_MAX_ROW_BYTES`. When it is false, every set lowers to
+    per-operation steps."""
+    return _row_bytes(instance) <= ARENA_MAX_ROW_BYTES
 
 
 def _chunk_rows(instance: "BeagleInstance") -> int:
@@ -594,9 +637,11 @@ def compile_program(
     steps: List = []
     chunks: List[_TipChunk] = []
     # Narrow steps' tip children are gathered ahead in chunks when there
-    # is a set loop to gather ahead of; a one-set program gathers them in
+    # is a set loop to gather ahead of; a one-set program, and any
+    # program whose rows are too large for the arena, gathers them in
     # its step.
-    hoist = len(operation_sets) > 1
+    arena = arena_fits(instance)
+    hoist = arena and len(operation_sets) > 1
     chunk_rows = _chunk_rows(instance) if hoist else 0
     for ops in operation_sets:
         if not ops:
@@ -610,7 +655,7 @@ def compile_program(
             dests.append(slot_of(op.destination))
             if op.destination_scale >= 0:
                 scaled.append((i, op.destination_scale))
-        if len(ops) >= ARENA_MIN_OPS:
+        if arena and len(ops) >= ARENA_MIN_OPS:
             block = block_ops(instance)
             blocks = [
                 _Block(
@@ -650,16 +695,18 @@ def execute_set(instance: "BeagleInstance", ops: Sequence["Operation"]) -> None:
 
 class DirtyPath:
     """What :meth:`~repro.beagle.instance.BeagleInstance.bind_plan` binds
-    for an incremental plan: each narrow set's step comes from entries
-    the instance keeps per destination slot.
+    for an incremental plan: each set that lowers to a narrow step takes
+    it from entries the instance keeps per destination slot.
 
     ``instance._lowered`` maps a destination slot to ``(operation, tip
     kinds, one-operation step, read slots)``; an entry serves the same
     operation (identity, then equality) while every tip holds data of the
     kind it held at lowering, the rule :class:`PlanPrograms` keys on. A set
     whose operations all have one runs from them after its independence
-    and read checks; any other narrow set is lowered once, as a one-set
-    program, and refills the entries.
+    and read checks; any other such set is lowered once, as a one-set
+    program, and refills the entries. Whether a set lowers to a narrow
+    step is :func:`compile_program`'s rule: narrower than
+    :data:`ARENA_MIN_OPS`, or any width when :func:`arena_fits` is false.
     """
 
     __slots__ = ("instance",)
@@ -668,10 +715,10 @@ class DirtyPath:
         self.instance = instance
 
     def step_for(self, ops: Sequence["Operation"]):
-        """The set's step (``None`` for a wide set: a one-set program)."""
-        if len(ops) >= ARENA_MIN_OPS:
-            return None
+        """The set's step (``None`` for an arena set: a one-set program)."""
         instance = self.instance
+        if len(ops) >= ARENA_MIN_OPS and arena_fits(instance):
+            return None
         table, kinds = instance._lowered, instance._tip_kinds
         entries = [table.get(op.destination - instance.tip_count) for op in ops]
         if not all(

@@ -1,11 +1,16 @@
 """The set executor's selector, its accounting and the program cache.
 
-Lowering picks a narrow or an arena step from a set's width alone.
-Whichever step runs, a set is one kernel launch, the arena stops
-allocating once warm, and the choice never depends on the instance's
-shape or precision. A plan's second execution runs as a program the plan
-lowered for the instance's layout; the plan must never serve a stale
-program, and every wrapper in a worker stack must still see each launch.
+Lowering picks a narrow or an arena step from a set's width and from the
+bytes of one partials row of the instance. Rows up to the cut
+(``setexec.ARENA_MAX_ROW_BYTES``, 12 KiB) take the width rule alone: narrow
+steps below ``ARENA_MIN_OPS``, the arena from there, whatever the
+precision. Larger rows run every set as per-operation steps and never
+allocate the arena or gathered tip rows. Whichever step runs, a set is
+one kernel launch, gives the bits of every other step kind, and the arena
+stops allocating once warm. A plan's second execution runs as a program
+the plan lowered for the instance's layout; the plan must never serve a
+stale program, and every wrapper in a worker stack must still see each
+launch.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from repro.core import (
 from repro.data import random_patterns
 from repro.models import GTR, discrete_gamma
 from repro.trees import balanced_tree, pectinate_tree
+from tests.executor import forced_executor
 
 MODEL = GTR([1.0, 2.0, 0.5, 0.7, 3.0, 1.0], [0.3, 0.2, 0.2, 0.3])
 
@@ -106,8 +112,8 @@ class TestSelector:
             assert strategy == expected, width
 
     def test_strategy_depends_on_width_only(self, chosen):
-        """One plan at the narrow and wide shapes, both precisions: the
-        same widths get the same choices."""
+        """One plan at the narrow and wide shapes (rows of 4 KiB and
+        less), both precisions: the same widths get the same choices."""
         tree = balanced_tree(16, branch_length=0.1)
         choices = []
         for n_patterns, rates in ((16, None), (64, discrete_gamma(0.5, 4))):
@@ -137,6 +143,112 @@ class TestSelector:
                 rates=discrete_gamma(0.5, categories) if categories > 1 else None,
             )
             assert setexec.block_ops(instance) == block
+
+
+# 4 categories x 4 states: one partials row is 16 * patterns * itemsize
+# bytes. Rows of 16 KiB are above the cut, rows of 12 KiB the largest
+# below it.
+ABOVE = {np.float64: 128, np.float32: 256}
+BELOW = {np.float64: 96, np.float32: 192}
+DTYPES = [np.float64, np.float32]
+
+
+def row_case(n_patterns, dtype, scaling=False):
+    """Balanced 16 tips (sets of 8, 4, 2 and 1) at a chosen row size."""
+    tree = balanced_tree(16, branch_length=0.1)
+    patterns = random_patterns(tree.tip_names(), n_patterns, seed=5)
+    rates = discrete_gamma(0.5, 4)
+    instance = create_instance(
+        tree, MODEL, patterns, rates=rates, dtype=dtype, scaling=scaling
+    )
+    return tree, instance
+
+
+def run_passes(tree, instance, scaling=False):
+    """Three lower passes (one-set programs, then the compiled program)
+    and two gradient sweeps; every logL and the whole store afterwards,
+    upper rows and scale logs included."""
+    plan = make_plan(tree, scaling=scaling)
+    values = [execute_plan(instance, plan) for _ in range(3)]
+    gplan = make_gradient_plan(tree)
+    values += [execute_gradient_plan(instance, gplan) for _ in range(2)]
+    return values, instance._partials.copy(), instance.scale._logs.copy()
+
+
+class TestRowBytesRule:
+    """Sets of rows too large for the arena run per-operation steps."""
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_the_cut_lies_between_12_and_16_kib_rows(self, dtype):
+        assert not setexec.arena_fits(row_case(ABOVE[dtype], dtype)[1])
+        assert setexec.arena_fits(row_case(BELOW[dtype], dtype)[1])
+
+    def test_only_eval_wide_rows_are_above_the_cut(self):
+        """eval-narrow (4 KiB rows), mcmc and gradient (8 KiB) and serve
+        (2 KiB) keep their steps; eval-wide (128 KiB) runs per operation."""
+        tree = balanced_tree(4, branch_length=0.1)
+        for patterns, categories, fits in (
+            (128, 1, True),
+            (256, 1, True),
+            (64, 1, True),
+            (1024, 4, False),
+        ):
+            instance = create_instance(
+                tree,
+                MODEL,
+                random_patterns(tree.tip_names(), patterns, seed=4),
+                rates=discrete_gamma(0.5, categories) if categories > 1 else None,
+            )
+            assert setexec.arena_fits(instance) == fits
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_above_the_cut_every_set_runs_per_operation(self, dtype, chosen):
+        tree, instance = row_case(ABOVE[dtype], dtype)
+        run_passes(tree, instance)
+        assert max(width for width, _ in chosen) >= setexec.ARENA_MIN_OPS
+        assert {kind for _, kind in chosen} == {"narrow"}
+        ws = instance.workspace
+        assert ws.capacity == 0 and len(ws.gathered_tips) == 0
+        assert ws.tip_capacity == 0 and ws.allocations == 0
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_at_the_cut_the_arena_runs_from_width_6(self, dtype, chosen):
+        tree, instance = row_case(BELOW[dtype], dtype)
+        run_passes(tree, instance)
+        assert {kind for _, kind in chosen} == {"narrow", "arena"}
+        for width, kind in chosen:
+            expected = "arena" if width >= setexec.ARENA_MIN_OPS else "narrow"
+            assert kind == expected, width
+        assert instance.workspace.capacity > 0
+
+    @pytest.mark.parametrize("shape", [ABOVE, BELOW], ids=["above", "below"])
+    def test_dirty_path_wide_sets_follow_the_rule(self, shape):
+        """A dirty path's wide set runs from per-destination entries
+        above the cut and as a one-set arena program below it."""
+        tree, instance = row_case(shape[np.float64], np.float64)
+        plan = make_plan(tree)
+        execute_plan(instance, plan)
+        widest = max(plan.operation_sets, key=len)
+        step = setexec.DirtyPath(instance).step_for(widest)
+        if shape is ABOVE:
+            assert isinstance(step, setexec._NarrowStep)
+            assert step.chunk is None and len(step.products) == len(widest)
+        else:
+            assert step is None
+
+    @pytest.mark.parametrize("scaling", [False, True], ids=["plain", "scaled"])
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("shape", [ABOVE, BELOW], ids=["above", "below"])
+    def test_each_shape_gives_the_bits_of_every_step_kind(
+        self, shape, dtype, scaling
+    ):
+        expected = run_passes(*row_case(shape[dtype], dtype, scaling), scaling)
+        for block in (None, 1, 2, 64):  # narrow, arena blocks, one block
+            with forced_executor(block):
+                got = run_passes(*row_case(shape[dtype], dtype, scaling), scaling)
+            assert got[0] == expected[0], block
+            assert np.array_equal(got[1], expected[1]), block
+            assert np.array_equal(got[2], expected[2]), block
 
 
 def _count_one_set_programs(monkeypatch):

@@ -1,13 +1,13 @@
 """Pin the set executor to one step kind for the duration of a block.
 
 :func:`repro.beagle.setexec.compile_program` lowers a set to a narrow or
-an arena step from its width and reads its cut-offs from module globals
-when it lowers, so patching them steers every set lowered inside the
-block — through ``execute_plan``, ``TreeLikelihood`` or
-``ShardedLikelihood`` — without touching the engine. A program compiled
-before the block keeps the steps it was lowered to. Hypothesis-driven
-tests use this instead of the ``monkeypatch`` fixture, which is
-function-scoped.
+an arena step from its width and the instance's row bytes, and reads its
+cut-offs from module globals when it lowers, so patching them steers
+every set lowered inside the block — through ``execute_plan``,
+``TreeLikelihood`` or ``ShardedLikelihood`` — without touching the
+engine, at any row size. A program compiled before the block keeps the
+steps it was lowered to. Hypothesis-driven tests use this instead of the
+``monkeypatch`` fixture, which is function-scoped.
 """
 
 from __future__ import annotations
@@ -28,6 +28,10 @@ def forced_executor(block: Optional[int] = None) -> Iterator[None]:
     if block is None:
         patches = {"ARENA_MIN_OPS": 10**9}
     else:
-        patches = {"ARENA_MIN_OPS": 1, "block_ops": lambda instance: block}
+        patches = {
+            "ARENA_MIN_OPS": 1,
+            "arena_fits": lambda instance: True,
+            "block_ops": lambda instance: block,
+        }
     with mock.patch.multiple(setexec, **patches):
         yield

@@ -1,18 +1,20 @@
 """The set executor as properties: any set, any split, any program, same bits.
 
-Lowering picks a narrow or an arena step from a set's width, and cuts wide
-sets into blocks. That is only safe if the choice is unobservable. For
-random trees, precisions, scaling, tip encodings and rootings, every
-operation set must produce the same partials, scale logs and
-log-likelihood bits whether it runs as a narrow step, as one arena block,
-or in arena blocks of one or two. And a whole plan run through the
-program an instance compiled for it must leave exactly what running its
-sets one by one leaves.
+Lowering picks a narrow or an arena step from a set's width and the
+instance's row bytes, and cuts wide sets into blocks. That is only safe
+if the choice is unobservable. For random trees, precisions, scaling,
+tip encodings and rootings, every operation set must produce the same
+partials, scale logs and log-likelihood bits whether it runs as a narrow
+step, as one arena block, or in arena blocks of one or two. And a whole
+plan run through the program an instance compiled for it must leave
+exactly what running its sets one by one leaves, with arena steps, with
+tip chunks of one step each, and with rows too large for the arena.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from contextlib import ExitStack
 from unittest import mock
 
 import numpy as np
@@ -141,6 +143,29 @@ def _split(plan, cuts):
     return dataclasses.replace(plan, operation_sets=sets)
 
 
+def _spy_steps(stack, log):
+    """Record ``(width, kind)`` for every narrow and arena step run."""
+    for cls, kind in ((setexec._NarrowStep, "narrow"), (setexec._ArenaStep, "arena")):
+
+        def run(step, instance, ws, inner=cls.run, kind=kind):
+            log.append((len(step.ops), kind))
+            inner(step, instance, ws)
+
+        stack.enter_context(mock.patch.object(cls, "run", run))
+
+
+#: The row regimes a program is lowered in. ``arena``: the test's small
+#: rows, arena steps from ``arena_min``. ``one-tip-chunks``: a 1-byte
+#: budget, so each narrow step gathers its tips alone. ``large-rows``: a
+#: 0-byte row cut through the real row-bytes rule, which then lowers
+#: every set to per-operation steps.
+REGIMES = {
+    "arena": {},
+    "one-tip-chunks": {"CACHE_BUDGET_BYTES": 1},
+    "large-rows": {"ARENA_MAX_ROW_BYTES": 0},
+}
+
+
 @given(
     tree_strategy(min_tips=3, max_tips=16),
     st.integers(0, 10**6),
@@ -149,24 +174,29 @@ def _split(plan, cuts):
     st.booleans(),
     st.integers(0, 3),
     st.sampled_from([1, 2, 3, 4, 10**9]),
-    st.sampled_from([1, setexec.CACHE_BUDGET_BYTES]),
+    st.sampled_from(sorted(REGIMES)),
     st.lists(st.integers(0, 64), min_size=16, max_size=16),
 )
 def test_compiled_program_matches_set_by_set_execution(
-    tree, seed, dtype, scaling, reroot, n_ambiguous, arena_min, budget, cuts
+    tree, seed, dtype, scaling, reroot, n_ambiguous, arena_min, regime, cuts
 ):
     patterns = _patterns(tree, seed, n_ambiguous)
     if reroot:
         tree = optimal_reroot_fast(tree).tree
     plan = _split(make_plan(tree, "concurrent", scaling=scaling), cuts)
+    ran = []
     # Arena steps from ``arena_min`` operations, in blocks of two so wide
-    # sets also cut; a 1-byte budget gathers each narrow step's tips alone.
-    with mock.patch.multiple(
-        setexec,
-        ARENA_MIN_OPS=arena_min,
-        CACHE_BUDGET_BYTES=budget,
-        block_ops=lambda instance: 2,
-    ):
+    # sets also cut.
+    with ExitStack() as stack:
+        stack.enter_context(
+            mock.patch.multiple(
+                setexec,
+                ARENA_MIN_OPS=arena_min,
+                block_ops=lambda instance: 2,
+                **REGIMES[regime],
+            )
+        )
+        _spy_steps(stack, ran)
         reference = create_instance(
             tree, MODEL, patterns, dtype=dtype, scaling=scaling
         )
@@ -181,12 +211,14 @@ def test_compiled_program_matches_set_by_set_execution(
         instance = create_instance(
             tree, MODEL, patterns, dtype=dtype, scaling=scaling
         )
+        assert setexec.arena_fits(instance) == (regime != "large-rows")
         # The plan is new to this example, so its program is lowered
         # under this example's patched constants.
         first = execute_plan(instance, plan)  # uncompiled: one-set programs
         assert plan.programs.by_key == {}
         second = execute_plan(instance, plan)  # compiles, then runs bound
-        assert plan.programs.get(instance) is not None
+        program = plan.programs.get(instance)
+        assert program is not None
         third = execute_plan(instance, plan)  # the plan's program again
     assert first == second == third
     got = _outputs(instance, plan)
@@ -195,4 +227,16 @@ def test_compiled_program_matches_set_by_set_execution(
     assert np.array_equal(got[2], expected[2])
     assert got[3] == expected[3] == third
     assert instance.stats.kernel_launches == 3 * plan.n_launches
-
+    # Every step that ran is the kind the regime forces.
+    assert len(ran) == 4 * plan.n_launches
+    for width, kind in ran:
+        arena = regime != "large-rows" and width >= arena_min
+        assert kind == ("arena" if arena else "narrow"), (width, regime)
+    chunks = [getattr(step, "chunk", None) for step in program.steps]
+    chunks = [chunk for chunk in chunks if chunk is not None]
+    if regime == "one-tip-chunks":
+        assert len({id(chunk) for chunk in chunks}) == len(chunks)
+    elif regime == "large-rows":
+        assert chunks == []
+        assert instance.workspace.capacity == 0
+        assert len(instance.workspace.gathered_tips) == 0

@@ -27,6 +27,7 @@ from repro.serve import (
     burst_storm,
     replay,
 )
+from repro.serve.server import SCHEDULE_LOG_LENGTH
 
 DIMS = RequestDims(state_count=4, pattern_count=24)
 
@@ -245,9 +246,30 @@ class TestDeterminism:
 
         first = run(seed=7)
         second = run(seed=7)
+        # The bounded log still holds the whole replay, so it compares
+        # every decision.
+        assert len(first) < SCHEDULE_LOG_LENGTH
         assert first == second
         assert any(event == "shed" for event, *_ in first)
         assert any(event == "serve" for event, *_ in first)
+
+
+class TestScheduleLog:
+    def test_a_long_lived_server_keeps_the_last_decisions(self, case):
+        """Past SCHEDULE_LOG_LENGTH decisions the log keeps the newest
+        ones and stops growing."""
+        make_case, _, _ = case
+        clock = StepClock()
+        server = make_server(case, clock, n_workers=2, verify=False)
+        served = 0
+        while served <= SCHEDULE_LOG_LENGTH:
+            for _ in range(16):
+                server.submit(f"t{served % 3}", make_case, dims=DIMS)
+            while server.pending:
+                served += sum(o.status == "served" for o in server.step())
+        log = server.schedule_log
+        assert len(log) == SCHEDULE_LOG_LENGTH
+        assert log[-1][0] == "serve"
 
 
 class TestChaosSoak:
