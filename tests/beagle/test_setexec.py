@@ -240,12 +240,17 @@ class TestRowBytesRule:
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("shape", [ABOVE, BELOW], ids=["above", "below"])
     def test_each_shape_gives_the_bits_of_every_step_kind(
-        self, shape, dtype, scaling
+        self, shape, dtype, scaling, chosen
     ):
         expected = run_passes(*row_case(shape[dtype], dtype, scaling), scaling)
         for block in (None, 1, 2, 64):  # narrow, arena blocks, one block
+            chosen.clear()
             with forced_executor(block):
                 got = run_passes(*row_case(shape[dtype], dtype, scaling), scaling)
+            # The pinned kind runs whatever the row size.
+            assert {kind for _, kind in chosen} == {
+                "narrow" if block is None else "arena"
+            }
             assert got[0] == expected[0], block
             assert np.array_equal(got[1], expected[1]), block
             assert np.array_equal(got[2], expected[2]), block
