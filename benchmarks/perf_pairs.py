@@ -14,7 +14,11 @@ metric, the ratio of the medians, the pairs the change won, whether the
 medians are further apart than the parent's quartile spread, and the
 peak RSS of every run. Metric names and directions come from
 ``BENCHMARK.json``. ``--claim WORKLOAD:METRIC`` records the claimed gain
-at the top of the file.
+at the top of the file. Under ``bits`` it also holds each side's output
+of ``benchmarks/route_bits.py`` and ``benchmarks/gradient_bits.py`` (this
+checkout's scripts, run on each side's ``src/``) and whether the two
+sides printed the same lines, so a gain and its bit-identity check come
+from one file.
 """
 
 from __future__ import annotations
@@ -35,6 +39,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SCHEMA = "perf_pairs/1"
 WORKTREE = "WORKTREE"
 SIDES = ("parent", "change")
+BIT_SCRIPTS = tuple(
+    ROOT / "benchmarks" / name for name in ("route_bits.py", "gradient_bits.py")
+)
 
 
 def load_directions(path: Path = ROOT / "BENCHMARK.json") -> Dict[str, str]:
@@ -105,6 +112,31 @@ def run_once(side_dir: Path, workload: str, seed: int, seconds: float) -> dict:
     run = {name: m["value"] for name, m in result["metrics"].items()}
     run["correct"] = bool(result["correct"])
     return run
+
+
+def side_bits(side_dir: Path, scripts=BIT_SCRIPTS) -> Dict[str, List[str]]:
+    """``{script name: output lines}`` of each bit-hash script run on the
+    side's ``src/``."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONPATH"] = str(side_dir / "src")
+    out = {}
+    for script in scripts:
+        proc = subprocess.run(
+            [sys.executable, str(script)],
+            cwd=side_dir,
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        if proc.returncode:
+            raise RuntimeError(f"{script} failed ({proc.returncode}): {proc.stderr}")
+        out[Path(script).name] = proc.stdout.splitlines()
+    return out
+
+
+def bits_of(lines: Dict[str, Dict[str, List[str]]]) -> dict:
+    """Both sides' bit-hash lines and whether they are identical."""
+    return {**lines, "identical": lines["parent"] == lines["change"]}
 
 
 def _quartiles(values: List[float]) -> List[float]:
@@ -199,6 +231,11 @@ def check_schema(doc: dict) -> None:
         for side in SIDES:
             if len(summary["peak_rss_mb"][side]) != summary["pairs"]:
                 raise ValueError(f"{name}: peak RSS missing for a {side} run")
+    if "bits" in doc:  # files before the bit check have none
+        bits = doc["bits"]
+        need(bits, SIDES + ("identical",), "bits")
+        if bits["identical"] != (bits["parent"] == bits["change"]):
+            raise ValueError("bits: identical does not match the lines")
 
 
 def main(argv=None) -> int:
@@ -226,6 +263,8 @@ def main(argv=None) -> int:
             side: prepare_side(rev, scratch / side)
             for side, rev in zip(SIDES, (args.parent, args.change))
         }
+        bits = bits_of({side: side_bits(dirs[side]) for side in SIDES})
+        print(f"route and gradient bits identical: {bits['identical']}", flush=True)
         workloads = {}
         for workload, count in counts.items():
             pairs = []
@@ -257,6 +296,7 @@ def main(argv=None) -> int:
         "host": f"{os.cpu_count()} CPUs, {platform.system()}, Python "
         f"{platform.python_version()}; perfbench times host-calibrated",
         "claim": claim_of(workloads, args.claim),
+        "bits": bits,
         "workloads": workloads,
     }
     check_schema(doc)

@@ -88,10 +88,6 @@ class PatternData:
         out[~known] = 1.0
         return out
 
-    def tip_codes(self, taxon: str) -> np.ndarray:
-        """Compact state-code vector for one taxon."""
-        return self.codes[self.taxa.index(taxon)].copy()
-
 
 def compress(alignment: Alignment) -> PatternData:
     """Collapse identical columns of ``alignment`` into weighted patterns.

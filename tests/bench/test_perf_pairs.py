@@ -99,6 +99,36 @@ def test_pairs_alternate_which_side_runs_first():
         pp.parse_workloads(["serve=0"], 3)
 
 
+def test_each_side_prints_its_own_bits(tmp_path):
+    """The bit scripts run on each side's ``src/``, and the file says
+    whether the two sides printed the same lines."""
+    script = tmp_path / "bits.py"
+    script.write_text("import mod\nprint('route:', mod.VALUE)\n")
+    sides = {}
+    for side, value in zip(pp.SIDES, (1, 2)):
+        (tmp_path / side / "src").mkdir(parents=True)
+        (tmp_path / side / "src" / "mod.py").write_text(f"VALUE = {value}\n")
+        sides[side] = pp.side_bits(tmp_path / side, scripts=[script])
+    assert sides["parent"] == {"bits.py": ["route: 1"]}
+    bits = pp.bits_of(sides)
+    assert not bits["identical"]
+    assert pp.bits_of({side: sides["parent"] for side in pp.SIDES})["identical"]
+    summary = pp.summarize(_pairs([40.0], [44.0]), DIRECTIONS)
+    doc = {
+        "schema": pp.SCHEMA,
+        "parent": "a",
+        "change": "b",
+        "seconds": 1.0,
+        "claim": None,
+        "bits": bits,
+        "workloads": {"w": summary},
+    }
+    pp.check_schema(doc)
+    bits["identical"] = True
+    with pytest.raises(ValueError, match="bits"):
+        pp.check_schema(doc)
+
+
 def test_directions_come_from_the_benchmark_spec():
     directions = pp.load_directions()
     assert directions["throughput_per_s"] == "higher"

@@ -58,7 +58,7 @@ class TestCompress:
     def test_tip_codes(self):
         a = Alignment({"x": "ACCA"})
         pd = compress(a)
-        assert pd.tip_codes("x").tolist() == [0, 1]
+        assert pd.codes[pd.taxa.index("x")].tolist() == [0, 1]
 
     @given(st.integers(2, 8), st.integers(5, 60), st.integers(0, 999))
     def test_weights_sum_to_sites(self, n_taxa, n_sites, seed):

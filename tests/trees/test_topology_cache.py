@@ -333,4 +333,5 @@ class TestIndicesFromTheCachedWalk:
         assert tree.assign_indices() == expected
         for tip in tree.root.tips():
             row = instance._tip_codes[expected[id(tip)]]
-            assert np.array_equal(row, patterns.tip_codes(tip.name))
+            codes = patterns.codes[patterns.taxa.index(tip.name)]
+            assert np.array_equal(row, codes)
