@@ -75,12 +75,15 @@ def run_null(instance, plan):
     return _execute_plan_body(instance, plan, update_matrices=False)
 
 
-def measure(fn, instance, plan, repeats=REPEATS):
-    best = float("inf")
+def measure(fns, instance, plan, repeats=REPEATS):
+    """Best time of each of ``fns``, run in turn within every repeat so
+    drift of the host lands on all of them."""
+    best = [float("inf")] * len(fns)
     for _ in range(repeats):
-        start = time.perf_counter()
-        fn(instance, plan)
-        best = min(best, time.perf_counter() - start)
+        for i, fn in enumerate(fns):
+            start = time.perf_counter()
+            fn(instance, plan)
+            best[i] = min(best[i], time.perf_counter() - start)
     return best
 
 
@@ -96,12 +99,11 @@ def test_null_recorder_overhead_under_three_percent(benchmark, results_dir):
             execute_plan(instance, plan, update_matrices=False) == ll_baseline
         )
 
-    t_baseline = measure(run_baseline, instance, plan)
-    t_null = measure(run_null, instance, plan)
+    t_baseline, t_null = measure([run_baseline, run_null], instance, plan)
     recorder = Recorder()
     with recording(recorder):
-        t_enabled = measure(
-            lambda i, p: execute_plan(i, p, update_matrices=False),
+        (t_enabled,) = measure(
+            [lambda i, p: execute_plan(i, p, update_matrices=False)],
             instance,
             plan,
         )

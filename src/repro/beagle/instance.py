@@ -534,59 +534,6 @@ class BeagleInstance:
             )
         return np.array(self._partials[slot], copy=True)
 
-    def edge_partials(self, nodes: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
-        """Stacked lower and upper partials of a batch of branches.
-
-        The batched :meth:`get_partials` + :meth:`upper_partials`: returns
-        fresh ``(lower, upper)`` arrays of shape ``(k, C, P, S)`` in the
-        instance dtype, row ``i`` holding the two half-tree partials of the
-        branch above node ``nodes[i]`` (lower buffer indices). Internal
-        lowers and every upper come from one fancy index on the store after
-        one validity check; compact-code tips from one gather over a padded
-        identity whose unknown-code row is all ones (the 0/1 rows of
-        :func:`~repro.beagle.kernels.dense_tip_partials`); explicit tip
-        partials are copied. Any unreadable buffer raises the error the
-        per-buffer getters raise for the first offending node.
-        """
-        if not self._upper_enabled:
-            raise ValueError(
-                "upper partials not enabled; call enable_upper_partials()"
-            )
-        nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
-        k = len(nodes)
-        tips = nodes < self.tip_count
-        # Rows [0, k) are the lowers, [k, 2k) the uppers; a tip's lower
-        # row borrows its upper row and is overwritten below.
-        upper_rows = nodes + self.partials_buffer_count
-        lower_rows = np.where(tips, upper_rows, nodes - self.tip_count)
-        rows = np.concatenate([lower_rows, upper_rows])
-        tip_nodes = nodes[tips].tolist()
-        readable = (
-            k == 0 or (nodes.min() >= 0 and nodes.max() < self.upper_base)
-        ) and all(
-            n in self._tip_codes or n in self._tip_partials for n in tip_nodes
-        )
-        if not (readable and self._partials_valid[rows].all()):
-            # Replay the per-buffer getters so the error matches theirs.
-            for node in nodes.tolist():
-                self.get_partials(node)
-                self.upper_partials(node)
-        stack = self._partials[rows]
-        lower = stack[:k]
-        compact = []
-        for i, node in zip(np.flatnonzero(tips).tolist(), tip_nodes):
-            if node in self._tip_codes:
-                compact.append(i)
-            else:
-                lower[i] = self._tip_partials[node]
-        if compact:
-            S = self.state_count
-            identity = np.eye(S + 1, S, dtype=self.dtype)
-            identity[S] = 1.0
-            codes = self._tip_codes_dense[nodes[compact]]
-            lower[compact] = identity[codes][:, None]
-        return lower, stack[k:]
-
     def update_upper_partials_set(self, operations: Sequence[Operation]) -> None:
         """Execute one independent *upper*-partial operation set.
 

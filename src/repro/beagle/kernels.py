@@ -44,10 +44,8 @@ def dense_tip_partials(
     The identity-matrix contribution of :func:`child_contribution`:
     observed states become one-hot rows, the "unknown" code ``n_states``
     becomes all-ones. Used to seed pre-order upper-partial buffers from
-    tip sources and by ``get_partials`` on a tip. The gradient sweep's
-    batched, chunked recombination gathers the same 0/1 rows for a
-    whole chunk of tips at once
-    (:meth:`~repro.beagle.instance.BeagleInstance.edge_partials`).
+    tip sources and by ``get_partials`` on a tip, which gives the gradient
+    sweep its tip branches' lower partials, once per swept topology.
     """
     eye = np.eye(n_states, dtype=dtype)
     return child_contribution(

@@ -43,10 +43,11 @@ class Workspace:
 
     Notes
     -----
-    Three groups grow independently, each geometrically: arena-block
-    buffers (:meth:`ensure`, ``2k`` child rows for ``k`` operations), the
-    compact-tip gather scratch (:meth:`ensure_tips`) and the tip rows
-    narrow steps gather ahead of their sets (:meth:`ensure_gathered`).
+    Four groups grow independently: arena-block buffers (:meth:`ensure`,
+    ``2k`` child rows for ``k`` operations, geometrically), the scratch
+    rows alone, for run steps (:meth:`ensure_scratch`), the compact-tip
+    gather scratch (:meth:`ensure_tips`) and the tip rows narrow steps
+    gather ahead of their sets (:meth:`ensure_gathered`).
     Every growth bumps :attr:`allocations`; calls at or below the
     high-water mark are free. Tests assert steady state by checking that
     :attr:`allocations` stops moving across evaluations.
@@ -71,9 +72,10 @@ class Workspace:
         self.allocations = 0
         #: The tip chunk whose contributions ``gathered_tips`` holds.
         self.gathered_by: Optional[object] = None
+        C, P, S = category_count, pattern_count, state_count
+        self.scratch = np.empty((0, C, P, S), dtype=self.dtype)
         self._allocate_blocks(0)
         self._allocate_tips(0)
-        C, P, S = category_count, pattern_count, state_count
         self.gathered_tips = np.empty((0, C, P, S), dtype=self.dtype)
         # Size-independent scratch, allocated once: one (C, P, S) row for
         # a narrow step's second computed child, and per-pattern scaling.
@@ -113,6 +115,15 @@ class Workspace:
         if 2 * self.capacity > self.tip_capacity:
             self._allocate_tips(max(2 * self.capacity, 2 * self.tip_capacity))
 
+    def ensure_scratch(self, n: int) -> None:
+        """Hold at least ``n`` scratch rows: a run step's second store
+        side, which needs none of the other arena-block buffers."""
+        if n <= len(self.scratch):
+            return
+        C, P, S = self.category_count, self.pattern_count, self.state_count
+        self.scratch = np.empty((n, C, P, S), dtype=self.dtype)
+        self.allocations += 1
+
     def ensure_tips(self, n: int) -> None:
         """Grow the compact-tip gather scratch to at least ``n`` rows."""
         if n <= self.tip_capacity:
@@ -137,8 +148,9 @@ class Workspace:
         dt = self.dtype
         # Child contributions for the whole block: firsts then seconds.
         self.contributions = np.empty((rows, C, P, S), dtype=dt)
-        # Group-local compute target (scattered into `contributions`).
-        self.scratch = np.empty((rows, C, P, S), dtype=dt)
+        # Group-local compute target (scattered into `contributions`),
+        # never shrunk below the rows run steps asked for.
+        self.scratch = np.empty((max(rows, len(self.scratch)), C, P, S), dtype=dt)
         # Internal-child partials gathered contiguously for the matmul.
         self.gathered = np.empty((rows, C, P, S), dtype=dt)
         # Their padded transposed transition matrices, gathered alike.

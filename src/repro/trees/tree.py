@@ -3,8 +3,9 @@
 A :class:`Tree` owns a root :class:`~repro.trees.node.Node` and provides the
 index maps the likelihood engine needs: tips are numbered ``0 .. n-1`` (in
 left-to-right order unless explicit names are mapped) and internal nodes
-``n .. 2n-2``, matching the partials-buffer layout used by the BEAGLE
-library. The root always receives the highest index of its subtree ordering.
+``n .. 2n-2`` in operation-set order (:meth:`Tree.assign_indices`),
+matching the partials-buffer layout used by the BEAGLE library. Every
+child's index is below its parent's, and the root's is the highest.
 """
 
 from __future__ import annotations
@@ -154,16 +155,31 @@ class Tree:
     # Buffer indexing (BEAGLE layout)
     # ------------------------------------------------------------------
     def assign_indices(self, tip_order: Optional[Sequence[str]] = None) -> Dict[int, int]:
-        """Assign buffer indices: tips first, then internals in post-order.
+        """Assign buffer indices: tips first, then internals in set order.
 
         Parameters
         ----------
         tip_order:
             Optional explicit tip-name ordering; tip ``tip_order[i]`` gets
-            index ``i``. Defaults to left-to-right tree order. Internal
-            nodes are numbered ``n_tips ..`` following post-order, so every
-            child index is smaller than its parent's index — the property
-            the engine's dependency analysis relies on.
+            index ``i``. Defaults to left-to-right tree order.
+
+        Internal nodes are numbered ``n_tips ..`` in reverse level order
+        — deepest level first, left to right within a level — the order
+        :func:`~repro.core.schedule.reverse_levelorder_operations` submits
+        them in and concurrent plans are cut from. So:
+
+        * every child's index is below its parent's, the property the
+          engine's dependency analysis relies on, and the root's index is
+          the highest (``2n − 2``);
+        * each greedy operation set's destinations are consecutive
+          indices (one run), and on a balanced tree the first and second
+          children of a set are the alternate indices of the level below
+          (two runs of stride 2). Transition matrices share their
+          child's index, so they form the same runs. The set executor
+          lowers a set whose operands form a few runs to strided views of
+          the store (:mod:`repro.beagle.setexec`), and the gradient sweep
+          recombines its branches from runs of store rows
+          (:mod:`repro.inference.derivatives`).
 
         Returns
         -------
@@ -177,14 +193,9 @@ class Tree:
             if set(by_name) != set(tip_order) or len(tip_order) != len(tips):
                 raise ValueError("tip_order must be a permutation of tip names")
             tips = [by_name[name] for name in tip_order]
-        index: Dict[int, int] = {}
-        for i, tip in enumerate(tips):
-            index[id(tip)] = i
-        next_idx = len(tips)
-        for node in self._postorder():
-            if node.children:
-                index[id(node)] = next_idx
-                next_idx += 1
+        index: Dict[int, int] = {id(tip): i for i, tip in enumerate(tips)}
+        for i, node in enumerate(self.derived(_set_order), start=len(tips)):
+            index[id(node)] = i
         self._index = index
         return index
 
@@ -292,3 +303,13 @@ class Tree:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Tree n_tips={self.n_tips} n_nodes={self.n_nodes}>"
+
+
+def _set_order(tree: Tree) -> List[Node]:
+    """Internal nodes in reverse level order: deepest level first, each
+    level left to right (the order of a forward breadth-first pass)."""
+    levels, level = [], [tree.root]
+    while level:
+        levels.append(level)
+        level = [child for node in level for child in node.children]
+    return [node for level in reversed(levels) for node in level if node.children]

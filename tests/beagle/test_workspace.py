@@ -53,7 +53,10 @@ class TestWorkspace:
         patterns = random_patterns(tree.tip_names(), 16, seed=1)
         inst = create_instance(tree, MODEL, patterns)
         plan = make_plan(tree)
-        execute_plan(inst, plan)  # warm-up sizes the workspace
+        # Warm-up: the one-set programs, then the compiled program (its
+        # run steps gather their tips ahead), size the workspace.
+        for _ in range(2):
+            execute_plan(inst, plan)
         ws = inst.workspace
         allocations = ws.allocations
         token = ws.buffer_token()

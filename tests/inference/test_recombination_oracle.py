@@ -22,7 +22,11 @@ from repro.models import discrete_gamma
 from repro.models.eigen import transition_matrices
 from repro.models.siterates import single_rate
 from repro.trees import balanced_tree
-from tests.inference.test_gradient import MODEL, ambiguous_patterns
+from tests.inference.test_gradient import (
+    MODEL,
+    ambiguous_patterns,
+    half_trees_by_getters,
+)
 from tests.p_space import p_space_recombine, transition_derivatives
 from tests.strategies import tree_strategy
 
@@ -75,7 +79,7 @@ class TestEigenSpaceRecombination:
         bg = all_branch_derivatives(
             tree, MODEL, patterns, rates=rates, instance=instance
         )
-        U, V = instance.edge_partials([tree.index_of(e) for e in bg.edges])
+        U, V = half_trees_by_getters(instance, [tree.index_of(e) for e in bg.edges])
         k = len(bg.edges)
         for t in (bg.branch_lengths(), *(np.full(k, x) for x in LENGTHS)):
             got = [
@@ -98,7 +102,9 @@ class TestEigenSpaceRecombination:
             )
         instance = create_instance(tree, MODEL, patterns)
         bg = all_branch_derivatives(tree, MODEL, patterns, instance=instance)
-        U, V = instance.edge_partials([tree.index_of(e) for e in bg.edges[:2]])
+        U, V = half_trees_by_getters(
+            instance, [tree.index_of(e) for e in bg.edges[:2]]
+        )
         with pytest.raises(ValueError, match="non-negative"):
             _recombine_edges(
                 U, V, np.array([0.1, -1e-9]), MODEL, single_rate(),

@@ -33,7 +33,7 @@ from repro.inference import (
 from repro.models import JC69
 from repro.trees import Tree, balanced_tree, parse_newick, write_newick
 from repro.trees.node import Node
-from repro.trees.traversal import node_depths
+from repro.trees.traversal import node_depths, reverse_levelorder
 from tests.strategies import tree_strategy
 
 STEPS = (
@@ -314,9 +314,9 @@ class TestTopologyEpoch:
 
 def _fresh_indices(tree: Tree) -> Dict[int, int]:
     """Buffer indices numbered from fresh walks: tips left to right, then
-    internal nodes in post-order."""
+    internal nodes in reverse level order."""
     tips = list(tree.root.tips())
-    internals = [n for n in tree.root.traverse_postorder() if not n.is_tip]
+    internals = [n for n in reverse_levelorder(tree) if not n.is_tip]
     index = {id(tip): i for i, tip in enumerate(tips)}
     index.update({id(n): len(tips) + i for i, n in enumerate(internals)})
     return index
