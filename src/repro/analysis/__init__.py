@@ -39,7 +39,7 @@ from .diagnostics import (
     PlanVerificationError,
     Severity,
 )
-from .dataflow import analyze_operation_sets, analyze_stream
+from .dataflow import analyze_operation_sets
 from .mutate import (
     MUTATION_KINDS,
     Mutation,
@@ -87,7 +87,6 @@ __all__ = [
     "Severity",
     "analyze_mutation",
     "analyze_operation_sets",
-    "analyze_stream",
     "audit_plan",
     "audit_tree",
     "check_cache_coherence",

@@ -39,7 +39,7 @@ from ..beagle.operations import Operation
 from .config import BufferConfig
 from .diagnostics import Diagnostic, Severity
 
-__all__ = ["analyze_operation_sets", "analyze_stream"]
+__all__ = ["analyze_operation_sets"]
 
 
 def _flatten(
@@ -53,15 +53,6 @@ def _flatten(
             out.append((k, i, op))
             i += 1
     return out
-
-
-def analyze_stream(
-    operations: Sequence[Operation],
-    config: BufferConfig,
-    **kwargs: object,
-) -> List[Diagnostic]:
-    """Analyze a flat stream as if each operation were its own set."""
-    return analyze_operation_sets([[op] for op in operations], config, **kwargs)
 
 
 def analyze_operation_sets(

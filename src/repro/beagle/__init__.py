@@ -1,8 +1,8 @@
 """BEAGLE-work-alike likelihood engine: buffers, operations, kernels.
 
 Every instance runs its kernel launches through one set executor
-(:mod:`repro.beagle.setexec`), which lowers each set to a narrow or an
-arena-block step by its width alone.
+(:mod:`repro.beagle.setexec`), which lowers each set to a per-operation
+or a run step by the layout of its operands.
 """
 
 from .operations import Operation, operations_independent, validate_operation_order

@@ -9,8 +9,8 @@ leading batch dimension.
 
 :func:`child_contribution` is one child's factor of an operation; the
 set executor (:mod:`repro.beagle.setexec`) runs the same arithmetic as
-compiled narrow steps or batched arena blocks for a whole independent
-operation set, the analogue of BEAGLE's multi-operation kernel (§VI-A).
+compiled per-operation or run steps for a whole independent operation
+set, the analogue of BEAGLE's multi-operation kernel (§VI-A).
 
 FLOP accounting (:func:`operation_flops`) follows the paper's effective-
 FLOPS throughput metric (§VI-C).

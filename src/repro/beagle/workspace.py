@@ -1,13 +1,13 @@
-"""Preallocated execution arenas for the batched partials kernel.
+"""Preallocated scratch and a matrix cache for the partials kernel.
 
 Two pieces of engine state that make the hot path *incremental-friendly*:
 
-* :class:`Workspace` — a grow-on-demand arena of scratch arrays sized to
-  the widest arena block and the largest tip chunk run so far (see
+* :class:`Workspace` — grow-on-demand scratch arrays sized to the largest
+  tip chunk and the widest run step run so far (see
   :mod:`repro.beagle.setexec`). Once warm, a compiled program performs
   **zero per-set array allocations**: gathers land in preallocated
   buffers (``np.take(..., out=)``), matmuls write through ``out=``, and
-  index bookkeeping reuses fixed ``int64`` arrays. On a GPU this arena
+  index bookkeeping reuses fixed ``int64`` arrays. On a GPU this scratch
   would be device memory allocated once at instance creation (exactly
   BEAGLE's buffer model); on the CPU it removes the allocator from the
   profile.
@@ -32,21 +32,20 @@ __all__ = ["Workspace", "TransitionMatrixCache"]
 
 
 class Workspace:
-    """Grow-on-demand scratch arena for operation-set execution.
+    """Grow-on-demand scratch for operation-set execution.
 
     Parameters
     ----------
     dtype:
-        Floating-point dtype of the partials/matrices the arena serves.
+        Floating-point dtype of the partials/matrices the scratch serves.
     category_count, pattern_count, state_count:
         The instance's fixed data dimensions ``C``, ``P``, ``S``.
 
     Notes
     -----
-    Four groups grow independently: arena-block buffers (:meth:`ensure`,
-    ``2k`` child rows for ``k`` operations, geometrically), the scratch
-    rows alone, for run steps (:meth:`ensure_scratch`), the compact-tip
-    gather scratch (:meth:`ensure_tips`) and the tip rows narrow steps
+    Three groups grow independently: the scratch rows of run steps'
+    second store side (:meth:`ensure_scratch`), the compact-tip gather
+    scratch (:meth:`ensure_tips`, geometrically) and the tip rows steps
     gather ahead of their sets (:meth:`ensure_gathered`).
     Every growth bumps :attr:`allocations`; calls at or below the
     high-water mark are free. Tests assert steady state by checking that
@@ -64,21 +63,18 @@ class Workspace:
         self.category_count = category_count
         self.pattern_count = pattern_count
         self.state_count = state_count
-        #: Operations the arena blocks can currently hold without growing.
-        self.capacity = 0
         #: Rows the compact-tip gather scratch can hold.
         self.tip_capacity = 0
-        #: Times the arena (re)allocated its buffers — stable in steady state.
+        #: Times the scratch was (re)allocated — stable in steady state.
         self.allocations = 0
         #: The tip chunk whose contributions ``gathered_tips`` holds.
         self.gathered_by: Optional[object] = None
         C, P, S = category_count, pattern_count, state_count
         self.scratch = np.empty((0, C, P, S), dtype=self.dtype)
-        self._allocate_blocks(0)
         self._allocate_tips(0)
         self.gathered_tips = np.empty((0, C, P, S), dtype=self.dtype)
         # Size-independent scratch, allocated once: one (C, P, S) row for
-        # a narrow step's second computed child, and per-pattern scaling.
+        # a per-operation step's second computed child, and per-pattern scaling.
         self.row = np.empty((C, P, S), dtype=self.dtype)
         self._factors = np.empty(P, dtype=self.dtype)
         self._safe = np.empty(P, dtype=self.dtype)
@@ -96,7 +92,7 @@ class Workspace:
         state_count: int,
     ) -> bool:
         """May an instance with these dimensions execute through this
-        arena? Exact dimension equality is required — the buffers' shapes
+        workspace? Exact dimension equality is required — the buffers' shapes
         are baked in at allocation, and a mismatched ``out=`` target
         would either fail or silently truncate."""
         return (
@@ -106,18 +102,9 @@ class Workspace:
             and state_count == self.state_count
         )
 
-    def ensure(self, k: int) -> None:
-        """Grow the arena-block buffers to hold at least ``k`` operations."""
-        if k <= self.capacity:
-            return
-        self._allocate_blocks(max(k, 2 * self.capacity))
-        self.allocations += 1
-        if 2 * self.capacity > self.tip_capacity:
-            self._allocate_tips(max(2 * self.capacity, 2 * self.tip_capacity))
-
     def ensure_scratch(self, n: int) -> None:
         """Hold at least ``n`` scratch rows: a run step's second store
-        side, which needs none of the other arena-block buffers."""
+        side."""
         if n <= len(self.scratch):
             return
         C, P, S = self.category_count, self.pattern_count, self.state_count
@@ -141,21 +128,6 @@ class Workspace:
         self.gathered_tips = np.empty((max(n, target), C, P, S), dtype=self.dtype)
         self.gathered_by = None
         self.allocations += 1
-
-    def _allocate_blocks(self, cap: int) -> None:
-        C, P, S = self.category_count, self.pattern_count, self.state_count
-        rows = 2 * cap  # one child row per (operation, side)
-        dt = self.dtype
-        # Child contributions for the whole block: firsts then seconds.
-        self.contributions = np.empty((rows, C, P, S), dtype=dt)
-        # Group-local compute target (scattered into `contributions`),
-        # never shrunk below the rows run steps asked for.
-        self.scratch = np.empty((max(rows, len(self.scratch)), C, P, S), dtype=dt)
-        # Internal-child partials gathered contiguously for the matmul.
-        self.gathered = np.empty((rows, C, P, S), dtype=dt)
-        # Their padded transposed transition matrices, gathered alike.
-        self.mats = np.empty((rows, C, S + 1, S), dtype=dt)
-        self.capacity = cap
 
     def _allocate_tips(self, rows: int) -> None:
         C, P = self.category_count, self.pattern_count
@@ -187,11 +159,8 @@ class Workspace:
         return self._mask
 
     _BUFFERS = (
-        "contributions",
         "scratch",
-        "gathered",
         "gathered_tips",
-        "mats",
         "codes",
         "rowidx",
         "row",
@@ -202,7 +171,7 @@ class Workspace:
     )
 
     def nbytes(self) -> int:
-        """Bytes currently held by the arena's buffers."""
+        """Bytes currently held by the workspace's buffers."""
         return sum(getattr(self, name).nbytes for name in self._BUFFERS)
 
     def buffer_token(self) -> Tuple[int, ...]:

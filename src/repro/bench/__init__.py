@@ -2,7 +2,7 @@
 
 from .harness import CaseResult, build_tree, run_case, sweep_random_trees
 from .asciiplot import Series, ascii_plot
-from .tables import format_table, summarize_interval, write_table
+from .tables import format_table, summarize_interval
 from .profiling import (
     ProfileReport,
     kernel_scaling,
@@ -18,7 +18,6 @@ __all__ = [
     "Series",
     "ascii_plot",
     "format_table",
-    "write_table",
     "summarize_interval",
     "ProfileReport",
     "profile_callable",

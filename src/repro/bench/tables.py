@@ -1,15 +1,15 @@
 """Result-table formatting for the benchmark harness.
 
-All benchmarks emit GitHub-flavoured markdown tables, both to stdout and
-into ``bench_results/`` so EXPERIMENTS.md can reference stable artefacts.
+All benchmarks emit GitHub-flavoured markdown tables, to stdout and, when
+asked, into ``bench_results/`` so EXPERIMENTS.md can reference stable
+artefacts.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
-__all__ = ["format_table", "write_table", "summarize_interval"]
+__all__ = ["format_table", "summarize_interval"]
 
 Cell = Union[str, int, float, bool, None]
 
@@ -57,21 +57,6 @@ def format_table(
     for r in rendered:
         lines.append("| " + " | ".join(v.ljust(w) for v, w in zip(r, widths)) + " |")
     return "\n".join(lines) + "\n"
-
-
-def write_table(
-    path: Union[str, Path],
-    rows: Sequence[Mapping[str, Cell]],
-    columns: Optional[Sequence[str]] = None,
-    *,
-    title: str = "",
-) -> str:
-    """Format a table, write it to ``path``, and return the text."""
-    text = format_table(rows, columns, title=title)
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(text)
-    return text
 
 
 def summarize_interval(values: Sequence[float]) -> str:

@@ -42,7 +42,7 @@ import numpy as np
 from ..beagle.instance import InstanceWrapper
 from ..beagle.kernels import pattern_maxima
 from ..beagle.operations import Operation
-from ..beagle.setexec import block_ops
+from ..beagle.setexec import batch_rows
 from ..obs import get_recorder
 from .errors import (
     AllocationError,
@@ -396,7 +396,7 @@ class ResilientInstance(InstanceWrapper):
         underflowed: List[int] = []
         inner = self._inner
         destinations = np.array([op.destination for op in ops], dtype=np.int64)
-        chunk = block_ops(inner)
+        chunk = batch_rows(inner)
         # One reduction per cache-sized chunk of destinations: each one's
         # per-pattern maximum (the gather copies at most ``chunk`` rows).
         for start in range(0, len(destinations), chunk):

@@ -20,8 +20,8 @@ device model — ``SimulatedDevice`` and the ``--rsrc 1``-style analyses
 can then extrapolate set-size schedules for hardware-free what-if
 studies, priced off real timings instead of the paper's published GP100
 numbers. ``benchmarks/bench_set_executor.py`` fits one spec per set-
-executor strategy and reads the per-operation/arena cut-off off the two
-lines.
+executor strategy and reads the per-operation/run-step cut-off off the
+two lines.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ def fit_device_spec(
     ----------
     name:
         Label for the resulting spec (conventionally what was measured,
-        e.g. ``"measured:arena"``).
+        e.g. ``"measured:run"``).
     dims:
         The workload the samples were measured on. The fitted spec is
         calibrated *for this shape*: one wave is one operation, so

@@ -38,8 +38,8 @@ category is the projection ``(U @ (π ∘ E)) ∘ (V @ E⁻ᵀ)`` contracted wit
   all ``2n − 3`` branches recombine from buffers already in memory —
   ``3n − 5`` partial updates total instead of ``(2n−3)(n−1)``. The
   branches go in buffer order, in cache-sized batches
-  (:func:`~repro.beagle.setexec.block_ops`, the arena's block rule),
-  each a view of consecutive store rows: under the set-ordered
+  (:func:`~repro.beagle.setexec.batch_rows`), each a view of
+  consecutive store rows: under the set-ordered
   numbering every internal lower and every upper lies in one run of
   rows, and a batch of tips gathers its 0/1 rows from the tip codes, so
   a sweep copies no row of the store. Results are bit-consistent
@@ -63,7 +63,7 @@ import numpy as np
 
 from ..beagle.instance import BeagleInstance
 from ..beagle.kernels import reduce_sites
-from ..beagle.setexec import block_ops
+from ..beagle.setexec import batch_rows
 from ..core.planner import (
     GradientPlan,
     create_instance,
@@ -106,7 +106,7 @@ class DerivativeSession:
 
     The legacy per-edge path allocated a fresh
     :class:`~repro.beagle.instance.BeagleInstance` (partials storage,
-    matrix bank, workspace arena) for *every* edge of every tree — a
+    matrix bank, workspace) for *every* edge of every tree — a
     full gradient was quadratic in allocations on top of being quadratic
     in partial updates. A session holds one instance for a fixed
     (model, patterns, rates, dtype) and re-populates only the
@@ -641,11 +641,11 @@ def _branch_gradient(
     weights: np.ndarray,
 ) -> "BranchGradient":
     """Recombine every canonical edge of a finished sweep from views of
-    the store, :func:`~repro.beagle.setexec.block_ops` branches at a
+    the store, :func:`~repro.beagle.setexec.batch_rows` branches at a
     time, in buffer order, then put the results in canonical order."""
     lengths = topology.lengths()[topology.order]
     recombined: List[EdgeDerivatives] = []
-    for lower, upper in topology.half_trees(instance, block_ops(instance)):
+    for lower, upper in topology.half_trees(instance, batch_rows(instance)):
         k = len(recombined)
         recombined += _recombine_edges(
             lower, upper, lengths[k : k + len(lower)], model, rates, weights
@@ -678,7 +678,7 @@ def all_branch_derivatives(
     One post-order pass fills the lower partials, one pre-order pass the
     upper partials (``3n − 5`` partial updates total), and the ``2n − 3``
     canonical branches recombine in batches of
-    :func:`~repro.beagle.setexec.block_ops` branches, each over views of
+    :func:`~repro.beagle.setexec.batch_rows` branches, each over views of
     runs of store rows (no copy).
     Bit-consistent with
     :func:`edge_log_likelihood_derivatives` run per edge at the same

@@ -11,7 +11,7 @@ testable:
 * :mod:`~repro.serve.fairness` — deficit-round-robin scheduling with
   per-tenant in-flight caps and a provable starvation bound.
 * :mod:`~repro.serve.coalesce` — cross-request operation coalescing:
-  compatible requests share kernel launches and a Workspace arena while
+  compatible requests share kernel launches and a Workspace while
   every served value stays bit-identical to its serial evaluation.
 * :mod:`~repro.serve.brownout` — staged graceful degradation (widen
   coalescing → clamp quotas → shed deadline-ascending), by policy.

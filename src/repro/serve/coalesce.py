@@ -15,7 +15,7 @@ This module implements that policy layer:
   against its own buffers, so every served value is **bit-identical to
   its serial single-request evaluation** by construction), while
   same-shaped members adopt one shared
-  :class:`~repro.beagle.workspace.Workspace` arena — one scratch
+  :class:`~repro.beagle.workspace.Workspace` — one scratch
   allocation per batch instead of one per tenant. The *launch schedule*
   (:meth:`CoalescedBatch.launch_schedule`) — lockstep rounds whose width
   is the sum of the members' same-depth set sizes — is what the GPU
@@ -129,21 +129,21 @@ class CoalescedBatch:
         deadline guard, fault injection, retry/degrade/rescale — each
         against its own instance and plan, so recovery and bit-identity
         guarantees are inherited unchanged from the single-request path.
-        Same-shaped members adopt the first member's Workspace arena;
+        Same-shaped members adopt the first member's Workspace;
         a raising member fails the whole job, which the pool then
         reroutes (re-serving earlier members is safe: values are
         deterministic and the last write wins with identical bits).
 
-        Arena adoption is safe because the set executor keeps all of
-        its scratch in the Workspace and the arena is pure per-launch
-        scratch, so any same-shaped members may share one arena.
+        Workspace sharing is safe because the set executor keeps all of
+        its scratch in the Workspace and that scratch is pure per-launch
+        state, so any same-shaped members may share one workspace.
         """
         members = self.members
         batch_width = len(members)
 
         def run(ctx) -> List[float]:
             obs = get_recorder()
-            arenas: Dict[Tuple[object, int, int, int], object] = {}
+            workspaces: Dict[Tuple[object, int, int, int], object] = {}
             values: List[float] = []
             for member in members:
                 instance, plan = member.make_case()
@@ -157,9 +157,9 @@ class CoalescedBatch:
                         getattr(engine, "pattern_count", -1),
                         getattr(engine, "state_count", -1),
                     )
-                    shared = arenas.get(dims_key)
+                    shared = workspaces.get(dims_key)
                     if shared is None:
-                        arenas[dims_key] = workspace
+                        workspaces[dims_key] = workspace
                     else:
                         adopt(shared)
                 if obs.enabled:

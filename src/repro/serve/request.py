@@ -40,7 +40,7 @@ class RequestDims:
     state_count, pattern_count, category_count:
         The engine dimensions ``S``, ``P``, ``C``.
     precision:
-        ``"double"`` or ``"single"`` — must match for arena sharing.
+        ``"double"`` or ``"single"`` — must match for workspace sharing.
     """
 
     state_count: int

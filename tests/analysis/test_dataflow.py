@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import BufferConfig, PlanVerificationError
-from repro.analysis.dataflow import analyze_operation_sets, analyze_stream
+from repro.analysis.dataflow import analyze_operation_sets
 from repro.beagle.operations import Operation, validate_operation_order
 
 CONFIG = BufferConfig(
@@ -40,7 +40,7 @@ class TestCleanStreams:
         assert check(VALID_SETS, matrix_updates=ALL_MATRICES) == []
 
     def test_serial_order_is_clean(self):
-        assert analyze_stream([OP_A, OP_B, OP_C], CONFIG, root_buffer=6) == []
+        assert check([[OP_A], [OP_B], [OP_C]]) == []
 
     def test_assume_valid_suppresses_read_before_write(self):
         # Incremental plan: only the root is recomputed; 4 and 5 are live

@@ -1,10 +1,11 @@
-"""Arena blocking never changes a bit.
+"""Blocking a set into runs never changes a bit.
 
-The set executor runs wide sets through the Workspace arena in blocks of
-``block_ops`` operations and narrow sets one operation at a time. Here
-every set is forced through one of them — per operation as the
-reference, arena blocks of a fixed size as the candidate — and the
-log-likelihoods must be equal, not close.
+A compiled program runs a set as per-operation products or as runs of
+operations whose operands step by one stride. Here every set of a
+compiled program is forced through one of them — per operation as the
+reference, run steps whose runs are cut into blocks of at most a fixed
+number of operations as the candidate — and the log-likelihoods must be
+equal, not close.
 """
 
 from __future__ import annotations
@@ -33,12 +34,18 @@ def _case(n_tips=12, n_patterns=40, seed=3):
 
 
 def _loglik(block, case, dtype=np.float64, mode="concurrent", scaling=False):
+    """The plan's logL from its second, compiled execution (the first
+    runs one-set programs, per operation), equal to the first."""
     tree, model, patterns = case
     with forced_executor(block):
         instance = create_instance(
             tree, model, patterns, dtype=dtype, scaling=scaling
         )
-        return execute_plan(instance, make_plan(tree, mode, scaling=scaling))
+        plan = make_plan(tree, mode, scaling=scaling)
+        first = execute_plan(instance, plan)
+        second = execute_plan(instance, plan)
+    assert second == first
+    return second
 
 
 def _incremental_ll(block, case):
@@ -47,6 +54,7 @@ def _incremental_ll(block, case):
     with forced_executor(block):
         lik = TreeLikelihood(tree.copy(), model, patterns)
         lik.log_likelihood()
+        lik.log_likelihood()  # the full plan's compiled program
         move = branch_length_move(lik.tree, np.random.default_rng(7))
         value = lik.propose(move)
         lik.accept()
@@ -56,9 +64,9 @@ def _incremental_ll(block, case):
 def _sharded_ll(block, case):
     tree, model, patterns = case
     with forced_executor(block):
-        return ShardedLikelihood(
-            tree, model, patterns, n_shards=2
-        ).log_likelihood()
+        sharded = ShardedLikelihood(tree, model, patterns, n_shards=2)
+        sharded.log_likelihood()
+        return sharded.log_likelihood()
 
 
 class TestBlockedBitIdentity:

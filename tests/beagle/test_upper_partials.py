@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.beagle import setexec
 from repro.core import execute_gradient_plan, make_gradient_plan
 from repro.core.planner import create_instance
 from repro.data import compress, simulate_alignment
@@ -24,10 +23,13 @@ from tests.executor import forced_executor
 MODEL = HKY85(2.0, [0.3, 0.2, 0.2, 0.3])
 
 
-def sweep_instance(tree, patterns, dtype=np.float64):
+def sweep_instance(tree, patterns, dtype=np.float64, sweeps=1):
+    """An instance after ``sweeps`` gradient sweeps of one plan: the first
+    runs one-set programs, later ones the plan's compiled programs."""
     instance = create_instance(tree, MODEL, patterns, dtype=dtype)
     gplan = make_gradient_plan(tree)
-    execute_gradient_plan(instance, gplan)
+    for _ in range(sweeps):
+        execute_gradient_plan(instance, gplan)
     return instance
 
 
@@ -121,17 +123,18 @@ class TestUpperEqualsRerootedFarSide:
 
 
 class TestBackendBitIdentity:
-    """The whole sweep pinned to one strategy — arena blocks of two
-    ("blocked") or one operation at a time ("pattern-blocked") — leaves
-    the same upper bank as the width rule as shipped."""
+    """The compiled sweep pinned to one strategy — run steps in blocks of
+    at most two operations ("blocked") or one operation at a time
+    ("pattern-blocked") — leaves the same upper bank as the lowering rule
+    as shipped."""
 
     @pytest.mark.parametrize("backend", ["blocked", "pattern-blocked"])
     def test_upper_bank_matches_reference(self, backend):
         tree = yule_tree(9, np.random.default_rng(6))
         patterns = make_patterns(tree)
-        ref = sweep_instance(tree, patterns)
+        ref = sweep_instance(tree, patterns, sweeps=2)
         with forced_executor(2 if backend == "blocked" else None):
-            alt = sweep_instance(tree, patterns)
+            alt = sweep_instance(tree, patterns, sweeps=2)
         for node in tree.root.traverse_postorder():
             if node.parent is None or node is tree.root.children[1]:
                 continue
@@ -143,20 +146,22 @@ class TestBackendBitIdentity:
 
 class TestUnifiedExecutorUppers:
     """Upper sets run through the same executor as lower sets: every
-    strategy, narrow or wide, reproduces the rerooted far side exactly."""
+    strategy of the compiled sweep — per operation, whole runs, or runs
+    cut into blocks of one or two operations — reproduces the rerooted
+    far side exactly."""
 
     @pytest.fixture(
         params=["per-operation", "one-block", "blocks-of-1", "blocks-of-2"]
     )
-    def strategy(self, request, monkeypatch):
+    def strategy(self, request):
         if request.param == "per-operation":
-            monkeypatch.setattr(setexec, "ARENA_MIN_OPS", 10**9)
+            runs = None
+        elif request.param == "one-block":
+            runs = 10**9
         else:
-            monkeypatch.setattr(setexec, "ARENA_MIN_OPS", 1)
-        if request.param.startswith("blocks-of-"):
-            block = int(request.param.rsplit("-", 1)[1])
-            monkeypatch.setattr(setexec, "block_ops", lambda instance: block)
-        return request.param
+            runs = int(request.param.rsplit("-", 1)[1])
+        with forced_executor(runs):
+            yield request.param
 
     @pytest.mark.parametrize(
         "tree",
@@ -165,7 +170,7 @@ class TestUnifiedExecutorUppers:
     )
     def test_strategy_matches_oracle_half_tree(self, tree, strategy):
         patterns = make_patterns(tree)
-        instance = sweep_instance(tree, patterns)
+        instance = sweep_instance(tree, patterns, sweeps=2)
         session = DerivativeSession(MODEL, patterns)
         for edge in canonical_edges(tree):
             rerooted = reroot_above(tree, edge, fraction=0.0)

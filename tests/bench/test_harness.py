@@ -10,7 +10,6 @@ from repro.bench import (
     run_case,
     summarize_interval,
     sweep_random_trees,
-    write_table,
 )
 from repro.core import count_operation_sets
 from repro.gpu import SMALL_GPU
@@ -99,12 +98,6 @@ class TestTables:
 
     def test_empty(self):
         assert "(no rows)" in format_table([])
-
-    def test_write(self, tmp_path):
-        path = tmp_path / "sub" / "table.md"
-        text = write_table(path, [{"a": True}])
-        assert path.read_text() == text
-        assert "yes" in text
 
     def test_interval(self):
         assert summarize_interval([2.5, 1.0, 3.75]) == "[1.00, 3.75]"

@@ -309,8 +309,8 @@ class TestGradientFlag:
         assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
     def test_gradient_exact_on_wide_upper_sets(self):
-        # Balanced 32 taxa: pre-order sets up to 16 wide run through the
-        # arena, the narrow ones per operation; both must stay exact.
+        # Balanced 32 taxa: pre-order sets up to 16 wide run as run
+        # steps, the first one per operation; both must stay exact.
         code, text = run_cli(
             "--taxa", "32", "--sites", "32", "--reps", "1", "--gradient",
         )

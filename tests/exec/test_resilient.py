@@ -224,7 +224,7 @@ class TestDestinationChecks:
     def test_chunked_reduction_keeps_operation_order(self, monkeypatch):
         from repro.exec import resilient
 
-        monkeypatch.setattr(resilient, "block_ops", lambda instance: 2)
+        monkeypatch.setattr(resilient, "batch_rows", lambda instance: 2)
         with pytest.raises(NumericalError) as info:
             self.check([np.nan, 1e-300, 0.5, np.inf, 1e-300])
         assert info.value.kind == "nan"

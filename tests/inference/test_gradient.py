@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.beagle.setexec import block_ops
+from repro.beagle.setexec import batch_rows
 from repro.core import make_gradient_plan
 from repro.core.planner import create_instance
 from repro.data import Alignment, compress, simulate_alignment
@@ -394,7 +394,7 @@ class TestBatchedRecombination:
 
         whole = batched([(want_lower, want_upper)])
         assert whole == [_triple(bg.derivatives[i]) for i in topology.order]
-        for size in (1, 3, block_ops(instance)):
+        for size in (1, 3, batch_rows(instance)):
             assert batched(topology.half_trees(instance, size)) == whole
 
         # A buffer that has not been computed is rejected with the
@@ -482,7 +482,7 @@ class TestBatchedRecombination:
         patterns = make_patterns(tree, n_sites=200)
         instance = create_instance(tree, MODEL, patterns)
         bg = all_branch_derivatives(tree, MODEL, patterns, instance=instance)
-        assert len(bg.edges) > 2 * block_ops(instance)
+        assert len(bg.edges) > 2 * batch_rows(instance)
         expected, _ = oracle_triples(tree, MODEL, patterns)
         assert [_triple(d) for d in bg.derivatives] == [
             _triple(d) for d in expected

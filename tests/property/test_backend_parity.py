@@ -3,9 +3,9 @@
 ``tests/property/test_route_parity.py`` checks every execution route on
 problems of at most 8 tips. These two properties keep the executor axis
 on trees of up to 12 tips, whose operation sets are wide enough for
-arena blocks of 1 and 2 to split them: a whole evaluation pinned to one
-strategy must equal the per-operation run bit for bit, and serial and
-concurrent plans must agree under every strategy.
+runs cut to 1 and 2 operations to split them: a compiled evaluation
+pinned to one strategy must equal the per-operation run bit for bit, and
+serial and concurrent plans must agree under every strategy.
 """
 
 from __future__ import annotations
@@ -25,9 +25,15 @@ def _patterns(tree, seed):
 
 
 def _plan_ll(tree, patterns, executor, dtype, mode):
+    """The plan's logL from its second, compiled execution, equal to the
+    first (one-set programs)."""
     with EXECUTORS[executor]():
         instance = create_instance(tree, MODEL, patterns, dtype=dtype)
-        return execute_plan(instance, make_plan(tree, mode))
+        plan = make_plan(tree, mode)
+        first = execute_plan(instance, plan)
+        second = execute_plan(instance, plan)
+    assert second == first, executor
+    return second
 
 
 class TestAllRegisteredBackends:

@@ -20,7 +20,6 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.beagle.setexec import ARENA_MIN_OPS
 from repro.data import compress, simulate_alignment
 from repro.inference import (
     TreeLikelihood,
@@ -101,15 +100,13 @@ def test_proposals_match_fresh_and_unlowered_evaluations(
         twin.instance._lowered.clear()
         value = ev.propose(move)
         assert value == twin.propose(twin_move) == _fresh(ev)
-        # One entry per destination slot, and every narrow set's
-        # operations lowered for this tip data.
+        # One entry per destination slot, and every set's operations
+        # lowered for this tip data.
         lowered = instance._lowered
         assert len(lowered) <= instance.partials_buffer_count
         assert all(0 <= slot < instance.partials_buffer_count for slot in lowered)
         kinds = instance._tip_kinds
         for op_set in ev.last_incremental_plan.operation_sets:
-            if len(op_set) >= ARENA_MIN_OPS:
-                continue
             for op in op_set:
                 entry = lowered[op.destination - instance.tip_count]
                 assert entry[0] == op and entry[1] == kinds

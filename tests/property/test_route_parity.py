@@ -44,14 +44,15 @@ MODEL = HKY85(2.0, [0.3, 0.2, 0.2, 0.3])
 #: Relative agreement required of the tolerance class.
 REL_TOL = 1e-12
 
-#: Every way the executor can run a set: per operation, the width rule
-#: as shipped, and arena blocks of 1, 2 and "the whole set".
+#: Every way a compiled program can run a set: per operation, the
+#: lowering rule as shipped, and run steps whose runs are cut to at most
+#: 1, 2 or all of the set's operations.
 EXECUTORS = {
     "per-operation": lambda: forced_executor(None),
     "selected": nullcontext,
-    "arena-1": lambda: forced_executor(1),
-    "arena-2": lambda: forced_executor(2),
-    "arena-whole": lambda: forced_executor(10**6),
+    "runs-of-1": lambda: forced_executor(1),
+    "runs-of-2": lambda: forced_executor(2),
+    "whole-runs": lambda: forced_executor(10**6),
 }
 
 
@@ -104,6 +105,7 @@ class TestExactRoutes:
             with EXECUTORS[name]():
                 lik = TreeLikelihood(tree.copy(), MODEL, patterns)
                 lik.log_likelihood()
+                lik.log_likelihood()  # the full plan's compiled program
                 move = branch_length_move(lik.tree, np.random.default_rng(seed))
                 proposed = lik.propose(move)
                 moved = lik.tree.copy()
@@ -117,9 +119,10 @@ class TestExactRoutes:
         for k in (1, 2, 3):
             with EXECUTORS[executor]():
                 engine = ShardedLikelihood(tree, MODEL, patterns, n_shards=k)
-                value = engine.log_likelihood()
+                first = engine.log_likelihood()
+                second = engine.log_likelihood()  # compiled programs
             assert engine.n_shards == k
-            assert value == expected, k
+            assert first == second == expected, k
 
     @given(problems(), st.integers(0, 10**6))
     def test_pool_under_seeded_worker_faults(self, problem, fault_seed):
@@ -187,8 +190,9 @@ class TestToleranceRoutes:
 
 @given(st.integers(1, 40))
 def test_any_block_size_matches_reference(block):
-    # A fixed wide case (many same-depth operations) so block
-    # boundaries actually land inside operation sets.
+    # A fixed wide case (many same-depth operations) so the blocks that
+    # runs are cut into end inside operation sets; the plan's second
+    # execution runs its compiled program.
     from repro.bench.harness import build_tree
 
     tree = build_tree("balanced", 16, 1)
@@ -196,5 +200,6 @@ def test_any_block_size_matches_reference(block):
     expected = _oracle(tree, patterns)
     with forced_executor(block):
         instance = create_instance(tree, MODEL, patterns)
-        got = execute_plan(instance, make_plan(tree, "concurrent"))
-    assert got == expected
+        plan = make_plan(tree, "concurrent")
+        got = [execute_plan(instance, plan) for _ in range(2)]
+    assert got == [expected, expected]

@@ -1,4 +1,4 @@
-"""Coalescing: compatibility keys, assembly, and arena-sharing bit-identity."""
+"""Coalescing: compatibility keys, assembly, and workspace-sharing bit-identity."""
 
 from __future__ import annotations
 
@@ -159,9 +159,9 @@ class TestArenaSharing:
         values = batch.job_fn()(DirectCtx())
         # Every member computed the exact serial value...
         assert values == [reference] * 3
-        # ...and later members adopted the first member's arena.
-        arenas = {id(instance.workspace) for instance in instances}
-        assert len(arenas) == 1
+        # ...and later members adopted the first member's workspace.
+        workspaces = {id(instance.workspace) for instance in instances}
+        assert len(workspaces) == 1
 
     def test_adopt_workspace_rejects_mismatched_dims(self, case):
         make_case, _, _ = case
@@ -178,9 +178,9 @@ class TestArenaSharing:
             instance.adopt_workspace(wrong)
 
     def test_adopted_arena_is_bit_transparent(self, case):
-        # Evaluating on an arena another instance already used must not
-        # change a single bit of the result (scratch is write-before-
-        # read): run A, adopt A's arena into B, run B, compare to a
+        # Evaluating on a workspace another instance already used must
+        # not change a single bit of the result (scratch is write-before-
+        # read): run A, adopt A's workspace into B, run B, compare to a
         # clean serial evaluation.
         make_case, reference, _ = case
         a, plan = make_case()
