@@ -5,7 +5,7 @@ Every instance runs its kernel launches through one set executor
 or a run step by the layout of its operands.
 """
 
-from .operations import Operation, operations_independent, validate_operation_order
+from .operations import Operation, operations_independent
 from .kernels import (
     child_contribution,
     edge_site_likelihoods,
@@ -20,7 +20,6 @@ from .reference import brute_force_log_likelihood, pruning_log_likelihood
 __all__ = [
     "Operation",
     "operations_independent",
-    "validate_operation_order",
     "child_contribution",
     "root_site_likelihoods",
     "edge_site_likelihoods",

@@ -18,7 +18,7 @@ FLOPS throughput metric (§VI-C).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Optional
 
 import numpy as np
 
@@ -183,16 +183,22 @@ def pattern_maxima(rows: np.ndarray, out: Optional[np.ndarray] = None) -> np.nda
     return np.amax(best, axis=-2, out=out)
 
 
-def reduce_sites(weights: np.ndarray, values: np.ndarray) -> float:
+def reduce_sites(weights: np.ndarray, values: np.ndarray) -> Any:
     """The one reduction of per-pattern values: ``Σ_p w_p · v_p``.
 
-    Every route that turns site values into a likelihood total (root and
-    edge log-likelihoods, the gradient's per-edge rows, the sharded
-    splice) calls this on one 1-D vector. Per-pattern arithmetic does not
-    depend on the other patterns in an instance, so equal site vectors
-    reduce to equal bits whichever route produced them.
+    Every route that turns site values into a likelihood total calls
+    this: root and edge log-likelihoods and the sharded splice on one
+    1-D vector (a ``float`` back), the gradient's recombination on a
+    ``(k, P)`` stack of branch rows (the ``(k,)`` row totals back).
+    ``np.vecdot`` runs the same ``dot`` loop per row that ``np.dot``
+    runs on one vector, so a row's total has the same bits alone or in
+    any stack. Per-pattern arithmetic does not depend on the other
+    patterns in an instance, so equal site vectors reduce to equal bits
+    whichever route produced them.
     """
-    return float(np.dot(weights, values))
+    if values.ndim == 1:
+        return float(np.dot(weights, values))
+    return np.vecdot(values, weights)
 
 
 def operation_flops(n_patterns: int, n_states: int, n_categories: int = 1) -> int:

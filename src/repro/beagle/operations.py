@@ -12,11 +12,9 @@ kernel launches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Set
+from typing import Sequence, Set
 
-from ..obs import get_recorder
-
-__all__ = ["Operation", "operations_independent", "validate_operation_order"]
+__all__ = ["Operation", "operations_independent"]
 
 #: Sentinel for "no rescaling" (BEAGLE's BEAGLE_OP_NONE).
 NONE = -1
@@ -73,58 +71,3 @@ def operations_independent(operations: Sequence[Operation]) -> bool:
             if r in destinations:
                 return False  # read-after-write within the set
     return True
-
-
-def validate_operation_order(operations: Iterable[Operation]) -> None:
-    """Check that every read refers to a tip or an earlier destination.
-
-    Raises
-    ------
-    repro.analysis.PlanVerificationError
-        (a ``ValueError`` subclass) if an operation reads a buffer that
-        no earlier operation wrote and that is not implicitly a
-        tip/precomputed buffer — a schedule that cannot execute. The
-        error carries one :class:`repro.analysis.Diagnostic` per
-        violation, naming the offending operation's position, its
-        destination, and the buffer it reads too early.
-    """
-    ops = list(operations)
-    written: Set[int] = set()
-    all_destinations = {op.destination for op in ops}
-    writer_position = {op.destination: i for i, op in enumerate(ops)}
-    violations = []
-    for i, op in enumerate(ops):
-        for r in op.reads():
-            if r in all_destinations and r not in written:
-                violations.append((i, op, r))
-        written.add(op.destination)
-    obs = get_recorder()
-    if obs.enabled:
-        obs.count("repro_schedule_validations_total")
-        if violations:
-            obs.count("repro_schedule_violations_total", len(violations))
-    if violations:
-        # Imported lazily: repro.analysis sits above this module.
-        from ..analysis.diagnostics import (
-            Diagnostic,
-            PlanVerificationError,
-            Severity,
-        )
-
-        raise PlanVerificationError(
-            Diagnostic(
-                code="cross-set-dependency",
-                severity=Severity.ERROR,
-                message=(
-                    f"operation {i} (writes buffer {op.destination}) reads "
-                    f"buffer {r} before operation "
-                    f"{writer_position[r]} writes it"
-                ),
-                op_index=i,
-                buffers=(r, op.destination),
-                hint=(
-                    f"submit the writer of buffer {r} before operation {i}"
-                ),
-            )
-            for i, op, r in violations
-        )

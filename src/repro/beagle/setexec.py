@@ -322,11 +322,13 @@ class _NarrowStep:
     indices — and, for a store side, matrices — are slices of the same
     length; an explicit-tip side's index is its tip, in a run of one
     operation. ``chunks`` is ``None`` when no product reads gathered tip
-    rows, else the :class:`_TipChunk` each product reads them from; a
-    step gathers each chunk as its products reach it. ``scaled`` holds
-    ``(destination slot, scale buffer)`` per rescaled operation. ``views``
-    is ``None`` as lowered; a program runs each run step as :meth:`bind`
-    returns it for the instance (see :meth:`Program.start`).
+    rows, else per product the :class:`_TipChunk` it reads them from
+    (``None`` for a product with no compact-tip child); a step gathers
+    each chunk as its products reach it, unless the workspace holds it.
+    ``scaled`` holds ``(destination slot, scale buffer)`` per rescaled
+    operation. ``views`` is ``None`` as lowered; a program runs each run
+    step as :meth:`bind` returns it for the instance (see
+    :meth:`Program.start`).
     """
 
     __slots__ = ("ops", "chunks", "products", "scaled", "views")
@@ -334,7 +336,7 @@ class _NarrowStep:
     def __init__(
         self,
         ops: Sequence["Operation"],
-        chunks: Optional[Sequence[_TipChunk]],
+        chunks: Optional[Sequence[Optional[_TipChunk]]],
         products: List[tuple],
         scaled: List[Tuple[int, int]],
         views: Optional[list] = None,
@@ -355,10 +357,11 @@ class _NarrowStep:
         partials, and ``ws``'s gathered tip rows and scratch rows: per
         run, one ``matmul`` per store or explicit-tip side, one
         ``multiply`` and one validity write, after the gather of its tip
-        chunk when it reads another chunk than the run before it."""
+        chunk when it reads another chunk than the run before it that
+        reads one (and the workspace does not hold it already)."""
         partials, transposed = instance._partials, instance._transposed
         chunks = self.chunks or [None] * len(self.products)
-        views, last = [], chunks[0]
+        views, last = [], None
         for chunk, (dests, *sides) in zip(chunks, self.products):
             out = partials[dests]
             matmuls, factors = [], []
@@ -373,22 +376,21 @@ class _NarrowStep:
                 target = ws.scratch[: len(out)] if matmuls else out
                 matmuls.append((source, transposed[mat], target))
                 factors.append(target)
-            switch = None if chunk is last else chunk
-            last = chunk
+            switch = None if chunk is None or chunk is last else chunk
+            if chunk is not None:
+                last = chunk
             valid = instance._partials_valid[dests]
             views.append((switch, matmuls, *factors, out, valid))
         return _NarrowStep(self.ops, self.chunks, self.products, self.scaled, views)
 
     def run(self, instance: "BeagleInstance", ws: "Workspace") -> None:
         chunks = self.chunks
-        if chunks is not None and ws.gathered_by is not chunks[0]:
-            chunks[0].gather(instance, ws)
         views = self.views
         recorder = get_recorder()
         with recorder.phase(PHASE_PARTIALS):
             if views is not None:
                 for switch, matmuls, x, y, out, valid in views:
-                    if switch is not None:
+                    if switch is not None and switch is not ws.gathered_by:
                         switch.gather(instance, ws)
                     for source, matrices, target in matmuls:
                         np.matmul(source, matrices, out=target)
@@ -398,8 +400,9 @@ class _NarrowStep:
                 partials, valid = instance._partials, instance._partials_valid
                 gathered, row = ws.gathered_tips, ws.row
                 for i, (dest, first, second) in enumerate(self.products):
-                    if chunks is not None and chunks[i] is not ws.gathered_by:
-                        chunks[i].gather(instance, ws)
+                    chunk = chunks[i] if chunks is not None else None
+                    if chunk is not None and chunk is not ws.gathered_by:
+                        chunk.gather(instance, ws)
                         gathered = ws.gathered_tips
                     out = partials[dest]
                     x = _contribution(instance, first, gathered, out)
@@ -430,10 +433,10 @@ def _take_tips(
     chunks: List[_TipChunk],
     products: List[Tuple[int, Child, Child]],
     chunk_rows: int,
-) -> Tuple[List[Tuple[int, Child, Child]], Optional[List[_TipChunk]]]:
+) -> Tuple[List[Tuple[int, Child, Child]], Optional[List[Optional[_TipChunk]]]]:
     """A set's products with their compact-tip children as gathered rows,
     and the chunk each product takes them from (``None`` when the set has
-    no compact-tip child).
+    no compact-tip child; ``None`` for a product that has none).
 
     A set whose tips fit one chunk takes them all from one: the last, or
     a new one when the last has no room left. A set with more tips than
@@ -447,34 +450,39 @@ def _take_tips(
     whole = n_codes <= chunk_rows
     if whole and (not chunks or len(chunks[-1].rows) + n_codes > chunk_rows):
         chunks.append(_TipChunk())
-    taken, owners = [], []
+    taken: List[Tuple[int, Child, Child]] = []
+    owners: List[Optional[_TipChunk]] = []
     for dest, a, b in products:
-        if not whole:
-            n = (a[0] == _CODES) + (b[0] == _CODES)
-            rows = len(chunks[-1].rows) if chunks else 0
-            if not chunks or (rows and rows + n > chunk_rows):
-                chunks.append(_TipChunk())
-        chunk = chunks[-1]
-        taken.append((dest, chunk.take(a), chunk.take(b)))
+        n = (a[0] == _CODES) + (b[0] == _CODES)
+        chunk = None
+        if n:
+            if not whole:
+                rows = len(chunks[-1].rows) if chunks else 0
+                if not chunks or (rows and rows + n > chunk_rows):
+                    chunks.append(_TipChunk())
+            chunk = chunks[-1]
+            a, b = chunk.take(a), chunk.take(b)
+        taken.append((dest, a, b))
         owners.append(chunk)
     return taken, owners
 
 
 def _runs(
     products: List[Tuple[int, Child, Child]],
-    chunks: Optional[Sequence[_TipChunk]],
+    chunks: Optional[Sequence[Optional[_TipChunk]]],
     limit: int,
-) -> Optional[Tuple[List[tuple], Optional[List[_TipChunk]]]]:
+) -> Optional[Tuple[List[tuple], Optional[List[Optional[_TipChunk]]]]]:
     """A set's products as fewer than ``limit`` runs, or ``None``.
 
     Each operation's gathered tip row, if it has one, is ordered second
     (IEEE multiplication commutes, so the product keeps its bits). A run
     is a sequence of the set's operations, in set order, with one pair
-    of child kinds and one tip chunk, whose destinations, each side's
-    children and each store side's matrices step by one nonzero stride
-    each (negative too); any one operation is a run of one, and an
-    operation with an explicit-tip child joins no other (explicit tips
-    are separate arrays). Each operation joins the first run it extends
+    of child kinds and one tip chunk (none without a gathered row, so
+    tipless operations join across a chunk's end), whose destinations,
+    each side's children and each store side's matrices step by one
+    nonzero stride each (negative too); any one operation is a run of
+    one, and an operation with an explicit-tip child joins no other
+    (explicit tips are separate arrays). Each operation joins the first run it extends
     or opens a new one, so interleaved runs are found: a balanced tree's
     upper set splits into its first-child and second-child halves. Every
     child must be a store slot, an explicit tip or a gathered row. A

@@ -20,18 +20,22 @@ of Brent's likelihood evaluations per branch.
 
 Two evaluation strategies share one recombination routine. It takes a
 batch of ``k`` branches — stacked ``(k, C, P, S)`` half-tree partials
-and ``(k,)`` lengths — and works in the model's eigenbasis: with
-``P(t) = E · diag(e^{λt}) · E⁻¹``, every ``L``, ``L'`` and ``L''`` of a
-category is the projection ``(U @ (π ∘ E)) ∘ (V @ E⁻ᵀ)`` contracted with
-``[e^{rλt}, rλ·e^{rλt}, (rλ)²·e^{rλt}]``, so no ``P``, ``QP`` or
-``Q²P`` is formed. It then reduces each branch over its own row:
+and their rows of an eigen basis — and works in the model's eigenbasis:
+with ``P(t) = E · diag(e^{λt}) · E⁻¹``, every ``L``, ``L'`` and ``L''``
+of a category is the projection ``(U @ (π ∘ E)) ∘ (V @ E⁻ᵀ)``
+contracted with ``[e^{rλt}, rλ·e^{rλt}, (rλ)²·e^{rλt}]``, so no ``P``,
+``QP`` or ``Q²P`` is formed. The basis (:class:`_EigenBasis`) is built
+once for all the lengths a caller recombines, and the batch's
+``logL``, ratio and curvature rows go through three stacked
+:func:`~repro.beagle.kernels.reduce_sites` calls, each of which gives
+every row the bits it has alone:
 
 * :func:`edge_log_likelihood_derivatives` — the per-edge oracle: one
   rerooted post-order evaluation per branch, O(n) partial updates each.
   A :class:`DerivativeSession` amortises the engine instance across
   edges of the same (model, data) pair so the path is no longer
   quadratic in *allocations* (it stays quadratic in partial updates).
-  It recombines a batch of one.
+  It recombines a batch of one, with a basis of its one length.
 * :func:`all_branch_derivatives` — the one-sweep engine: a single
   post-order + pre-order :class:`~repro.core.planner.GradientPlan`
   leaves every node's lower *and* upper partials in the instance, and
@@ -42,9 +46,10 @@ category is the projection ``(U @ (π ∘ E)) ∘ (V @ E⁻ᵀ)`` contracted wit
   consecutive store rows: under the set-ordered
   numbering every internal lower and every upper lies in one run of
   rows, and a batch of tips gathers its 0/1 rows from the tip codes, so
-  a sweep copies no row of the store. Results are bit-consistent
-  with the per-edge oracle (same partials bits, same routine, per-row
-  reductions), which the gradient parity gate asserts. Successive
+  a sweep copies no row of the store, and one basis serves every
+  batch. Results are bit-consistent with the per-edge oracle (same
+  partials bits, same routine, row-wise reductions), which the gradient
+  parity gate asserts. Successive
   sweeps on one topology (HMC's leapfrog steps) share one
   :class:`DerivativeSession`: its gradient plan, its loaded instance and
   both passes compiled, with only the branch lengths and the
@@ -399,66 +404,87 @@ class _SweepTopology:
                 yield lower, store[upper + a : upper + b]
 
 
+class _EigenBasis:
+    """The eigen-space factors of the recombination for ``n`` branch lengths.
+
+    With ``P(t) = E · diag(e^{λt}) · E⁻¹``, a pattern's likelihood and
+    both derivatives in a category of rate ``r`` are one contraction in
+    eigen space: the projection ``ab = (U_c @ (π ∘ E)) ∘ (V_c @ E⁻ᵀ)``
+    times the basis ``[e^{rλt}, rλ·e^{rλt}, (rλ)²·e^{rλt}]``. The
+    likelihood column splits ``e^{rλt}`` into ``1 + expm1(rλt)`` and
+    takes the ``1`` term, ``Σ_s ab_s``, as the equal ``Σ_a π_a U_a V_a``,
+    which does not cancel when the two halves favour different states
+    across a short branch. So ``left`` and ``right`` are the ``(S, 2S)``
+    projections onto ``ab`` beside ``π ∘ U ∘ V``, ``columns[c]`` is
+    category ``c``'s ``(n, 2S, 3)`` basis over the ``n`` lengths, and
+    ``category_weights`` are the rates' weights. A sweep builds one for
+    all its branches; every element is computed on its own, so a
+    branch's basis has the same bits in a basis of one.
+    """
+
+    __slots__ = ("left", "right", "columns", "category_weights")
+
+    def __init__(
+        self, t: np.ndarray, model: SubstitutionModel, rates: RateCategories
+    ) -> None:
+        if np.any(t < 0):
+            raise ValueError("branch lengths must be non-negative")
+        eigen = model.eigen
+        pi = model.frequencies
+        S = eigen.n_states
+        self.left = np.concatenate((pi[:, None] * eigen.vectors, np.diag(pi)), axis=1)
+        self.right = np.concatenate((eigen.inverse_vectors.T, np.eye(S)), axis=1)
+        self.category_weights = rates.probabilities
+        self.columns = np.zeros((len(rates.rates), len(t), 2 * S, 3))
+        self.columns[:, :, S:, 0] = 1.0
+        for basis, rate in zip(self.columns, rates.rates):
+            rl = rate * eigen.values
+            rlt = np.outer(t, rl)
+            decay = np.exp(rlt)
+            basis[:, :S, 0] = np.expm1(rlt)
+            basis[:, :S, 1] = rl * decay
+            basis[:, :S, 2] = rl * rl * decay
+
+
 def _recombine_edges(
     U: np.ndarray,
     V: np.ndarray,
-    t: np.ndarray,
-    model: SubstitutionModel,
-    rates: RateCategories,
+    basis: _EigenBasis,
+    start: int,
     weights: np.ndarray,
-) -> List[EdgeDerivatives]:
+) -> np.ndarray:
     """``(logL, d/dt, d²/dt²)`` of ``k`` branches from their half-tree partials.
 
-    ``U`` and ``V`` are ``(k, C, P, S)`` stacks, ``t`` the ``(k,)`` branch
-    lengths. With ``P(t) = E · diag(e^{λt}) · E⁻¹``, a pattern's
-    likelihood and both derivatives in a category of rate ``r`` are one
-    contraction in eigen space: the projection
-    ``ab = (U_c @ (π ∘ E)) ∘ (V_c @ E⁻ᵀ)`` times the basis
-    ``[e^{rλt}, rλ·e^{rλt}, (rλ)²·e^{rλt}]``. No transition matrix or
-    derivative is formed. The likelihood column splits ``e^{rλt}`` into
-    ``1 + expm1(rλt)`` and takes the ``1`` term, ``Σ_s ab_s``, as the
-    equal ``Σ_a π_a U_a V_a``, which does not cancel when the two halves
-    favour different states across a short branch. So each category is
-    two projections onto ``2S`` columns (``ab`` beside ``π ∘ U ∘ V``) and
-    one stacked matmul with a ``(k, 2S, 3)`` basis, added into
-    ``(k, P, 3)`` site triples with the category weight. Each branch is
-    reduced over its own row with :func:`reduce_sites`, so a branch's
-    bits do not depend on the batch it rides in. The one recombination
-    of both the per-edge oracle (a batch of one) and the sweep.
+    ``U`` and ``V`` are ``(k, C, P, S)`` stacks; the branches' lengths
+    are rows ``start`` to ``start + k`` of ``basis``. Each category is
+    two projections onto ``2S`` columns and one stacked matmul with the
+    category's ``(k, 2S, 3)`` basis rows, added into ``(k, P, 3)`` site
+    triples with the category weight; no transition matrix or derivative
+    is formed. The ``logL``, ratio and curvature rows are then reduced
+    in three stacked :func:`reduce_sites` calls, which give each row the
+    bits it has alone, so a branch's bits do not depend on the batch it
+    rides in. Returns the ``(k, 3)`` triples. The one recombination of
+    both the per-edge oracle (a batch of one) and the sweep.
     """
-    if np.any(t < 0):
-        raise ValueError("branch lengths must be non-negative")
-    eigen = model.eigen
-    pi = model.frequencies
-    S = eigen.n_states
-    left = np.concatenate((pi[:, None] * eigen.vectors, np.diag(pi)), axis=1)
-    right = np.concatenate((eigen.inverse_vectors.T, np.eye(S)), axis=1)
-    basis = np.zeros((len(t), 2 * S, 3))
-    basis[:, S:, 0] = 1.0
-
-    site = np.zeros((U.shape[0], U.shape[2], 3))
-    for c, (rate, cat_weight) in enumerate(zip(rates.rates, rates.probabilities)):
-        rl = rate * eigen.values
-        rlt = np.outer(t, rl)
-        decay = np.exp(rlt)
-        basis[:, :S, 0] = np.expm1(rlt)
-        basis[:, :S, 1] = rl * decay
-        basis[:, :S, 2] = rl * rl * decay
-        site += cat_weight * (((U[:, c] @ left) * (V[:, c] @ right)) @ basis)
+    k = len(U)
+    site = np.zeros((k, U.shape[2], 3))
+    for c, cat_weight in enumerate(basis.category_weights):
+        ab = (U[:, c] @ basis.left) * (V[:, c] @ basis.right)
+        site += cat_weight * (ab @ basis.columns[c, start : start + k])
 
     with np.errstate(divide="ignore", invalid="ignore"):
         logs = np.log(site[:, :, 0])
         ratio1 = site[:, :, 1] / site[:, :, 0]
         ratio2 = site[:, :, 2] / site[:, :, 0]
     curvature = ratio2 - ratio1**2
-    return [
-        EdgeDerivatives(
-            log_likelihood=reduce_sites(weights, logs[i]),
-            first=reduce_sites(weights, ratio1[i]),
-            second=reduce_sites(weights, curvature[i]),
-        )
-        for i in range(len(t))
-    ]
+    return np.stack(
+        (
+            reduce_sites(weights, logs),
+            reduce_sites(weights, ratio1),
+            reduce_sites(weights, curvature),
+        ),
+        axis=1,
+    )
 
 
 def edge_log_likelihood_derivatives(
@@ -511,9 +537,9 @@ def edge_log_likelihood_derivatives(
     if session is None:
         session = DerivativeSession(model, patterns, rates)
     U, V, _ = session.half_tree_partials(rerooted)
-    return _recombine_edges(
-        U[None], V[None], np.array([t]), model, rates, patterns.weights
-    )[0]
+    basis = _EigenBasis(np.array([t]), model, rates)
+    triple = _recombine_edges(U[None], V[None], basis, 0, patterns.weights)
+    return EdgeDerivatives(*triple[0].tolist())
 
 
 def merged_edge_length(tree: Tree, edge: Node) -> float:
@@ -642,15 +668,20 @@ def _branch_gradient(
 ) -> "BranchGradient":
     """Recombine every canonical edge of a finished sweep from views of
     the store, :func:`~repro.beagle.setexec.batch_rows` branches at a
-    time, in buffer order, then put the results in canonical order."""
-    lengths = topology.lengths()[topology.order]
-    recombined: List[EdgeDerivatives] = []
+    time, in buffer order, each batch slicing one basis of all the
+    sweep's lengths, then put the results in canonical order."""
+    basis = _EigenBasis(topology.lengths()[topology.order], model, rates)
+    triples = np.empty((len(topology.order), 3))
+    k = 0
     for lower, upper in topology.half_trees(instance, batch_rows(instance)):
-        k = len(recombined)
-        recombined += _recombine_edges(
-            lower, upper, lengths[k : k + len(lower)], model, rates, weights
+        triples[k : k + len(lower)] = _recombine_edges(
+            lower, upper, basis, k, weights
         )
-    derivatives = [recombined[i] for i in np.argsort(topology.order)]
+        k += len(lower)
+    derivatives = [
+        EdgeDerivatives(*triple)
+        for triple in triples[np.argsort(topology.order)].tolist()
+    ]
     obs = get_recorder()
     if obs.enabled:
         obs.count("repro_gradient_edges_total", len(derivatives))
@@ -683,7 +714,8 @@ def all_branch_derivatives(
     Bit-consistent with
     :func:`edge_log_likelihood_derivatives` run per edge at the same
     dtype: both paths feed identical half-tree partials bits to the same
-    recombination routine, which reduces every branch on its own row.
+    recombination routine, whose basis and reductions give each branch
+    the bits it has in a batch of one.
 
     Successive calls share one idle :class:`DerivativeSession`
     (:meth:`DerivativeSession.sweep`): a call on the topology, model and

@@ -235,14 +235,6 @@ def declare_standard_metrics(registry: MetricsRegistry) -> None:
         "Transition matrices computed on an LRU matrix-cache miss",
     )
     registry.counter(
-        "repro_schedule_validations_total",
-        "Operation-order validations run on built schedules",
-    )
-    registry.counter(
-        "repro_schedule_violations_total",
-        "Cross-set dependency violations found by schedule validation",
-    )
-    registry.counter(
         "repro_gradient_plans_built_total",
         "One-sweep gradient plans constructed by make_gradient_plan",
     )

@@ -8,11 +8,9 @@ slots with slot 3 reserved for the cumulative accumulator.
 
 from __future__ import annotations
 
-import pytest
-
-from repro.analysis import BufferConfig, PlanVerificationError
+from repro.analysis import BufferConfig
 from repro.analysis.dataflow import analyze_operation_sets
-from repro.beagle.operations import Operation, validate_operation_order
+from repro.beagle.operations import Operation
 
 CONFIG = BufferConfig(
     tip_count=4, partials_buffer_count=3, matrix_count=7, scale_buffer_count=4
@@ -187,24 +185,3 @@ class TestScaleDiscipline:
         sets = [[self.scaled(OP_A, 0), self.scaled(OP_B, 0)],
                 [self.scaled(OP_C, 1)]]
         assert "scale-aliasing" in codes(check(sets))
-
-
-class TestValidateOperationOrder:
-    """Satellite: the beagle-layer validator now reports specifics."""
-
-    def test_valid_order_passes(self):
-        validate_operation_order([OP_A, OP_B, OP_C])
-
-    def test_violation_names_the_buffers(self):
-        with pytest.raises(PlanVerificationError) as exc_info:
-            validate_operation_order([OP_C, OP_A, OP_B])
-        diags = exc_info.value.diagnostics
-        assert len(diags) == 2  # both of OP_C's reads are too early
-        assert all(d.code == "cross-set-dependency" for d in diags)
-        assert {d.buffers[0] for d in diags} == {4, 5}
-        assert all(d.op_index == 0 for d in diags)
-        assert "before operation" in diags[0].message
-
-    def test_still_a_value_error(self):
-        with pytest.raises(ValueError):
-            validate_operation_order([OP_C, OP_A, OP_B])

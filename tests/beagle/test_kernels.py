@@ -10,13 +10,15 @@ from typing import Optional
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.beagle import (
     child_contribution,
     operation_flops,
     root_site_likelihoods,
 )
-from repro.beagle.kernels import pattern_maxima
+from repro.beagle.kernels import pattern_maxima, reduce_sites
 from repro.models import HKY85
 
 
@@ -179,6 +181,41 @@ class TestRootReduction:
             partials, np.full(4, 0.25), np.array([0.3, 0.7])
         )
         assert site[0] == pytest.approx(0.3)
+
+
+class TestReduceSites:
+    """A ``(k, P)`` stack reduces each row to the bits that row has alone,
+    so a gradient branch's totals do not depend on its batch."""
+
+    @given(
+        k=st.sampled_from([1, 2, 3, 16, 40]),
+        n_patterns=st.integers(1, 700),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        order=st.sampled_from(["C", "F"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stack_equals_each_row_alone(self, k, n_patterns, dtype, order, seed):
+        rng = np.random.default_rng(seed)
+        weights = rng.integers(1, 50, n_patterns).astype(np.float64)
+        values = rng.standard_normal((k, n_patterns)) * 10.0 ** rng.integers(
+            -3, 4, (k, n_patterns)
+        )
+        values = np.array(values, dtype=dtype, order=order)
+        if order == "F" and min(k, n_patterns) > 1:
+            assert not values[0].flags.c_contiguous  # strided rows
+        alone = [reduce_sites(weights, row) for row in values]
+        assert all(type(total) is float for total in alone)
+        stacked = reduce_sites(weights, values)
+        assert stacked.shape == (k,) and stacked.dtype == np.float64
+        assert stacked.tobytes() == np.array(alone).tobytes()
+
+    def test_non_finite_rows(self):
+        weights = np.array([1.0, 2.0, 3.0])
+        values = np.array(
+            [[0.0, -np.inf, 1.0], [np.nan, 1.0, 2.0], [np.inf, -np.inf, 0.0]]
+        )
+        alone = [reduce_sites(weights, row) for row in values]
+        assert reduce_sites(weights, values).tobytes() == np.array(alone).tobytes()
 
 
 class TestFlops:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.beagle import Operation, operations_independent, validate_operation_order
+from repro.beagle import Operation, operations_independent
 
 
 def op(dest, c1, c2):
@@ -48,15 +48,3 @@ class TestIndependence:
     def test_empty_and_single(self):
         assert operations_independent([])
         assert operations_independent([op(8, 0, 1)])
-
-
-class TestValidateOrder:
-    def test_good_order(self):
-        validate_operation_order([op(8, 0, 1), op(9, 8, 2), op(10, 9, 8)])
-
-    def test_bad_order_raises(self):
-        with pytest.raises(ValueError):
-            validate_operation_order([op(9, 8, 2), op(8, 0, 1)])
-
-    def test_reads_of_tips_always_fine(self):
-        validate_operation_order([op(8, 0, 1), op(9, 2, 3)])

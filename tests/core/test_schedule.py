@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given
 
-from repro.beagle import validate_operation_order
+from repro.analysis import BufferConfig, analyze_operation_sets
 from repro.core import (
     matrix_updates,
     operation_for_node,
@@ -56,8 +56,13 @@ class TestSchedules:
 
     @given(tree_strategy(min_tips=2, max_tips=30))
     def test_both_orders_executable(self, tree):
-        validate_operation_order(postorder_operations(tree))
-        validate_operation_order(reverse_levelorder_operations(tree))
+        # One operation per set: every read is of a tip or of a buffer an
+        # earlier operation wrote.
+        config = BufferConfig.for_tree(tree)
+        root = tree.index_of(tree.root)
+        for ops in (postorder_operations(tree), reverse_levelorder_operations(tree)):
+            sets = [[op] for op in ops]
+            assert analyze_operation_sets(sets, config, root_buffer=root) == []
 
     @given(tree_strategy(min_tips=2, max_tips=30))
     def test_same_operation_multiset(self, tree):

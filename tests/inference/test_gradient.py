@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.beagle.setexec import batch_rows
@@ -27,7 +27,11 @@ from repro.inference import (
     edge_log_likelihood_derivatives,
     merged_edge_length,
 )
-from repro.inference.derivatives import _recombine_edges, _SweepTopology
+from repro.inference.derivatives import (
+    _EigenBasis,
+    _recombine_edges,
+    _SweepTopology,
+)
 from repro.models import HKY85, JC69, discrete_gamma
 from repro.models.siterates import single_rate
 from repro.trees import balanced_tree, parse_newick, pectinate_tree, yule_tree
@@ -55,7 +59,6 @@ def oracle_triples(tree, model, patterns, rates=None, *, dtype=np.float64):
 
 
 class TestAllBranchDerivatives:
-    @settings(max_examples=10, deadline=None)
     @given(tree=tree_strategy(min_tips=4, max_tips=10), seed=st.integers(0, 5))
     def test_matches_per_edge_oracle_exactly(self, tree, seed):
         # f64 parity is exact: the one-sweep upper bank holds the same
@@ -332,7 +335,6 @@ def first_getter_error(instance, nodes):
 
 
 class TestBatchedRecombination:
-    @settings(max_examples=12, deadline=None)
     @given(
         tree=tree_strategy(min_tips=4, max_tips=12),
         categories=st.sampled_from([1, 4]),
@@ -377,25 +379,30 @@ class TestBatchedRecombination:
         assert np.array_equal(lower, want_lower)
         assert np.array_equal(upper, want_upper)
 
-        # The batched routine does not depend on the batch size or on
-        # whether it reads the store's views or copies.
+        # The batched routine does not depend on the batch size, on
+        # whether it reads the store's views or copies, or on whether the
+        # basis holds every branch or only the batch's.
         lengths = bg.branch_lengths()[topology.order]
         weights = patterns.weights
         rates = rates or single_rate()
+        basis = _EigenBasis(lengths, MODEL, rates)
 
-        def batched(pairs):
+        def batched(pairs, own_basis=False):
             out, k = [], 0
             for low, up in pairs:
-                out += _recombine_edges(
-                    low, up, lengths[k : k + len(low)], MODEL, rates, weights
-                )
+                if own_basis:
+                    rows = _EigenBasis(lengths[k : k + len(low)], MODEL, rates)
+                    out += _recombine_edges(low, up, rows, 0, weights).tolist()
+                else:
+                    out += _recombine_edges(low, up, basis, k, weights).tolist()
                 k += len(low)
-            return [_triple(d) for d in out]
+            return [tuple(triple) for triple in out]
 
         whole = batched([(want_lower, want_upper)])
         assert whole == [_triple(bg.derivatives[i]) for i in topology.order]
-        for size in (1, 3, batch_rows(instance)):
+        for size in (1, 3, batch_rows(instance), len(nodes)):
             assert batched(topology.half_trees(instance, size)) == whole
+        assert batched(topology.half_trees(instance, 3), own_basis=True) == whole
 
         # A buffer that has not been computed is rejected with the
         # getter's error.
@@ -473,6 +480,28 @@ class TestBatchedRecombination:
         )
         bg = all_branch_derivatives(tree, MODEL, patterns, dtype=dtype)
         expected, _ = oracle_triples(tree, MODEL, patterns, dtype=dtype)
+        assert [_triple(d) for d in bg.derivatives] == [
+            _triple(d) for d in expected
+        ]
+
+    def test_four_gamma_categories_in_float32(self):
+        # The per-edge oracle recombines a batch of one with a basis of one
+        # length; the sweep slices a basis of every length, 16 branches a
+        # batch. Both agree exactly in f32 with 4 categories.
+        tree = balanced_tree(32, branch_length=0.1)
+        for k, edge in enumerate(tree.edges()):
+            edge.length = 0.02 + 0.01 * (k % 7)
+        tree.invalidate_indices()
+        patterns = ambiguous_patterns(tree, 64, 11)
+        rates = discrete_gamma(0.5, 4)
+        instance = create_instance(
+            tree, MODEL, patterns, rates=rates, dtype=np.float32
+        )
+        bg = all_branch_derivatives(
+            tree, MODEL, patterns, rates=rates, instance=instance
+        )
+        assert len(bg.edges) > batch_rows(instance)
+        expected, _ = oracle_triples(tree, MODEL, patterns, rates, dtype=np.float32)
         assert [_triple(d) for d in bg.derivatives] == [
             _triple(d) for d in expected
         ]

@@ -1,7 +1,8 @@
 """The eigen-space edge recombination against the P-space formula.
 
 :func:`repro.inference.derivatives._recombine_edges` contracts each
-branch's half-tree partials in the model's eigenbasis. The formula it
+branch's half-tree partials with its rows of an
+:class:`~repro.inference.derivatives._EigenBasis`. The formula it
 replaced builds ``P``, ``dP`` and ``d²P`` per category
 (:mod:`tests.p_space`); the two must agree to round-off at every branch
 length the optimisers and samplers reach, for both dtypes, gamma
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.core.planner import create_instance
 from repro.inference import all_branch_derivatives, edge_log_likelihood_derivatives
-from repro.inference.derivatives import _recombine_edges
+from repro.inference.derivatives import _EigenBasis, _recombine_edges
 from repro.models import discrete_gamma
 from repro.models.eigen import transition_matrices
 from repro.models.siterates import single_rate
@@ -82,12 +83,8 @@ class TestEigenSpaceRecombination:
         U, V = half_trees_by_getters(instance, [tree.index_of(e) for e in bg.edges])
         k = len(bg.edges)
         for t in (bg.branch_lengths(), *(np.full(k, x) for x in LENGTHS)):
-            got = [
-                (d.log_likelihood, d.first, d.second)
-                for d in _recombine_edges(
-                    U, V, t, MODEL, rates, patterns.weights
-                )
-            ]
+            basis = _EigenBasis(t, MODEL, rates)
+            got = _recombine_edges(U, V, basis, 0, patterns.weights).tolist()
             want = p_space_recombine(U, V, t, MODEL, rates, patterns.weights)
             assert np.isfinite(got).all()
             assert np.isclose(got, want, rtol=1e-12, atol=1e-12).all(), t[0]
@@ -100,16 +97,8 @@ class TestEigenSpaceRecombination:
             edge_log_likelihood_derivatives(
                 tree, MODEL, patterns, edge, at_length=-0.1
             )
-        instance = create_instance(tree, MODEL, patterns)
-        bg = all_branch_derivatives(tree, MODEL, patterns, instance=instance)
-        U, V = half_trees_by_getters(
-            instance, [tree.index_of(e) for e in bg.edges[:2]]
-        )
         with pytest.raises(ValueError, match="non-negative"):
-            _recombine_edges(
-                U, V, np.array([0.1, -1e-9]), MODEL, single_rate(),
-                patterns.weights,
-            )
+            _EigenBasis(np.array([0.1, -1e-9]), MODEL, single_rate())
         edge.length = -0.1
         tree.invalidate_indices()
         with pytest.raises(ValueError, match="non-negative"):

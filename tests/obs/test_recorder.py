@@ -123,27 +123,6 @@ def test_likelihood_evaluation_traces_all_layers(tmp_path):
     assert validate_metrics(json.loads(metrics_path.read_text())) == []
 
 
-def test_schedule_validation_counts_runs_and_violations():
-    from repro.beagle.operations import Operation, validate_operation_order
-
-    good = [
-        Operation(destination=5, child1=0, child1_matrix=0,
-                  child2=1, child2_matrix=1),
-        Operation(destination=6, child1=5, child1_matrix=2,
-                  child2=2, child2_matrix=3),
-    ]
-    with recording() as obs:
-        validate_operation_order(good)
-        try:
-            validate_operation_order(list(reversed(good)))
-        except ValueError:
-            pass
-        else:  # pragma: no cover - the reversed order must not validate
-            raise AssertionError("expected a cross-set dependency error")
-    assert obs.metrics.counter("repro_schedule_validations_total").value == 2
-    assert obs.metrics.counter("repro_schedule_violations_total").value == 1
-
-
 def test_record_pool_stats_exports_gauges_and_imbalances():
     recorder = Recorder()
     stats = PoolStats(workers=2, offered=5, completed=4, shed=1)

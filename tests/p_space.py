@@ -1,10 +1,14 @@
 """The P-space recombination, kept as an oracle for the eigen-space one.
 
 :func:`repro.inference.derivatives._recombine_edges` contracts half-tree
-partials with the branch's eigenbasis and never forms a transition
-matrix. This module keeps the matrix form it replaced: per category, the
-transition matrix and its first two derivatives, each applied to the far
-half-tree's partials and weighted by the stationary distribution.
+partials with the branches' rows of an eigen basis built once per sweep
+(:class:`~repro.inference.derivatives._EigenBasis`), never forms a
+transition matrix, and reduces a batch's rows in three stacked
+:func:`~repro.beagle.kernels.reduce_sites` calls. This module keeps the
+matrix form it replaced: per category, the transition matrix and its
+first two derivatives, each applied to the far half-tree's partials and
+weighted by the stationary distribution, then each branch reduced on
+its own 1-D row.
 
 ``P`` is formed as ``I + E · diag(expm1(λt)) · E⁻¹``. The plain
 ``E · diag(e^{λt}) · E⁻¹`` of

@@ -270,17 +270,19 @@ def test_compiled_program_matches_set_by_set_execution(
                 assert len(lengths) < len(step.ops)
             else:
                 assert max(lengths) <= run_cut
-    # The tip chunks each step reads rows from, each within the budget;
-    # no chunk serves two steps when each holds one tip row.
+    # The tip chunks of each step, each within the budget; no chunk
+    # serves two steps when each holds one tip row. A product with no
+    # compact-tip child has no chunk.
     chunks = [
         chunk
         for step in program.steps
-        for chunk in {
-            id(c): c
-            for c, (_, *sides) in zip(step.chunks or (), step.products)
-            if any(side[0] == setexec._GATHERED for side in sides)
-        }.values()
+        for chunk in {id(c): c for c in step.chunks or () if c}.values()
     ]
+    for step in program.steps:
+        for c, (_, *sides) in zip(step.chunks or (), step.products):
+            assert (c is not None) == any(
+                side[0] == setexec._GATHERED for side in sides
+            )
     assert all(len(chunk.rows) <= budget for chunk in chunks)
     if regime == "one-tip-chunks":
         assert len(set(chunks)) == len(chunks)
@@ -469,7 +471,7 @@ def test_wide_run_steps_give_the_bits_of_per_operation_steps(
     steps = [step for program in got[3] for step in program.steps]
     for step in steps:
         # Per-operation steps too keep every chunk within its rows.
-        assert all(len(c.rows) <= max(chunk_rows, 2) for c in step.chunks or ())
+        assert all(len(c.rows) <= max(chunk_rows, 2) for c in step.chunks or () if c)
         if step_kind(step) == "run":
             assert len(step.products) < len(step.ops)
             covered = [
