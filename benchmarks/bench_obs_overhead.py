@@ -16,9 +16,9 @@ tree, 512 patterns, concurrent plan):
 * instrumented and baseline paths compute the identical log-likelihood.
 
 The baseline replicates the two per-launch seams with their
-observability lines removed (the pre-instrumentation call path); the
-phase timers *inside* the kernel body run in both arms, so the
-comparison isolates exactly the cost the hooks added per launch.
+observability lines removed (the pre-instrumentation call path); with
+the null recorder the kernel body enters no phase timer in either arm,
+so the comparison isolates exactly the cost the hooks added per launch.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import time
 
 from conftest import emit
 
+from repro.beagle.setexec import execute_set
 from repro.bench import format_table
 from repro.core import create_instance, execute_plan, make_plan
 from repro.core.planner import _execute_plan_body
@@ -65,7 +66,16 @@ def run_baseline(instance, plan):
         for op_set in plan.operation_sets:
             if not op_set:
                 continue
-            instance._run_set(op_set, instance._bound_step(op_set))
+            bound = instance._bound
+            step = None if bound is None else bound.step_for(op_set)
+            if step is None:
+                execute_set(instance, op_set)
+            else:
+                step.run(instance, instance.workspace)
+            stats = instance.stats
+            stats.kernel_launches += 1
+            stats.operations += len(op_set)
+            stats.flops += len(op_set) * instance.flops_per_operation
     finally:
         instance.unbind_plan()
     return instance.calculate_root_log_likelihood(plan.root_buffer)

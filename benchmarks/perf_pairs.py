@@ -67,6 +67,14 @@ def prepare_side(rev: str, dest: Path) -> Path:
     return dest
 
 
+def make_scratch(parent: Optional[Path]) -> Path:
+    """A new directory for the side copies, under ``parent`` (created
+    with any missing parents) or the system's temporary directory."""
+    if parent is not None:
+        parent.mkdir(parents=True, exist_ok=True)
+    return Path(tempfile.mkdtemp(prefix="perf_pairs_", dir=parent))
+
+
 def parse_workloads(specs: List[str], pairs: int) -> Dict[str, int]:
     """``{workload: pairs}`` from ``NAME`` or ``NAME=PAIRS`` items."""
     out = {}
@@ -257,7 +265,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     directions = load_directions()
-    scratch = Path(tempfile.mkdtemp(prefix="perf_pairs_", dir=args.scratch))
+    scratch = make_scratch(args.scratch)
     try:
         dirs = {
             side: prepare_side(rev, scratch / side)

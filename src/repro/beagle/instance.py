@@ -37,13 +37,10 @@ from .kernels import (
 )
 from .operations import Operation
 from .scaling import ScaleBufferBank
-from .setexec import DirtyPath, ProgramRun, execute_set
+from .setexec import _CODES_TIP, _PARTIALS_TIP, DirtyPath, ProgramRun, execute_set
 from .workspace import TransitionMatrixCache, Workspace
 
 __all__ = ["BeagleInstance", "InstanceStats", "InstanceWrapper"]
-
-# ``BeagleInstance._tip_kinds`` values of a tip with data.
-_CODES_TIP, _PARTIALS_TIP = 1, 2
 
 
 @dataclass
@@ -125,16 +122,15 @@ class BeagleInstance:
         self.state_count = state_count
         self.category_count = category_count
 
-        # Tip storage: compact codes (views of their dense-mirror rows) or
-        # explicit partials, per tip index.
-        self._tip_codes: Dict[int, np.ndarray] = {}
+        # Explicit tip partials, per tip index.
         self._tip_partials: Dict[int, np.ndarray] = {}
         # Each tip's kind of data (0 none, then _CODES_TIP or
         # _PARTIALS_TIP), the only tip fact lowering bakes in: programs
         # and dirty-path entries serve only the kinds they were lowered
         # for. Immutable, and replaced only when a kind changes.
         self._tip_kinds = bytes(tip_count)
-        # Dense mirror of tip codes for vectorised multi-operation gathers.
+        # Compact tip codes, one row per tip: a tip of kind _CODES_TIP
+        # reads its row, and multi-operation steps gather from it.
         self._tip_codes_dense = np.zeros((tip_count, pattern_count), dtype=np.int64)
         # Partials store: one dense block, views handed to kernels. Row
         # ``b - tip_count`` holds buffer ``b``; the pre-order upper bank,
@@ -193,14 +189,15 @@ class BeagleInstance:
         ``(len(indices), patterns)`` ``codes`` goes to tip ``indices[i]``.
 
         One validation and one dense-mirror write for the whole batch,
-        with the errors :meth:`set_tip_states` raises
-        for the same data. The codes are copied into the dense mirror,
-        and each tip's codes are a view of its mirror row, so integer
-        input is never copied twice.
+        with the errors :meth:`set_tip_states` raises for the same data
+        (an out-of-range tip names the first one). The tip indices are
+        checked and the kinds written as arrays, and integer codes are
+        copied once, into the dense mirror.
         """
-        tips = [int(tip) for tip in indices]
-        for tip in tips:
-            self._check_tip(tip)
+        tips = np.asarray(indices, dtype=np.int64)
+        outside = (tips < 0) | (tips >= self.tip_count)
+        if outside.any():
+            raise IndexError(f"tip index {tips[outside][0]} out of range")
         arr = np.asarray(codes)
         if arr.dtype.kind not in "iu":
             arr = arr.astype(np.int64)
@@ -208,11 +205,10 @@ class BeagleInstance:
             raise ValueError("codes length must equal pattern count")
         if arr.size and (arr.min() < 0 or arr.max() > self.state_count):
             raise ValueError("tip codes out of range")
-        dense = self._tip_codes_dense
-        dense[tips] = arr
-        for tip in tips:
-            self._tip_codes[tip] = dense[tip]
-            self._tip_partials.pop(tip, None)
+        self._tip_codes_dense[tips] = arr
+        if self._tip_partials:
+            for tip in tips.tolist():
+                self._tip_partials.pop(tip, None)
         self._set_tip_kinds(tips, _CODES_TIP)
 
     def set_tip_partials(self, tip_index: int, partials: np.ndarray) -> None:
@@ -226,7 +222,6 @@ class BeagleInstance:
         self._tip_partials[tip_index] = np.broadcast_to(
             arr, (self.category_count,) + arr.shape
         ).copy()
-        self._tip_codes.pop(tip_index, None)
         self._set_tip_kinds([tip_index], _PARTIALS_TIP)
         # Run steps bound to this instance view the replaced array.
         self._views = None
@@ -235,17 +230,20 @@ class BeagleInstance:
         """Record ``kind`` for ``tips``; a new kinds object only if one
         changed."""
         kinds = bytearray(self._tip_kinds)
-        for tip in tips:
-            kinds[tip] = kind
+        np.frombuffer(kinds, dtype=np.uint8)[tips] = kind
         if kinds != self._tip_kinds:
             self._tip_kinds = bytes(kinds)
+
+    def _tip_kind(self, tip_index: int) -> int:
+        """The kind of data tip ``tip_index`` holds (0 for none)."""
+        return self._tip_kinds[tip_index] if tip_index >= 0 else 0
 
     def set_pattern_weights(self, weights: Sequence[float]) -> None:
         """Per-pattern multiplicities used by the likelihood reductions."""
         arr = np.array(weights, dtype=np.float64)
         if arr.shape != (self.pattern_count,):
             raise ValueError("weights length must equal pattern count")
-        if np.any(arr < 0):
+        if (arr < 0).any():
             raise ValueError("pattern weights must be non-negative")
         self._weights = arr
 
@@ -254,7 +252,7 @@ class BeagleInstance:
         arr = np.asarray(frequencies, dtype=np.float64)
         if arr.shape != (self.state_count,):
             raise ValueError("frequency length must equal state count")
-        if np.any(arr < 0) or arr.sum() <= 0:
+        if (arr < 0).any() or arr.sum() <= 0:
             raise ValueError("frequencies must be non-negative and sum > 0")
         self._frequencies = arr / arr.sum()
 
@@ -278,7 +276,7 @@ class BeagleInstance:
         arr = np.array(weights, dtype=np.float64)
         if arr.shape != (self.category_count,):
             raise ValueError("weights length must equal category count")
-        if np.any(arr < 0) or not sums_to_one(arr):
+        if (arr < 0).any() or not sums_to_one(arr):
             raise ValueError("category weights must be a distribution")
         self._category_weights = arr
 
@@ -421,9 +419,10 @@ class BeagleInstance:
     def _child_arrays(self, buffer_index: int):
         """Return ``(partials, codes)`` for a child buffer (one is None)."""
         if buffer_index < self.tip_count:
-            if buffer_index in self._tip_codes:
-                return None, self._tip_codes[buffer_index]
-            if buffer_index in self._tip_partials:
+            kind = self._tip_kind(buffer_index)
+            if kind == _CODES_TIP:
+                return None, self._tip_codes_dense[buffer_index]
+            if kind == _PARTIALS_TIP:
                 return self._tip_partials[buffer_index], None
             raise ValueError(f"tip buffer {buffer_index} has no data")
         slot = self._internal_slot(buffer_index)
@@ -621,23 +620,36 @@ class BeagleInstance:
         self._bound = None
 
     def _launch(self, operations: Sequence[Operation], span: str) -> None:
-        """Run one operation set as one kernel launch: the bound program's
-        next step, or a one-set program."""
+        """Run one operation set as one kernel launch — the bound
+        program's next step, or a one-set program — and count exactly one
+        launch."""
         if not operations:
             return
-        step = self._bound_step(operations)
+        bound = self._bound
+        step = None if bound is None else bound.step_for(operations)
+        k = len(operations)
         obs = get_recorder()
-        if obs.enabled:
-            # Observability bookkeeping sits behind one branch so the
-            # disabled (null-recorder) path stays allocation-free.
-            k = len(operations)
+        if not obs.enabled:
+            if step is None:
+                execute_set(self, operations)
+            else:
+                step.run(self, self.workspace)
+        else:
+            # Observability bookkeeping — span, counters, phase timers —
+            # sits behind one branch, so the disabled (null-recorder) path
+            # enters no context manager.
             obs.count("repro_kernel_launches_total")
             obs.count("repro_operations_evaluated_total", k)
             obs.observe("repro_operations_per_set", k)
             with obs.span(span, category="kernel", operations=k):
-                self._run_set(operations, step)
-        else:
-            self._run_set(operations, step)
+                if step is None:
+                    execute_set(self, operations)
+                else:
+                    step.run(self, self.workspace, obs)
+        stats = self.stats
+        stats.kernel_launches += 1
+        stats.operations += k
+        stats.flops += k * self._flops_per_operation
 
     @property
     def workspace(self) -> Workspace:
@@ -684,24 +696,6 @@ class BeagleInstance:
                 f"P={self.pattern_count}, S={self.state_count})"
             )
         self._workspace = workspace
-
-    def _bound_step(self, operations: Sequence[Operation]):
-        """The bound program's step for this set, if it is the next one."""
-        bound = self._bound
-        return None if bound is None else bound.step_for(operations)
-
-    def _run_set(self, operations: Sequence[Operation], step=None) -> None:
-        """Body of one launch: run ``step`` (or the set as a one-set
-        program), then count exactly one kernel launch."""
-        if step is None:
-            execute_set(self, operations)
-        else:
-            step.run(self, self.workspace)
-        k = len(operations)
-        stats = self.stats
-        stats.kernel_launches += 1
-        stats.operations += k
-        stats.flops += k * self._flops_per_operation
 
     # ------------------------------------------------------------------
     # Likelihood reductions

@@ -74,7 +74,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..obs import get_recorder
+from ..obs import Recorder, get_recorder
 from ..obs.profile import PHASE_PARTIALS, PHASE_SCALING
 from .kernels import pattern_maxima
 from .operations import operations_independent
@@ -159,6 +159,9 @@ HOIST_MAX_ROW_BYTES = 12 * 1024
 
 _MIN_BATCH = 4
 _MAX_BATCH = 64
+
+# ``BeagleInstance._tip_kinds`` values of a tip with data.
+_CODES_TIP, _PARTIALS_TIP = 1, 2
 
 # Child kinds after lowering: a store slot, an explicit tip's partials,
 # a compact tip (resolved to a row of a gather), a gathered tip row.
@@ -305,7 +308,7 @@ def _contribution(
     elif kind == _GATHERED:
         return gathered[index]
     elif kind == _CODES:
-        codes = instance._tip_codes[index]
+        codes = instance._tip_codes_dense[index]
         return np.take(instance._padded[mat], codes, axis=1, out=out, mode="clip")
     else:
         source = instance._tip_partials[index]
@@ -383,38 +386,56 @@ class _NarrowStep:
             views.append((switch, matmuls, *factors, out, valid))
         return _NarrowStep(self.ops, self.chunks, self.products, self.scaled, views)
 
-    def run(self, instance: "BeagleInstance", ws: "Workspace") -> None:
-        chunks = self.chunks
-        views = self.views
-        recorder = get_recorder()
-        with recorder.phase(PHASE_PARTIALS):
-            if views is not None:
-                for switch, matmuls, x, y, out, valid in views:
-                    if switch is not None and switch is not ws.gathered_by:
-                        switch.gather(instance, ws)
-                    for source, matrices, target in matmuls:
-                        np.matmul(source, matrices, out=target)
-                    np.multiply(x, y, out=out)
-                    valid.fill(True)
-            else:
-                partials, valid = instance._partials, instance._partials_valid
-                gathered, row = ws.gathered_tips, ws.row
-                for i, (dest, first, second) in enumerate(self.products):
-                    chunk = chunks[i] if chunks is not None else None
-                    if chunk is not None and chunk is not ws.gathered_by:
-                        chunk.gather(instance, ws)
-                        gathered = ws.gathered_tips
-                    out = partials[dest]
-                    x = _contribution(instance, first, gathered, out)
-                    y = _contribution(
-                        instance, second, gathered, row if x is out else out
-                    )
-                    np.multiply(x, y, out=out)
-                    valid[dest] = True
+    def run(
+        self,
+        instance: "BeagleInstance",
+        ws: "Workspace",
+        obs: Optional[Recorder] = None,
+    ) -> None:
+        """Run the step: its products, then the rescale of each scaled
+        destination. Each part is timed as a phase of ``obs`` when a
+        recording recorder is given; with none, no timer is entered."""
+        if obs is None:
+            self.multiply(instance, ws)
+            if self.scaled:
+                self.rescale(instance, ws)
+            return
+        with obs.phase(PHASE_PARTIALS):
+            self.multiply(instance, ws)
         if self.scaled:
-            with recorder.phase(PHASE_SCALING):
-                for dest, index in self.scaled:
-                    _rescale(instance._partials[dest], ws, instance.scale, index)
+            with obs.phase(PHASE_SCALING):
+                self.rescale(instance, ws)
+
+    def multiply(self, instance: "BeagleInstance", ws: "Workspace") -> None:
+        """The step's products, each straight into its destinations."""
+        views = self.views
+        if views is not None:
+            for switch, matmuls, x, y, out, valid in views:
+                if switch is not None and switch is not ws.gathered_by:
+                    switch.gather(instance, ws)
+                for source, matrices, target in matmuls:
+                    np.matmul(source, matrices, out=target)
+                np.multiply(x, y, out=out)
+                valid.fill(True)
+            return
+        chunks = self.chunks
+        partials, valid = instance._partials, instance._partials_valid
+        gathered, row = ws.gathered_tips, ws.row
+        for i, (dest, first, second) in enumerate(self.products):
+            chunk = chunks[i] if chunks is not None else None
+            if chunk is not None and chunk is not ws.gathered_by:
+                chunk.gather(instance, ws)
+                gathered = ws.gathered_tips
+            out = partials[dest]
+            x = _contribution(instance, first, gathered, out)
+            y = _contribution(instance, second, gathered, row if x is out else out)
+            np.multiply(x, y, out=out)
+            valid[dest] = True
+
+    def rescale(self, instance: "BeagleInstance", ws: "Workspace") -> None:
+        """Rescale each scaled destination and write its log factors."""
+        for dest, index in self.scaled:
+            _rescale(instance._partials[dest], ws, instance.scale, index)
 
 
 def _slice(start: int, stride: int, n: int) -> slice:
@@ -756,7 +777,7 @@ def compile_program(
     """
     tip_count, n_slots = instance.tip_count, instance._partials.shape[0]
     n_mats = instance._padded.shape[0]
-    codes, explicit = instance._tip_codes, instance._tip_partials
+    kind_of = instance._tip_kind
     written: set = set()
     reads: List[int] = []
 
@@ -771,9 +792,10 @@ def compile_program(
         if not 0 <= mat < n_mats:
             raise IndexError(f"matrix buffer {mat} out of range")
         if buffer < tip_count:
-            if buffer in codes:
+            kind = kind_of(buffer)
+            if kind == _CODES_TIP:
                 return (_CODES, buffer, mat)
-            if buffer in explicit:
+            if kind == _PARTIALS_TIP:
                 return (_EXPLICIT, buffer, mat)
             raise ValueError(f"tip buffer {buffer} has no data")
         slot = slot_of(buffer)
@@ -825,10 +847,15 @@ def compile_program(
 
 
 def execute_set(instance: "BeagleInstance", ops: Sequence["Operation"]) -> None:
-    """Run one independent operation set as a one-set program."""
+    """Run one independent operation set as a one-set program (timed as
+    phases when the recorder is recording)."""
     program = compile_program(instance, [ops])
+    obs = get_recorder()
     for step in program.start(instance).steps:
-        step.run(instance, instance.workspace)
+        if obs.enabled:
+            step.run(instance, instance.workspace, obs)
+        else:
+            step.run(instance, instance.workspace)
 
 
 class DirtyPath:

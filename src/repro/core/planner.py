@@ -194,7 +194,7 @@ def create_instance(
     """
     rates = rates or single_rate()
     tips = tree.tips()
-    if {t.name for t in tips} != set(patterns.taxa):
+    if {t.name for t in tips} != patterns.taxon_set:
         raise ValueError("tree tips and pattern taxa must match by name")
     n = len(tips)
     instance = BeagleInstance(
@@ -228,16 +228,21 @@ def load_tips(instance: BeagleInstance, tree: Tree, patterns: PatternData) -> No
         If a tip's name is not a pattern taxon.
     """
     tree.assign_indices()
-    row_of = {name: row for row, name in enumerate(patterns.taxa)}
-    compact, rows = [], []
-    for index, tip in enumerate(tree.tips()):
-        if tip.name not in row_of:
-            raise ValueError(f"tip {tip.name!r} is not a pattern taxon")
-        if tip.name in patterns.partials:
-            instance.set_tip_partials(index, patterns.tip_partials(tip.name))
-        else:
-            compact.append(index)
-            rows.append(row_of[tip.name])
+    row_of = patterns.rows
+    names = [tip.name for tip in tree.tips()]
+    try:
+        rows = [row_of[name] for name in names]
+    except KeyError as missing:
+        raise ValueError(f"tip {missing.args[0]!r} is not a pattern taxon") from None
+    compact = range(len(names))
+    if patterns.partials:
+        compact = []
+        for index, name in enumerate(names):
+            if name in patterns.partials:
+                instance.set_tip_partials(index, patterns.tip_partials(name))
+            else:
+                compact.append(index)
+        rows = [rows[index] for index in compact]
     if compact:
         instance.set_tip_states_rows(compact, patterns.codes[rows])
 

@@ -11,7 +11,8 @@ construction yields (almost) all-unique patterns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,6 +62,17 @@ class PatternData:
     def n_taxa(self) -> int:
         """Number of taxa."""
         return len(self.taxa)
+
+    @cached_property
+    def rows(self) -> Dict[str, int]:
+        """Row of each taxon in ``codes``, built once (``taxa`` is a
+        tuple, so it cannot go stale; do not mutate it)."""
+        return {name: row for row, name in enumerate(self.taxa)}
+
+    @cached_property
+    def taxon_set(self) -> FrozenSet[str]:
+        """The taxa as a set, built once."""
+        return frozenset(self.taxa)
 
     @property
     def n_patterns(self) -> int:

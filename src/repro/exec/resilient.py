@@ -104,8 +104,8 @@ class RetryPolicy:
         cannot re-plan).
     verify:
         Check destination buffers for NaN/Inf and underflow after every
-        launch. Costs one reduction pass per destination; disabling it
-        leaves only root-level detection.
+        launch. Costs one reduction per launch; disabling it leaves only
+        root-level detection.
     underflow_retries:
         Recomputations to attempt when underflow is detected before
         concluding it is deterministic (one recomputation distinguishes
@@ -332,7 +332,9 @@ class ResilientInstance(InstanceWrapper):
     # -- launch surface ------------------------------------------------
     def update_partials_set(self, operations) -> None:
         """Execute one operation set with the full recovery pipeline."""
-        ops = list(operations)
+        # A plan's set list is passed through as it is, so a bound program
+        # recognises its set by identity.
+        ops = operations if isinstance(operations, list) else list(operations)
         if not ops:
             return
         try:
@@ -391,21 +393,46 @@ class ResilientInstance(InstanceWrapper):
                     self._sleep(delay)
 
     def _verify_destinations(self, ops: List[Operation]) -> None:
-        """Detect NaN/Inf poisoning and underflow in fresh destinations."""
-        poisoned: List[int] = []
-        underflowed: List[int] = []
+        """Detect NaN/Inf poisoning and underflow in fresh destinations.
+
+        One reduction per launch: each destination's per-pattern maxima,
+        over a view of the store when the destinations step by one stride
+        (every set under the set-ordered numbering), else gathered in
+        cache-sized chunks. The launch is clean when the smallest maximum
+        is at least the threshold and finite and the largest is below
+        +inf (NaN fails both); only otherwise are the destinations sorted
+        into poisoned and underflowed, in operation order.
+        """
         inner = self._inner
-        destinations = np.array([op.destination for op in ops], dtype=np.int64)
-        chunk = batch_rows(inner)
-        # One reduction per cache-sized chunk of destinations: each one's
-        # per-pattern maximum (the gather copies at most ``chunk`` rows).
-        for start in range(0, len(destinations), chunk):
-            part = destinations[start : start + chunk]
-            maxima = pattern_maxima(inner._partials[part - inner.tip_count])
-            finite = np.isfinite(maxima).all(axis=1)
-            low = maxima.min(axis=1) < self._underflow_threshold
-            poisoned += part[~finite].tolist()
-            underflowed += part[finite & low].tolist()
+        store, base = inner._partials, inner.tip_count
+        destinations = [op.destination for op in ops]
+        first, n = destinations[0], len(destinations)
+        stride = destinations[1] - first if n > 1 else 1
+        if stride and destinations == list(range(first, first + stride * n, stride)):
+            maxima = pattern_maxima(store[first - base :: stride][:n])
+        else:
+            rows = np.array(destinations, dtype=np.int64) - base
+            chunk = batch_rows(inner)
+            # The gather copies at most ``chunk`` rows at a time.
+            maxima = np.concatenate(
+                [
+                    pattern_maxima(store[rows[start : start + chunk]])
+                    for start in range(0, n, chunk)
+                ]
+            )
+        low = maxima.min()
+        if (
+            low >= self._underflow_threshold
+            and low > -math.inf
+            and maxima.max() < math.inf
+        ):
+            return
+        finite = np.isfinite(maxima).all(axis=1)
+        vanishing = maxima.min(axis=1) < self._underflow_threshold
+        poisoned = [int(d) for d, bad in zip(destinations, ~finite) if bad]
+        underflowed = [
+            int(d) for d, bad in zip(destinations, finite & vanishing) if bad
+        ]
         if poisoned:
             raise NumericalError(
                 f"non-finite partials in buffers {poisoned}",

@@ -68,9 +68,19 @@ class RateCategories:
         return float(np.dot(self.rates, self.probabilities))
 
 
+_SINGLE_RATE = RateCategories(np.array([1.0]), np.array([1.0]))
+_SINGLE_RATE.rates.setflags(write=False)
+_SINGLE_RATE.probabilities.setflags(write=False)
+
+
 def single_rate() -> RateCategories:
-    """The trivial one-category mixture (no rate heterogeneity)."""
-    return RateCategories(np.array([1.0]), np.array([1.0]))
+    """The trivial one-category mixture (no rate heterogeneity).
+
+    Every call returns the same mixture, so its arrays are read-only:
+    a caller that needs to edit rates builds its own
+    :class:`RateCategories`.
+    """
+    return _SINGLE_RATE
 
 
 def discrete_gamma(alpha: float, n_categories: int = 4) -> RateCategories:

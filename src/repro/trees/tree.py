@@ -185,17 +185,18 @@ class Tree:
         -------
         dict
             Mapping from ``id(node)`` to buffer index. The same mapping is
-            cached and reused by :meth:`index_of`.
+            cached and reused by :meth:`index_of`; the default numbering
+            is built once per topology epoch and shared (do not mutate
+            it).
         """
-        tips = self.tips()
-        if tip_order is not None:
+        if tip_order is None:
+            index = self.derived(_numbering)
+        else:
+            tips = self.tips()
             by_name = {t.name: t for t in tips}
             if set(by_name) != set(tip_order) or len(tip_order) != len(tips):
                 raise ValueError("tip_order must be a permutation of tip names")
-            tips = [by_name[name] for name in tip_order]
-        index: Dict[int, int] = {id(tip): i for i, tip in enumerate(tips)}
-        for i, node in enumerate(self.derived(_set_order), start=len(tips)):
-            index[id(node)] = i
+            index = _numbering(self, [by_name[name] for name in tip_order])
         self._index = index
         return index
 
@@ -303,6 +304,17 @@ class Tree:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Tree n_tips={self.n_tips} n_nodes={self.n_nodes}>"
+
+
+def _numbering(tree: Tree, tips: Optional[List[Node]] = None) -> Dict[int, int]:
+    """``id(node)`` → buffer index: ``tips`` (default left to right)
+    first, then the internal nodes in set order."""
+    if tips is None:
+        tips = tree.tips()
+    index = {id(tip): i for i, tip in enumerate(tips)}
+    for i, node in enumerate(tree.derived(_set_order), start=len(tips)):
+        index[id(node)] = i
+    return index
 
 
 def _set_order(tree: Tree) -> List[Node]:

@@ -66,7 +66,7 @@ class TestSetters:
             single.set_tip_states(tip, row)
         batch.set_tip_states_rows([3, 0, 2], codes.astype(np.int32))
         for tip in range(4):
-            assert (tip in batch._tip_codes) == (tip in single._tip_codes)
+            assert batch._tip_kinds[tip] == single._tip_kinds[tip]
             assert tip not in batch._tip_partials
         for tip in (3, 0, 2):
             assert np.array_equal(batch.get_partials(tip), single.get_partials(tip))
@@ -82,7 +82,8 @@ class TestSetters:
             inst = make_instance()
             with pytest.raises(error, match=message):
                 inst.set_tip_states_rows(tips, rows)
-            assert inst._tip_codes == {} and inst._tip_kinds == bytes(4)
+            assert inst._tip_kinds == bytes(4)
+            assert not inst._tip_codes_dense.any()
 
     def test_tip_partials(self):
         inst = make_instance(category_count=2)

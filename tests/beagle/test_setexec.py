@@ -741,7 +741,7 @@ class TestDirtyPathEntries:
         first = self.branch(2)
         self.ev.reject()
         compiles = _count_compiles(monkeypatch)
-        codes = self.instance._tip_codes[0].copy()
+        codes = self.instance._tip_codes_dense[0].copy()
         self.instance.set_tip_states(0, codes)
         assert self.branch(2) == first
         assert compiles == []

@@ -129,6 +129,14 @@ def test_each_side_prints_its_own_bits(tmp_path):
         pp.check_schema(doc)
 
 
+def test_scratch_directory_is_created_when_missing(tmp_path):
+    parent = tmp_path / "not" / "yet"
+    scratch = pp.make_scratch(parent)
+    assert scratch.is_dir() and scratch.parent == parent
+    again = pp.make_scratch(parent)  # an existing parent is fine too
+    assert again.is_dir() and again != scratch
+
+
 def test_directions_come_from_the_benchmark_spec():
     directions = pp.load_directions()
     assert directions["throughput_per_s"] == "higher"

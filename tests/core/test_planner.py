@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,8 +15,9 @@ from repro.core import (
     execute_plan,
     make_plan,
 )
-from repro.data import compress, random_patterns, simulate_alignment
-from repro.models import HKY85, JC69, discrete_gamma
+from repro.core.planner import load_tips
+from repro.data import Alignment, compress, random_patterns, simulate_alignment
+from repro.models import HKY85, JC69, discrete_gamma, single_rate
 from repro.trees import balanced_tree, parse_newick, pectinate_tree
 from tests.strategies import tree_strategy
 
@@ -86,6 +89,100 @@ class TestCreateInstance:
         patterns = random_patterns(t.tip_names(), 8)
         inst = create_instance(t, model, patterns, scaling=True)
         assert inst.scale.count == 4
+
+
+class TestSetUpChecks:
+    """A fresh instance's set-up raises the errors it always raised."""
+
+    def case(self, model):
+        tree = balanced_tree(4)
+        patterns = random_patterns(tree.tip_names(), 8, seed=1)
+        return tree, patterns, create_instance(tree, model, patterns)
+
+    def test_mismatched_taxa(self, model):
+        tree, patterns, instance = self.case(model)
+        other = random_patterns(["t0001", "t0002", "t0003", "q"], 8)
+        with pytest.raises(ValueError, match="^tree tips and pattern taxa must match"):
+            create_instance(tree, model, other)
+        with pytest.raises(ValueError, match="^tip 't0004' is not a pattern taxon$"):
+            load_tips(instance, tree, other)
+        fewer = random_patterns(["t0001", "t0002", "t0003"], 8)
+        with pytest.raises(ValueError, match="^tree tips and pattern taxa must match"):
+            create_instance(tree, model, fewer)
+
+    def test_codes_out_of_range(self, model):
+        tree, patterns, instance = self.case(model)
+        for bad in (4 + 1, -1):
+            codes = patterns.codes.copy()
+            codes[2, 3] = bad
+            with pytest.raises(ValueError, match="^tip codes out of range$"):
+                load_tips(instance, tree, replace(patterns, codes=codes))
+            with pytest.raises(ValueError, match="^tip codes out of range$"):
+                instance.set_tip_states(1, codes[2])
+        for tips, message in (([1, 9, -2], "9"), ([0, -1], "-1"), ([4], "4")):
+            with pytest.raises(IndexError, match=f"^tip index {message} out of range$"):
+                instance.set_tip_states_rows(tips, np.zeros((len(tips), 8)))
+        with pytest.raises(IndexError, match="^tip index 7 out of range$"):
+            instance.set_tip_partials(7, np.ones((8, 4)))
+
+    def test_wrong_lengths(self, model):
+        tree, patterns, instance = self.case(model)
+        for call, message in (
+            (lambda: instance.set_tip_states(0, [0] * 7), "codes length"),
+            (
+                lambda: instance.set_tip_states_rows([0, 1], np.zeros((3, 8))),
+                "codes length",
+            ),
+            (
+                lambda: instance.set_tip_partials(0, np.ones((7, 4))),
+                "tip partials must",
+            ),
+            (lambda: instance.set_pattern_weights(np.ones(9)), "weights length"),
+            (lambda: instance.set_pattern_weights(-np.ones(8)), "pattern weights must"),
+            (lambda: instance.set_state_frequencies([0.5, 0.5]), "frequency length"),
+            (lambda: instance.set_state_frequencies([1, -1, 1, 1]), "frequencies must"),
+            (lambda: instance.set_category_rates([1.0, 2.0]), "rates length"),
+            (lambda: instance.set_category_weights([0.5, 0.5]), "weights length"),
+            (lambda: instance.set_category_weights([0.5]), "category weights must"),
+        ):
+            with pytest.raises(ValueError, match=f"^{message}"):
+                call()
+        short = replace(patterns, codes=patterns.codes[:, :7], weights=np.ones(7))
+        with pytest.raises(ValueError, match="^codes length must equal pattern count$"):
+            load_tips(instance, tree, short)
+
+    def test_partial_ambiguity_loads_as_explicit_partials(self, model):
+        tree = balanced_tree(4)
+        names = tree.tip_names()
+        patterns = compress(
+            Alignment(dict(zip(names, ["ACGTR", "ACGTA", "AYGTN", "ACGTC"])))
+        )
+        assert set(patterns.partials) == {names[0], names[2]}
+        instance = create_instance(tree, model, patterns)
+        assert set(instance._tip_partials) == {0, 2}
+        assert list(instance._tip_kinds) == [2, 1, 2, 1]  # explicit, codes
+        assert np.array_equal(
+            instance.get_partials(0)[0], patterns.tip_partials(names[0])
+        )
+        plan = make_plan(tree)
+        assert execute_plan(instance, plan) == pytest.approx(
+            pruning_log_likelihood(tree, model, patterns), rel=1e-12
+        )
+
+    def test_single_rate_is_shared_and_read_only(self):
+        rates = single_rate()
+        assert single_rate() is rates and discrete_gamma(0.5, 1) is rates
+        with pytest.raises(ValueError, match="read-only"):
+            rates.rates[0] = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            rates.probabilities[:] = 0.5
+        assert rates.rates.tolist() == rates.probabilities.tolist() == [1.0]
+
+    def test_pattern_rows_are_built_once(self):
+        patterns = random_patterns(["b", "a", "c"], 4)
+        assert patterns.rows == {"b": 0, "a": 1, "c": 2}
+        assert patterns.rows is patterns.rows
+        assert patterns.taxon_set == {"a", "b", "c"}
 
 
 class TestEngineCorrectness:

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.beagle.operations import Operation
 from repro.beagle.reference import pruning_log_likelihood
 from repro.core.planner import create_instance, execute_plan, make_plan
 from repro.data import random_patterns
@@ -17,7 +20,7 @@ from repro.exec import (
     RetryPolicy,
 )
 from repro.models import JC69
-from repro.trees import balanced_tree, pectinate_tree
+from repro.trees import balanced_tree, pectinate_tree, random_attachment_tree
 
 
 def make_case(n_tips=16, n_patterns=32, seed=1, dtype=np.float64, topology="balanced"):
@@ -189,8 +192,6 @@ class TestDestinationChecks:
     as a per-operation check."""
 
     def check(self, values):
-        from repro.beagle.operations import Operation
-
         tree, model, patterns, instance, plan = make_case()
         engine = ResilientInstance(instance)
         ops = []
@@ -234,6 +235,167 @@ class TestDestinationChecks:
             self.check([1e-300, 0.5, 0.5, 1e-300, 1e-300])
         base = info.value.buffers[0]
         assert info.value.buffers == (base, base + 3, base + 4)
+
+    @staticmethod
+    def verify(instance, destinations):
+        """``_verify_destinations`` on one operation per destination."""
+        ops = [Operation(d, 0, 0, 1, 1) for d in destinations]
+        ResilientInstance(instance)._verify_destinations(ops)
+
+    @staticmethod
+    def filled(instance):
+        """Every store row healthy (upper bank included)."""
+        instance.enable_upper_partials()
+        instance._partials[...] = 0.5
+        return instance
+
+    def test_non_contiguous_destinations(self):
+        # Height-grouped sets of a random tree cut across the set-ordered
+        # (depth-level) numbering.
+        tree = random_attachment_tree(24, 3, branch_length=0.1)
+        plan = make_plan(tree, "level")
+        patterns = random_patterns(tree.tip_names(), 16, seed=2)
+        instance = create_instance(tree, JC69(), patterns)
+        op_set = next(
+            ops
+            for ops in plan.operation_sets
+            if len(ops) > 2
+            and [op.destination for op in ops]
+            != list(range(ops[0].destination, ops[0].destination + len(ops)))
+        )
+        instance._partials[...] = 0.5
+        destinations = [op.destination for op in op_set]
+        self.verify(instance, destinations)
+        instance._partials[destinations[-1] - instance.tip_count, 0, 3, 1] = np.nan
+        instance._partials[destinations[0] - instance.tip_count, 0, 5] = 1e-300
+        with pytest.raises(NumericalError) as info:
+            self.verify(instance, destinations)
+        assert (info.value.kind, info.value.buffers) == ("nan", (destinations[-1],))
+        instance._partials[destinations[-1] - instance.tip_count] = 0.5
+        with pytest.raises(NumericalError) as info:
+            self.verify(instance, destinations)
+        assert info.value.kind == "underflow"
+        assert info.value.buffers == (destinations[0],)
+        assert info.value.n_operations == len(op_set)
+
+    def test_decreasing_destinations(self):
+        instance = self.filled(make_case()[3])
+        base = instance.tip_count
+        destinations = [base + 9, base + 7, base + 5, base + 3]
+        self.verify(instance, destinations)
+        for d in (base + 5, base + 9):
+            instance._partials[d - base, :, 2] = 1e-300
+        with pytest.raises(NumericalError) as info:
+            self.verify(instance, destinations)
+        assert info.value.kind == "underflow"
+        assert info.value.buffers == (base + 9, base + 5)
+
+    def test_upper_bank_destinations(self):
+        instance = self.filled(make_case()[3])
+        upper = instance.upper_base
+        destinations = list(range(upper + 4, upper + 12))
+        self.verify(instance, destinations)
+        instance._partials[upper + 6 - instance.tip_count, 0, 0] = -np.inf
+        instance._partials[upper + 11 - instance.tip_count, 0, 7, 0] = np.inf
+        with pytest.raises(NumericalError) as info:
+            self.verify(instance, destinations)
+        assert (info.value.kind, info.value.buffers) == ("nan", (upper + 6, upper + 11))
+        assert str(info.value).startswith(
+            f"non-finite partials in buffers {[upper + 6, upper + 11]}"
+        )
+
+    @pytest.mark.parametrize("run", [True, False], ids=["run", "gathered"])
+    def test_set_wider_than_batch_rows(self, monkeypatch, run):
+        from repro.exec import resilient
+
+        monkeypatch.setattr(resilient, "batch_rows", lambda instance: 3)
+        instance = self.filled(make_case()[3])
+        base = instance.tip_count
+        rows = list(range(2, 12)) if run else [2, 9, 4, 11, 3, 8, 5, 10, 6, 7]
+        destinations = [base + row for row in rows]
+        self.verify(instance, destinations)
+        bad = [destinations[1], destinations[5], destinations[9]]
+        for d in bad:
+            instance._partials[d - base, :, 1] = 0.0
+        with pytest.raises(NumericalError) as info:
+            self.verify(instance, destinations)
+        assert (info.value.kind, info.value.buffers) == ("underflow", tuple(bad))
+        assert info.value.n_operations == 10
+
+
+def reference_verdict(instance, destinations, threshold):
+    """The per-destination verdict: ``None``, or the kind and buffers of
+    the ``NumericalError`` one check per destination raises."""
+    poisoned, underflowed = [], []
+    for destination in destinations:
+        row = instance._partials[destination - instance.tip_count]
+        maxima = row.max(axis=(0, 2))  # per pattern, over categories and states
+        if not np.isfinite(maxima).all():
+            poisoned.append(destination)
+        elif maxima.min() < threshold:
+            underflowed.append(destination)
+    if poisoned:
+        return "nan", poisoned, f"non-finite partials in buffers {poisoned}"
+    if underflowed:
+        return "underflow", underflowed, f"partials underflow in buffers {underflowed}"
+    return None
+
+
+@st.composite
+def destination_sets(draw, n_rows):
+    """Distinct store rows: a run of any nonzero stride, or any order."""
+    if draw(st.booleans()):
+        stride = draw(st.sampled_from([1, 2, 3, -1, -2]))
+        n = draw(st.integers(1, 12))
+        span = abs(stride) * (n - 1)
+        start = draw(st.integers(0, n_rows - 1 - span))
+        rows = [start + abs(stride) * i for i in range(n)]
+        return rows if stride > 0 else rows[::-1]
+    return draw(
+        st.lists(st.integers(0, n_rows - 1), min_size=1, max_size=24, unique=True)
+    )
+
+
+BAD_VALUES = {"nan": np.nan, "+inf": np.inf, "-inf": -np.inf, "tiny": None}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_verdict_matches_per_destination_reference(dtype, data):
+    """One reduction per launch raises what one check per destination
+    raises: same kind, buffers, operation count and message."""
+    tree, model, patterns, instance, plan = make_case(n_patterns=8, dtype=dtype)
+    instance.enable_upper_partials()
+    engine = ResilientInstance(instance)
+    threshold = engine._underflow_threshold
+    store = instance._partials
+    store[...] = data.draw(st.sampled_from([0.5, 1.0, 1e-3]))
+    rows = data.draw(destination_sets(store.shape[0]), label="rows")
+    destinations = [instance.tip_count + row for row in rows]
+    C, P, S = store.shape[1:]
+    for _ in range(data.draw(st.integers(0, 3), label="faults")):
+        row = data.draw(st.sampled_from(rows))
+        c, p, s = (data.draw(st.integers(0, k - 1)) for k in (C, P, S))
+        value = BAD_VALUES[data.draw(st.sampled_from(sorted(BAD_VALUES)))]
+        if value is None:
+            value = threshold * data.draw(st.sampled_from([0.0, 0.5, 1.0]))
+            if data.draw(st.booleans(), label="whole pattern"):
+                store[row, :, p, :] = value
+                continue
+        store[row, c, p, s] = value
+    expected = reference_verdict(instance, destinations, threshold)
+    ops = [Operation(d, 0, 0, 1, 1) for d in destinations]
+    if expected is None:
+        engine._verify_destinations(ops)
+        return
+    with pytest.raises(NumericalError) as info:
+        engine._verify_destinations(ops)
+    kind, buffers, message = expected
+    assert info.value.kind == kind
+    assert info.value.buffers == tuple(buffers)
+    assert info.value.n_operations == len(ops)
+    assert str(info.value).startswith(message)
 
 
 class TestDelegationAndStats:

@@ -52,8 +52,9 @@ def _reload_tips(instance, explicit):
         for tip, partials in list(instance._tip_partials.items()):
             instance.set_tip_partials(tip, partials[0].copy())
     else:
-        for tip, codes in list(instance._tip_codes.items()):
-            instance.set_tip_states(tip, codes.copy())
+        for tip, kind in enumerate(instance._tip_kinds):
+            if kind == 1:  # compact codes
+                instance.set_tip_states(tip, instance._tip_codes_dense[tip].copy())
 
 
 def _fresh(ev):

@@ -332,6 +332,6 @@ class TestIndicesFromTheCachedWalk:
         assert {id(n): tree.index_of(n) for n in nodes} == expected
         assert tree.assign_indices() == expected
         for tip in tree.root.tips():
-            row = instance._tip_codes[expected[id(tip)]]
+            row = instance._tip_codes_dense[expected[id(tip)]]
             codes = patterns.codes[patterns.taxa.index(tip.name)]
             assert np.array_equal(row, codes)
